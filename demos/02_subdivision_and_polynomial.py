@@ -2,8 +2,9 @@
 
 The default lifting nu(i, j) = T(i) + T(j) (triangular numbers) already
 realizes the wanted squares-and-triangles tiling for straight
-boundaries.  Bent boundaries usually defeat it; the engine then solves
-an exact feasibility program for new heights and re-verifies.
+boundaries.  Bent boundaries often defeat it; the engine then kinks the
+same separable lifting along the rows and columns of the boundary
+corners and re-verifies the hull.
 
 Run:  python3 demos/02_subdivision_and_polynomial.py
 """

@@ -27,7 +27,6 @@ from .patchwork import (
     build_patchwork,
     emit_polynomial_text,
 )
-from .puiseux import PuiseuxSeries, val
 from .subdivision import (
     RegularSubdivision,
     SubdividedDiagram,
@@ -55,7 +54,6 @@ __all__ = [
     "LiftedSupport",
     "NewtonDiagram",
     "PatchworkPolynomial",
-    "PuiseuxSeries",
     "RegularSubdivision",
     "SplitMix64",
     "SubdividedDiagram",
@@ -84,6 +82,5 @@ __all__ = [
     "serialize_json",
     "staircase_support",
     "subdivide_diagram",
-    "val",
     "verify_duality",
 ]

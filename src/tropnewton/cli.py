@@ -37,7 +37,8 @@ def _load_support(ns) -> tuple:
     if ns.file:
         obj = load_json(ns.file)
         if isinstance(obj, LiftedSupport):
-            return tuple(p for p, _ in obj.entries)
+            raise SchemaError("heights (\"t\" entries) are not accepted here; "
+                              "the tool computes its own lifting")
         return obj.points
     return parse_germ(ns.expression).points
 

@@ -73,10 +73,6 @@ class BadSequenceError(TropnewtonError):
     """A lifting sequence is not non-negative strictly increasing ints."""
 
 
-class ValOfZeroError(TropnewtonError):
-    """Valuation of the zero series is undefined."""
-
-
 # --- geometry --------------------------------------------------------------
 
 class DegenerateHullError(TropnewtonError):
@@ -104,9 +100,10 @@ class NotConnectedError(TropnewtonError):
 
 
 class RegularityCertificationError(TropnewtonError):
-    """The height feasibility system for the target subdivision has no
-    solution.  Not expected for convenient staircase supports; carries a
-    diagnostic payload in ``details``.
+    """Neither the default nor the corner-kinked separable lifting lands
+    on the special subdivision of the region under the boundary.  Not
+    expected for convenient staircase supports; carries the boundary
+    chain in ``details``.
     """
 
     def __init__(self, message: str, details: dict | None = None):

@@ -17,7 +17,6 @@ from .errors import check
 from .lattice import ConvexPolygon, LatticePoint, convex_hull
 from .newton import NewtonDiagram, analyze_support, delta_invariant, milnor_number
 from .parsing import SupportSet
-from .puiseux import PuiseuxSeries
 from .subdivision import SubdividedDiagram, subdivide_diagram
 from .tropical import (
     count_bounded_regions,
@@ -40,12 +39,6 @@ class PatchworkPolynomial:
     nu: dict[LatticePoint, Fraction]
     hull: ConvexPolygon | None
 
-    def coefficient(self, point) -> PuiseuxSeries:
-        pt = LatticePoint(int(point[0]), int(point[1]))
-        if pt not in self.nu:
-            return PuiseuxSeries.zero()
-        return PuiseuxSeries.term(self.nu[pt])
-
 
 def build_patchwork(nd: NewtonDiagram,
                     subdivided: SubdividedDiagram | None = None) -> PatchworkPolynomial:
@@ -55,11 +48,7 @@ def build_patchwork(nd: NewtonDiagram,
     support = tuple(sorted(nu))
     check(support == tuple(sorted(nd.gamma_minus_lattice)),
           "lifting points differ from the lattice points under the boundary")
-    pp = PatchworkPolynomial(support, nu, convex_hull(support))
-    for pt in support:
-        check(-pp.coefficient(pt).val() == nu[pt],
-              "coefficient valuation does not match the lifting")
-    return pp
+    return PatchworkPolynomial(support, nu, convex_hull(support))
 
 
 def _monomial_text(pt: LatticePoint) -> str:
@@ -155,7 +144,7 @@ def analyze(support) -> AnalysisReport:
 
     notes = [
         "input support: " + ", ".join(f"({p.i},{p.j})" for p in nd.support),
-        "lifting: " + ("certified by exact search"
+        "lifting: " + ("separable, kinked at the boundary corners"
                        if sdd.used_fallback else "default separable"),
         "coefficient exponents are +nu, so -val(c_ij) = nu(i,j)",
     ]

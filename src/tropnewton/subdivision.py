@@ -9,10 +9,11 @@ tolerance anywhere.
 
 For a diagram the goal is a subdivision whose cells inside the region
 under the boundary are exactly unit squares and half-square triangles.
-A separable lifting nu(i,j) = A(i) + B(j) with strictly convex partial
-sums achieves this; if a caller-supplied variant does not, a target
-subdivision is built combinatorially and certified by a small exact
-linear program that recovers admissible heights.
+The default separable lifting nu(i,j) = A(i) + B(j) with strictly
+convex partial sums achieves this for straight boundaries and many bent
+ones; for the rest, the same lifting kinked along the rows and columns
+of the boundary corners does (see ``subdivide_diagram``).  Either way
+the hull and a cell census re-check the result.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     BadSequenceError,
     DegenerateHullError,
     DegenerateInputError,
-    InternalCheckError,
     NotCoprimeError,
     RegularityCertificationError,
     check,
@@ -42,7 +42,6 @@ from .lattice import (
 )
 from .newton import NewtonDiagram, StaircaseDecomposition, decompose_diagram
 from .parsing import LiftedSupport
-from .simplex import simplex_max
 
 Plane = tuple[Fraction, Fraction, Fraction]
 
@@ -296,13 +295,7 @@ def classify_cells_by_region(sd: RegularSubdivision, region) -> tuple[tuple[int,
     return tuple(inside), area == region.area2
 
 
-# --- combinatorial target for the fallback ----------------------------------
-
-def _column_heights(p: int, q: int) -> list[int]:
-    """Top of the stack of contained unit squares per column of the
-    primitive right triangle with legs p, q."""
-    return [(q * (p - 1 - a)) // p for a in range(p)]
-
+# --- square counting lemmas ------------------------------------------------
 
 def triangle_square_count(p: int, q: int) -> int:
     """Unit grid squares contained in the triangle (0,0), (p,0), (0,q),
@@ -329,190 +322,6 @@ def crossed_square_count(p: int, q: int) -> int:
             if lo < p * q < lo + p + q:
                 count += 1
     return count
-
-
-def _in_closed_triangle(v, a, b, c) -> bool:
-    return cross(a, b, v) >= 0 and cross(b, c, v) >= 0 and cross(c, a, v) >= 0
-
-
-def _ear_clip(ring: Sequence[LatticePoint]) -> list[tuple[LatticePoint, ...]]:
-    """Triangulate a simple ccw polygon using exactly its listed vertices.
-
-    Collinear vertices are kept: they mark points that neighboring cells
-    use, so no ear may swallow one, even on its boundary.  When every
-    convex corner is blocked, the polygon is split along a diagonal to
-    the blocking vertex farthest from the corner's base line.
-    """
-    verts = list(ring)
-    if len(verts) == 3:
-        check(cross(*verts) > 0, "degenerate triangle ring")
-        return [tuple(verts)]
-    n = len(verts)
-    for k in range(n):
-        a, b, c = verts[k - 1], verts[k], verts[(k + 1) % n]
-        if cross(a, b, c) <= 0:
-            continue
-        if any(v not in (a, b, c) and _in_closed_triangle(v, a, b, c)
-               for v in verts):
-            continue
-        return [(a, b, c)] + _ear_clip(verts[:k] + verts[k + 1:])
-    for k in range(n):
-        a, b, c = verts[k - 1], verts[k], verts[(k + 1) % n]
-        if cross(a, b, c) <= 0:
-            continue
-        blockers = [v for v in verts
-                    if v not in (a, b, c) and _in_closed_triangle(v, a, b, c)]
-        check(bool(blockers), "blocked corner without blockers")
-        u = min(blockers, key=lambda v: (cross(a, c, v),
-                                         (v.i - b.i) ** 2 + (v.j - b.j) ** 2))
-        i1, i2 = sorted((k, verts.index(u)))
-        left = verts[i1:i2 + 1]
-        right = verts[i2:] + verts[:i1 + 1]
-        return _ear_clip(left) + _ear_clip(right)
-    raise InternalCheckError("ring has no convex corner")
-
-
-def _band_cells(corner: LatticePoint, p: int, q: int) -> list[tuple[LatticePoint, ...]]:
-    """Unimodular triangles covering the strip triangle minus its squares."""
-    heights = _column_heights(p, q) + [0]
-    ring = [LatticePoint(0, q)]
-    ring.extend(LatticePoint(0, y) for y in range(q - 1, heights[0] - 1, -1))
-    for x in range(p):
-        ring.append(LatticePoint(x + 1, heights[x]))
-        ring.extend(LatticePoint(x + 1, y)
-                    for y in range(heights[x] - 1, heights[x + 1] - 1, -1))
-    tris = _ear_clip(ring)
-    out = []
-    for t in tris:
-        check(cross(*t) == 1, "band triangle is not unimodular")
-        out.append(tuple(LatticePoint(corner.i + v.i, corner.j + v.j) for v in t))
-    return out
-
-
-def special_target_cells(nd: NewtonDiagram) -> list[tuple[LatticePoint, ...]]:
-    """Cell list (vertex rings, ccw) of the intended subdivision of the
-    whole support hull: all contained unit squares, unimodular triangles
-    filling the rest of the region under the boundary, and fan triangles
-    over the pockets between the boundary and its chord."""
-    cells: list[tuple[LatticePoint, ...]] = []
-    squares = 0
-    for pt in nd.gamma_minus_lattice:
-        if pt.i >= 1 and pt.j >= 1:
-            cells.append((LatticePoint(pt.i - 1, pt.j - 1), LatticePoint(pt.i, pt.j - 1),
-                          pt, LatticePoint(pt.i - 1, pt.j)))
-            squares += 1
-    dec = decompose_diagram(nd)
-    check(squares == dec.square_count, "square census mismatch")
-
-    g = nd.gamma_lattice
-    for a, b in zip(g, g[1:]):
-        cells.extend(_band_cells(LatticePoint(a.i, b.j), b.i - a.i, a.j - b.j))
-
-    if len(nd.gamma_vertices) > 2:
-        # pocket between the boundary chain and its chord; every chain
-        # lattice point stays a corner so edges match the band cells
-        cells.extend(_ear_clip(list(g)))
-    return cells
-
-
-def _affine_coefficients(w, v0, v1, v2) -> tuple[Fraction, Fraction, Fraction]:
-    d = cross(v0, v1, v2)
-    a = Fraction(cross(v0, w, v2), d)
-    b = Fraction(cross(v0, v1, w), d)
-    return (1 - a - b, a, b)
-
-
-def certify_heights(points: Sequence[LatticePoint],
-                    cells: Sequence[tuple[LatticePoint, ...]]) -> dict[LatticePoint, Fraction]:
-    """Heights whose lower hull realizes exactly the given cell tiling.
-
-    Requires a tiling that contains the unit square below-left of every
-    point with both coordinates positive, as the special target does.
-    Those squares' flatness conditions chain down to the axes and force
-    any admissible height function to split as h(i, j) = A_i + B_j, so
-    the search runs over the two axis sequences only.  An exact simplex
-    run maximizes the least fold across interior edges; a positive
-    optimum certifies the tiling as a regular subdivision and the
-    returned heights witness it.
-    """
-    pts = sorted(set(points))
-    top_right = set()
-    for ring in cells:
-        if len(ring) == 4:
-            lo = min(ring)
-            check(set(ring) == {lo, (lo.i + 1, lo.j), (lo.i + 1, lo.j + 1),
-                                (lo.i, lo.j + 1)},
-                  "4-gon target cell is not a unit square")
-            top_right.add(LatticePoint(lo.i + 1, lo.j + 1))
-    check(all(pt in top_right for pt in pts if pt.i >= 1 and pt.j >= 1),
-          "tiling does not pin a square to every inner point")
-
-    max_i = max(pt.i for pt in pts)
-    max_j = max(pt.j for pt in pts)
-    n_ab = max_i + max_j
-    s_col = n_ab
-
-    def acol(i):
-        return i - 1
-
-    def bcol(j):
-        return max_i + j - 1
-
-    edge_cells: dict[tuple, list[int]] = {}
-    for cid, ring in enumerate(cells):
-        m = len(ring)
-        for k in range(m):
-            a, b = ring[k], ring[(k + 1) % m]
-            key = (a, b) if a < b else (b, a)
-            edge_cells.setdefault(key, []).append(cid)
-
-    shared = []
-    for key, ids in sorted(edge_cells.items()):
-        if len(ids) == 2:
-            shared.append((key, ids))
-        else:
-            check(len(ids) == 1, f"edge {key} in {len(ids)} cells")
-
-    n_cols = n_ab + 1 + len(shared) + 1  # A,B then s, surpluses, cap slack
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def add_point(row, pt, f):
-        if pt.i >= 1:
-            row[acol(pt.i)] += f
-        if pt.j >= 1:
-            row[bcol(pt.j)] += f
-
-    # fold across each shared edge, written with the off-vertex negated
-    # so the surplus column starts basic at zero
-    for k, (key, ids) in enumerate(shared):
-        base = cells[ids[0]][:3]
-        off = next(v for v in cells[ids[1]] if cross(key[0], key[1], v) != 0)
-        lam = _affine_coefficients(off, *base)
-        row = [Fraction(0)] * n_cols
-        add_point(row, off, Fraction(-1))
-        for v, l in zip(base, lam):
-            add_point(row, v, l)
-        row[s_col] = Fraction(1)
-        row[n_ab + 1 + k] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    cap = [Fraction(0)] * n_cols
-    cap[s_col] = Fraction(1)
-    cap[-1] = Fraction(1)
-    rows.append(cap)
-    rhs.append(Fraction(1))
-
-    costs = [(Fraction(0), Fraction(0))] * n_cols
-    costs[s_col] = (Fraction(0), Fraction(1))
-    basis = list(range(n_ab + 1, n_cols))
-    x, _ = simplex_max(rows, rhs, costs, basis=basis)
-    if x[s_col] <= 0:
-        raise RegularityCertificationError(
-            "target tiling is not a regular subdivision: best fold is zero",
-            {"cells": len(cells), "edges": len(shared)})
-    return {pt: (x[acol(pt.i)] if pt.i else Fraction(0))
-            + (x[bcol(pt.j)] if pt.j else Fraction(0)) for pt in pts}
 
 
 # --- the special subdivision of a diagram -----------------------------------
@@ -549,36 +358,64 @@ class SubdividedDiagram:
                           for v in self.subdivision.cells[c].polygon.vertices))
 
 
-def _inside_ok(sd: RegularSubdivision, inside, clean) -> bool:
-    return clean and all(sd.cells[c].kind in ("square", "half_triangle")
-                         for c in inside)
+def _land(nd: NewtonDiagram, dec: StaircaseDecomposition, lifting: LiftedSupport,
+          used_fallback: bool) -> SubdividedDiagram | None:
+    """The subdivided diagram if the lifting lands on the special tiling.
+
+    Landing means: the cells under the boundary tile the region exactly,
+    each is a unit square or a half-square triangle, and the squares
+    agree with the decomposition's square and touching counts.
+    """
+    sd = lower_hull_subdivision(lifting)
+    inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
+    result = SubdividedDiagram(nd, dec, sd, inside, used_fallback)
+    if (clean and set(result.inside_kinds()) <= {"square", "half_triangle"}
+            and len(result.square_cell_ids) == dec.square_count
+            and result.touching_square_count == dec.touching_count):
+        return result
+    return None
 
 
-def subdivide_diagram(nd: NewtonDiagram, a: Sequence[int] | None = None,
-                      b: Sequence[int] | None = None) -> SubdividedDiagram:
+def subdivide_diagram(nd: NewtonDiagram) -> SubdividedDiagram:
     """Special subdivision of the region under the Newton boundary.
 
-    Tries the separable lifting first; if its restriction to the region
-    is not made of unit squares and half-square triangles, falls back to
-    the combinatorial target certified through the linear program.
-    """
-    lifting = separable_lifting(nd, a, b)
-    sd = lower_hull_subdivision(lifting)
-    region = nd.gamma_minus
-    inside, clean = classify_cells_by_region(sd, region)
-    used_fallback = False
-    if not _inside_ok(sd, inside, clean):
-        target = special_target_cells(nd)
-        heights = certify_heights(nd.gamma_minus_lattice, target)
-        sd = lower_hull_subdivision(LiftedSupport.from_mapping(heights))
-        inside, clean = classify_cells_by_region(sd, region)
-        check(_inside_ok(sd, inside, clean), "certified fallback still off target")
-        used_fallback = True
+    Tries the default separable lifting first.  If its restriction to
+    the region is not the special tiling, tries the separable lifting
+    kinked at the boundary corners, with increments
 
+        a_k = k + lam * #{interior corners v : v.i < k}
+        b_k = k + lam * #{interior corners v : v.j < k},  lam = (p + q)^2,
+
+    and ``used_fallback`` is set.  Why the kink lands: its heights are
+    lam * K + s, with s the default lifting and
+
+        K(i, j) = sum over interior corners v of relu(i - v.i) + relu(j - v.j).
+
+    K is convex and affine exactly on the boxes cut out by the rows and
+    columns through the corners, so its own subdivision splits the
+    region into the staircase rectangles and the corner triangle under
+    each boundary edge.  Once lam is large, lam * K + s induces the
+    refinement of that split by s (De Loera, Rambau, Santos,
+    Triangulations, 2010).  s tiles each rectangle by unit squares, and
+    on a corner triangle it differs from the default lifting of the
+    single-edge diagram of the same shape by an affine function (a
+    translation), which does not change its subdivision; the default
+    lifting lands on every single-edge diagram tried (p, q <= 30).
+    lam = (p + q)^2 was large enough on every chain tried; ``_land``
+    re-proves the result for each input, and a miss raises
+    RegularityCertificationError rather than passing silently.
+    """
     dec = decompose_diagram(nd)
-    result = SubdividedDiagram(nd, dec, sd, inside, used_fallback)
-    check(len(result.square_cell_ids) == dec.square_count,
-          "inside squares disagree with the decomposition count")
-    check(result.touching_square_count == dec.touching_count,
-          "touching squares disagree with interior boundary points")
+    result = _land(nd, dec, separable_lifting(nd), False)
+    if result is not None:
+        return result
+    corners = nd.gamma_vertices[1:-1]
+    lam = (nd.p + nd.q) ** 2
+    a = [k + lam * sum(1 for v in corners if v.i < k) for k in range(nd.p + 1)]
+    b = [k + lam * sum(1 for v in corners if v.j < k) for k in range(nd.q + 1)]
+    result = _land(nd, dec, separable_lifting(nd, a, b), True)
+    if result is None:
+        raise RegularityCertificationError(
+            "kinked separable lifting missed the special tiling",
+            {"chain": [tuple(v) for v in nd.gamma_vertices], "lam": lam})
     return result

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tropnewton.cli import main
-from tropnewton.parsing import parse_germ, serialize_json
+from tropnewton.parsing import LiftedSupport, parse_germ, serialize_json
 from tropnewton.svg import render_svg
 
 
@@ -74,6 +74,14 @@ def test_file_input_roundtrip(tmp_path, capsys):
     assert "mu       = 11" in out
     assert run(capsys, "analyze", "x^2+y^3", "--file", str(path))[0] == 2
     assert run(capsys, "analyze", "--file", str(tmp_path / "nope.json"))[0] == 4
+    # a lifted file carries heights the pipeline would ignore, so it is refused
+    lifted = tmp_path / "lifted.json"
+    lifted.write_text(serialize_json(LiftedSupport.from_mapping({(2, 0): 7, (0, 3): 5})))
+    for command in ("analyze", "emit-poly"):
+        code, out, err = run(capsys, command, "--file", str(lifted))
+        assert code == 2
+        assert out == ""
+        assert "heights" in err
 
 
 def test_lemma_command(capsys):

@@ -27,8 +27,8 @@ def test_cusp_polynomial_support_and_lifting():
     pp = build_patchwork(analyze_support([(2, 0), (0, 3)]))
     assert len(pp.support) == 7
     assert {tuple(p): int(h) for p, h in pp.nu.items()} == CUSP_NU
-    assert pp.coefficient((1, 1)).val() == -2
-    assert pp.coefficient((7, 7)).is_zero()
+    assert pp.nu[LatticePoint(1, 1)] == 2
+    assert LatticePoint(7, 7) not in pp.nu
 
 
 def test_quintic_polynomial_support_is_region_lattice():

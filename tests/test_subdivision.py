@@ -3,6 +3,7 @@ independent all-triples oracle."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -11,17 +12,17 @@ from tropnewton.errors import (
     BadSequenceError,
     DegenerateInputError,
     NotCoprimeError,
+    RegularityCertificationError,
 )
 from tropnewton.lattice import LatticePoint, convex_hull
 from tropnewton.newton import analyze_support, decompose_diagram
-from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly
+from tropnewton.parsing import parse_germ, parse_puiseux_poly
+from tropnewton import subdivision
 from tropnewton.subdivision import (
-    certify_heights,
     classify_cells_by_region,
     crossed_square_count,
     lower_hull_subdivision,
     separable_lifting,
-    special_target_cells,
     subdivide_diagram,
     triangle_square_count,
 )
@@ -217,28 +218,57 @@ def test_lemma_counts_match_full_hull():
         assert len(sdd.square_cell_ids) == triangle_square_count(p, q)
 
 
-# --- certified fallback -------------------------------------------------------
+# --- the kinked separable lifting ---------------------------------------------
 
-def test_target_cells_tile_the_hull():
-    for nd in (QUINTIC, CUSP, NODE):
-        cells = special_target_cells(nd)
-        area = sum(abs(sum(r[k - 1].i * r[k].j - r[k].i * r[k - 1].j
-                           for k in range(len(r)))) for r in cells)
-        assert area == convex_hull(nd.gamma_minus_lattice).area2
+def assert_special(sdd):
+    """Inside cells are unit squares and half-square triangles that tile
+    the region, with the decomposition's square and touching counts."""
+    nd = sdd.diagram
+    kinds = sdd.inside_kinds()
+    assert set(kinds) <= {"square", "half_triangle"}
+    assert kinds.get("square", 0) == sdd.decomposition.square_count
+    assert sdd.touching_square_count == nd.branch_count - 1
+    area = sum(sdd.subdivision.cells[c].polygon.area2 for c in sdd.inside_cells)
+    assert area == nd.gamma_minus.area2
 
 
-def test_certified_heights_reproduce_target_shape():
-    for nd in (CUSP, NODE, QUINTIC):
-        target = special_target_cells(nd)
-        heights = certify_heights(nd.gamma_minus_lattice, target)
-        sd = lower_hull_subdivision(LiftedSupport.from_mapping(heights))
-        assert len(sd.cells) == len(target)
-        inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
-        assert clean
-        assert all(sd.cells[c].kind in ("square", "half_triangle") for c in inside)
-        dec = decompose_diagram(nd)
-        n_squares = sum(1 for c in inside if sd.cells[c].kind == "square")
-        assert n_squares == dec.square_count
+def default_lifting_lands(nd):
+    sd = lower_hull_subdivision(separable_lifting(nd))
+    inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
+    kinds = [sd.cells[c].kind for c in inside]
+    return (clean and set(kinds) <= {"square", "half_triangle"}
+            and kinds.count("square") == decompose_diagram(nd).square_count)
+
+
+def corner_chains(n_edges, pq_max):
+    """Every Newton boundary with exactly n_edges edges and p, q <= pq_max."""
+    for p in range(2, pq_max + 1):
+        for q in range(2, pq_max + 1):
+            inner = [(x, y) for x in range(1, p) for y in range(1, q)]
+            for corners in combinations(inner, n_edges - 1):
+                nd = analyze_support([(0, q), *corners, (p, 0)])
+                if len(nd.gamma_vertices) == n_edges + 1:
+                    yield nd
+
+
+def test_kinked_lifting_lands_on_every_small_chain():
+    diagrams = [*corner_chains(2, 7), *corner_chains(3, 6)]
+    assert len(diagrams) == 246
+    kinked = 0
+    for nd in diagrams:
+        sdd = subdivide_diagram(nd)
+        assert_special(sdd)
+        assert sdd.used_fallback == (not default_lifting_lands(nd))
+        kinked += sdd.used_fallback
+    assert kinked > 0
+
+
+def test_missed_lifting_raises(monkeypatch):
+    monkeypatch.setattr(subdivision, "classify_cells_by_region",
+                        lambda sd, region: ((), False))
+    with pytest.raises(RegularityCertificationError) as exc:
+        subdivide_diagram(QUINTIC)
+    assert exc.value.details["chain"] == [(0, 5), (2, 2), (5, 0)]
 
 
 def random_staircase(rng, max_pq=10):
@@ -256,16 +286,9 @@ def test_subdivide_random_staircases():
     rng = random.Random(99)
     fallbacks = 0
     for _ in range(80):
-        nd = analyze_support(random_staircase(rng))
-        sdd = subdivide_diagram(nd)
+        sdd = subdivide_diagram(analyze_support(random_staircase(rng)))
         fallbacks += sdd.used_fallback
-        kinds = sdd.inside_kinds()
-        assert set(kinds) <= {"square", "half_triangle"}
-        assert kinds.get("square", 0) == sdd.decomposition.square_count
-        assert sdd.touching_square_count == nd.branch_count - 1
-        # inside cells tile the region exactly
-        area = sum(sdd.subdivision.cells[c].polygon.area2 for c in sdd.inside_cells)
-        assert area == nd.gamma_minus.area2
+        assert_special(sdd)
     # boundary bends routinely defeat the default lifting, so this suite
-    # must exercise the certified fallback as well
+    # must exercise the kinked lifting as well
     assert fallbacks > 0
