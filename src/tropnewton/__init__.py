@@ -39,7 +39,6 @@ from .corpus import SplitMix64, run_corpus, staircase_support
 from .tropical import (
     TropicalCurve,
     TropicalSubCurve,
-    check_embedded,
     count_bounded_regions,
     count_four_valent,
     dual_tropical_curve,
@@ -63,7 +62,6 @@ __all__ = [
     "analyze",
     "analyze_support",
     "build_patchwork",
-    "check_embedded",
     "count_bounded_regions",
     "count_four_valent",
     "decompose_diagram",

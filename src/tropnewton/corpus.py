@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import check
+from .errors import DegenerateHullError, check
 from .lattice import LatticePoint, convex_hull
 from .parsing import LiftedSupport
 from .patchwork import AnalysisReport, analyze
@@ -86,7 +86,7 @@ def random_lifted_support(rng: SplitMix64, span: int = 6,
             pts.add(LatticePoint(rng.below(span), rng.below(span)))
         try:
             convex_hull(pts)
-        except Exception:
+        except DegenerateHullError:
             continue
         denom = rng.between(1, 4)
         return LiftedSupport.from_mapping(

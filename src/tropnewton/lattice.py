@@ -102,14 +102,6 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
             or on_segment(c, a, b) or on_segment(d, a, b))
 
 
-def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True when the open segments intersect in exactly one interior point."""
-    d1, d2 = cross(c, d, a), cross(c, d, b)
-    d3, d4 = cross(a, b, c), cross(a, b, d)
-    return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
-            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0)
-
-
 def shoelace2(vertices: Sequence[Point]) -> Coord:
     """Twice the signed area of the closed polygon through ``vertices``."""
     total = 0
@@ -308,34 +300,6 @@ def enumerate_lattice_points(region: Region, interior_only: bool = False) -> lis
             if region.locate((i, j)) in wanted:
                 out.append(LatticePoint(i, j))
     return out
-
-
-def clip_segment_to_convex(p0: Point, p1: Point,
-                           polygon: ConvexPolygon) -> tuple[Fraction, Fraction] | None:
-    """Parameter range [t0, t1] of segment p0->p1 inside a convex polygon.
-
-    Returns None when the segment misses the polygon.  Endpoints may be
-    rational.  The usual Cyrus-Beck half-plane walk, done in Fractions.
-    """
-    t0, t1 = Fraction(0), Fraction(1)
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    for a, b in polygon.edges():
-        # inside is the left of a->b:  n . (x - a) >= 0 with n = (-(b-a).j, (b-a).i)
-        nx, ny = -(b.j - a.j), b.i - a.i
-        num = nx * (p0[0] - a.i) + ny * (p0[1] - a.j)
-        den = nx * dx + ny * dy
-        if den == 0:
-            if num < 0:
-                return None
-            continue
-        t_hit = Fraction(-num, den)
-        if den > 0:
-            t0 = max(t0, t_hit)
-        else:
-            t1 = min(t1, t_hit)
-        if t0 > t1:
-            return None
-    return t0, t1
 
 
 def pick_interior_boundary(region: Region) -> tuple[int, int]:

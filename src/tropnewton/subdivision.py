@@ -34,11 +34,11 @@ from .errors import (
 from .lattice import (
     ConvexPolygon,
     LatticePoint,
-    clip_segment_to_convex,
     convex_hull,
     cross,
     lattice_length,
     on_segment,
+    segment_lattice_points,
 )
 from .newton import NewtonDiagram, StaircaseDecomposition, decompose_diagram
 from .parsing import LiftedSupport
@@ -94,13 +94,6 @@ class RegularSubdivision:
     interior_edges: tuple[SubdivisionEdge, ...]
     boundary_edges: tuple[SubdivisionEdge, ...]
     vertices: tuple[LatticePoint, ...]
-
-    def cell_neighbors(self, cid: int) -> tuple[int, ...]:
-        out = []
-        for e in self.interior_edges:
-            if cid in e.cell_ids:
-                out.append(e.cell_ids[0] if e.cell_ids[1] == cid else e.cell_ids[1])
-        return tuple(out)
 
     def boundary_vertex_count(self) -> int:
         return sum(1 for v in self.vertices if self.domain.locate(v) == "boundary")
@@ -258,41 +251,36 @@ def separable_lifting(diagram_or_points, a: Sequence[int] | None = None,
 
 # --- classification against a region ----------------------------------------
 
-def _region_edge_cuts(poly: ConvexPolygon, region) -> bool:
-    for a, b in region.edges():
-        clipped = clip_segment_to_convex(a, b, poly)
-        if clipped is None:
-            continue
-        t0, t1 = clipped
-        if t1 <= t0:
-            continue
-        tm = (t0 + t1) / 2
-        mid = (a.i + tm * (b.i - a.i), a.j + tm * (b.j - a.j))
-        if poly.locate(mid) == "inside":
-            return True
-    return False
+def _unit_steps(a: LatticePoint, b: LatticePoint):
+    """Unit lattice steps of segment ab, each as an ordered pair (min, max)."""
+    pts = segment_lattice_points(a, b)
+    return [(u, v) if u < v else (v, u) for u, v in zip(pts, pts[1:])]
 
 
 def classify_cells_by_region(sd: RegularSubdivision, region) -> tuple[tuple[int, ...], bool]:
-    """Cells lying inside the region, plus whether they tile it exactly.
+    """Cells whose interior point lies inside the region, plus whether
+    those cells tile the region exactly (``clean``).
 
-    The region may be non-convex; a cell counts as inside when all its
-    corners and an interior point are in the region and no region edge
-    passes through its interior.  The area comparison then decides
-    whether the inside cells cover the region with nothing left over.
+    The region may be non-convex.  It is clean when every unit lattice
+    step of its boundary lies on a subdivision edge, interior or
+    boundary, and the inside cells' areas sum to the region's area.
+    Why the first half suffices for the cell list: the cells have
+    disjoint interiors and tile the convex domain, so a boundary on
+    their 1-skeleton lies in the domain; each cell's interior is
+    connected and misses that boundary, so it lies wholly inside or
+    wholly outside the region, as its interior point does.  The area
+    sum is the second, independent half of the certificate.  When the
+    region is not clean the list still names the cells whose interior
+    point is inside, but they need not tile it.
     """
-    inside = []
-    for cid, cell in enumerate(sd.cells):
-        poly = cell.polygon
-        if any(region.locate(v) == "outside" for v in poly.vertices):
-            continue
-        if region.locate(poly.interior_point()) == "outside":
-            continue
-        if _region_edge_cuts(poly, region):
-            continue
-        inside.append(cid)
+    steps = {s for e in sd.interior_edges + sd.boundary_edges
+             for s in _unit_steps(e.a, e.b)}
+    on_skeleton = all(s in steps for a, b in region.edges()
+                      for s in _unit_steps(a, b))
+    inside = tuple(cid for cid, cell in enumerate(sd.cells)
+                   if region.locate(cell.polygon.interior_point()) == "inside")
     area = sum(sd.cells[c].polygon.area2 for c in inside)
-    return tuple(inside), area == region.area2
+    return inside, on_skeleton and area == region.area2
 
 
 # --- square counting lemmas ------------------------------------------------

@@ -1,0 +1,78 @@
+"""Test-only oracles: exact, quadratic checks that the shipped package
+does not need, kept here as references for the test suites."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from tropnewton.lattice import Point, cross
+from tropnewton.tropical import TropicalCurve, TropicalEdge
+
+
+def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True when the open segments intersect in exactly one interior point."""
+    d1, d2 = cross(c, d, a), cross(c, d, b)
+    d3, d4 = cross(a, b, c), cross(a, b, d)
+    return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
+            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0)
+
+
+def _edge_span(tc: TropicalCurve, e: TropicalEdge):
+    """Anchor, direction and parameter cap (None for rays)."""
+    a = tc.vertices[e.endpoints[0]].coords
+    if e.kind == "segment":
+        b = tc.vertices[e.endpoints[1]].coords
+        return a, (b[0] - a[0], b[1] - a[1]), Fraction(1)
+    return a, (Fraction(e.direction[0]), Fraction(e.direction[1])), None
+
+
+def _shared_endpoint(tc: TropicalCurve, e1: TropicalEdge, e2: TropicalEdge):
+    s1 = {tc.vertices[v].coords for v in e1.endpoints}
+    s2 = {tc.vertices[v].coords for v in e2.endpoints}
+    return s1 & s2
+
+
+def check_embedded(tc: TropicalCurve) -> tuple[str, ...]:
+    """Pairwise exact intersection tests; edges may only meet at shared
+    endpoints.  Quadratic in the edge count, meant for test corpora."""
+    violations = []
+    spans = [_edge_span(tc, e) for e in tc.edges]
+    for i in range(len(tc.edges)):
+        p1, d1, cap1 = spans[i]
+        for k in range(i + 1, len(tc.edges)):
+            p2, d2, cap2 = spans[k]
+            det = d1[0] * d2[1] - d1[1] * d2[0]
+            rx, ry = p2[0] - p1[0], p2[1] - p1[1]
+            if det == 0:
+                if d1[0] * ry - d1[1] * rx != 0:
+                    continue  # parallel on distinct lines
+                # same line: edge k occupies a t-interval along d1, with
+                # None standing for the unbounded end on its own side
+                nn = d1[0] * d1[0] + d1[1] * d1[1]
+                t2a = (rx * d1[0] + ry * d1[1]) / nn
+                along = (d2[0] * d1[0] + d2[1] * d1[1]) / nn
+                far = None if cap2 is None else t2a + cap2 * along
+                if along > 0:
+                    lo2, hi2 = t2a, far
+                else:
+                    lo2, hi2 = far, t2a
+                lo = Fraction(0) if lo2 is None else max(Fraction(0), lo2)
+                his = [v for v in (cap1, hi2) if v is not None]
+                hi = min(his) if his else None
+                if hi is None or lo < hi:
+                    violations.append(f"edges {i} and {k} overlap along a line")
+                elif lo == hi:
+                    pt = (p1[0] + lo * d1[0], p1[1] + lo * d1[1])
+                    if pt not in _shared_endpoint(tc, tc.edges[i], tc.edges[k]):
+                        violations.append(f"edges {i} and {k} touch off-vertex")
+                continue
+            t = (rx * d2[1] - ry * d2[0]) / det
+            u = (rx * d1[1] - ry * d1[0]) / det
+            if t < 0 or (cap1 is not None and t > cap1):
+                continue
+            if u < 0 or (cap2 is not None and u > cap2):
+                continue
+            pt = (p1[0] + t * d1[0], p1[1] + t * d1[1])
+            if pt not in _shared_endpoint(tc, tc.edges[i], tc.edges[k]):
+                violations.append(f"edges {i} and {k} cross at {pt}")
+    return tuple(violations)

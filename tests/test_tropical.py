@@ -21,13 +21,14 @@ from tropnewton.subdivision import (
     subdivide_diagram,
 )
 from tropnewton.tropical import (
-    check_embedded,
     count_bounded_regions,
     count_four_valent,
     dual_tropical_curve,
     restrict,
     verify_duality,
 )
+
+from oracles import check_embedded
 
 QUINTIC = [(5, 0), (2, 2), (0, 5)]
 CUSP = [(2, 0), (0, 3)]
@@ -186,10 +187,24 @@ def test_restrict_to_single_cell():
     assert count_bounded_regions(sc) == 0
 
 
+def test_restrict_to_non_convex_union_of_squares():
+    nd, sdd, tc = curve_for(QUINTIC)
+    ell = LatticePolygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    sc = restrict(tc, ell)
+    assert len(sc.vprime) == 3
+    assert count_four_valent(sc) == 3
+    assert count_bounded_regions(sc) == 0
+
+
 def test_restrict_rejects_region_cutting_cells():
     nd, sdd, tc = curve_for(QUINTIC)
-    with pytest.raises(NotCellUnionError):
-        restrict(tc, LatticePolygon([(0, 0), (1, 0), (0, 1)]))
+    for corners in ([(0, 0), (1, 0), (0, 1)],
+                    # the L above with its notch cut diagonally
+                    [(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)],
+                    # reaches past the domain
+                    [(0, 0), (6, 0), (0, 6)]):
+        with pytest.raises(NotCellUnionError):
+            restrict(tc, LatticePolygon(corners))
 
 
 class _TwoSquares:
