@@ -133,7 +133,7 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
     scale = lcm(*[h.denominator for h in heights.values()])
     pts3 = {pt: (pt.i, pt.j, int(heights[pt] * scale)) for pt in pts}
 
-    facets: dict[Plane, tuple[LatticePoint, ...]] = {}
+    facets: dict[Plane, Cell] = {}
     claimed: set[tuple[LatticePoint, LatticePoint]] = set()
     queue = [_lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1])]
 
@@ -171,18 +171,15 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
                  Fraction(level, normal[2] * scale))
         if plane in facets:
             continue
-        poly = convex_hull(tight)
-        facets[plane] = tuple(sorted(tight))
-        edge_list = list(poly.edges())
+        facets[plane] = Cell(convex_hull(tight), plane, tuple(sorted(tight)))
+        edge_list = list(facets[plane].polygon.edges())
         check(any(e == (a, b) for e in edge_list), "wrap edge is not a facet edge")
         for u_, v_ in edge_list:
             claimed.add((u_, v_))
             if (v_, u_) not in claimed:
                 queue.append((v_, u_))
 
-    cells = sorted(
-        (Cell(convex_hull(tight), plane, tight) for plane, tight in facets.items()),
-        key=lambda c: c.polygon.vertices)
+    cells = sorted(facets.values(), key=lambda c: c.polygon.vertices)
     return _assemble(lifting, domain, tuple(cells))
 
 

@@ -1,10 +1,10 @@
 """Tropical curves dual to regular subdivisions.
 
-The curve is built straight from the subdivision: one vertex per cell
-at the gradient of its plane, one segment per interior edge, one
-outward ray per boundary edge, weights given by dual lattice lengths.
-Duality (complement components, orthogonality, valence, balancing) is
-then re-verified from scratch rather than assumed, and a sub-curve can
+The curve is built straight from the subdivision, with no re-checks:
+one vertex per cell at the gradient of its plane, one segment per
+interior edge, one outward ray per boundary edge, weights given by dual
+lattice lengths.  ``verify_duality`` alone checks duality (orthogonality,
+valence, balancing, complement counts), from scratch.  A sub-curve can
 be cut out over any region that is a union of cells.
 """
 
@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InternalCheckError,
-    NonRegularInputError,
-    NotCellUnionError,
-    NotConnectedError,
-    check,
-)
+from .errors import NonRegularInputError, NotCellUnionError, NotConnectedError
 from .lattice import lattice_length, primitive_direction, sub
 from .subdivision import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
 
@@ -57,17 +51,18 @@ class TropicalCurve:
         return tuple(e for e in self.edges if e.kind == "ray")
 
 
-def _segment_germ(curve: TropicalCurve, e: TropicalEdge, at: int) -> tuple[int, int]:
-    """Primitive integer direction of segment e leaving vertex ``at``."""
-    v1, v2 = e.endpoints
-    other = v2 if at == v1 else v1
-    g0 = curve.vertices[at].coords
-    g1 = curve.vertices[other].coords
-    return primitive_direction(g1[0] - g0[0], g1[1] - g0[1])
-
-
 def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
-    """One vertex per cell, segments across interior edges, rays outward."""
+    """One vertex per cell, segments across interior edges, rays outward.
+
+    ``verify_duality`` is the certificate; on a lower hull subdivision
+    nothing it checks can fail here.  Two facets agree on their shared
+    edge, so the gradient jump across it is orthogonal to it.  The
+    weighted germs at a vertex are the closed boundary of its dual cell
+    turned by 90 degrees, so they balance.  The vertex average of a
+    strictly convex cell lies on no edge's line, so each ray's outward
+    side is decided.  Equal gradients across an interior edge mean the
+    lifting does not fold there; that input is rejected.
+    """
     cells = sd.cells
     vertices = tuple(
         TropicalVertex(cell.gradient, cid, len(cell.polygon.vertices))
@@ -81,9 +76,6 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
             raise NonRegularInputError(
                 f"cells {c1} and {c2} share the gradient {g1}; "
                 "the dual edge would collapse")
-        d = sub(e.b, e.a)
-        check((g2[0] - g1[0]) * d[0] + (g2[1] - g1[1]) * d[1] == 0,
-              "segment is not orthogonal to its dual edge")
         edges.append(TropicalEdge("segment", (c1, c2), None,
                                   lattice_length(e.a, e.b), e))
     for e in sd.boundary_edges:
@@ -92,26 +84,11 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
         nx, ny = -d[1], d[0]
         mid = (Fraction(e.a.i + e.b.i, 2), Fraction(e.a.j + e.b.j, 2))
         ip = cells[cid].polygon.interior_point()
-        side = nx * (mid[0] - ip[0]) + ny * (mid[1] - ip[1])
-        check(side != 0, "boundary edge normal is degenerate")
-        if side < 0:
+        if nx * (mid[0] - ip[0]) + ny * (mid[1] - ip[1]) < 0:
             nx, ny = -nx, -ny
         edges.append(TropicalEdge("ray", (cid,), primitive_direction(nx, ny),
                                   lattice_length(e.a, e.b), e))
-
-    curve = TropicalCurve(sd, vertices, tuple(edges))
-    for cid in range(len(cells)):
-        bx = by = 0
-        for e in curve.edges:
-            if e.kind == "segment" and cid in e.endpoints:
-                px, py = _segment_germ(curve, e, cid)
-                bx += e.weight * px
-                by += e.weight * py
-            elif e.kind == "ray" and e.endpoints[0] == cid:
-                bx += e.weight * e.direction[0]
-                by += e.weight * e.direction[1]
-        check(bx == 0 and by == 0, f"balancing fails at vertex {cid}")
-    return curve
+    return TropicalCurve(sd, vertices, tuple(edges))
 
 
 # --- duality verification -----------------------------------------------------
@@ -147,88 +124,76 @@ def _component_count(n: int, links: list[tuple[int, int]]) -> int:
     return len({find(k) for k in range(n)})
 
 
-def _ray_line_key(curve: TropicalCurve, e: TropicalEdge):
-    """(direction, signed line offset); rays agree here iff they overlap."""
-    ax, ay = curve.vertices[e.endpoints[0]].coords
-    dx, dy = e.direction
-    return (dx, dy), dx * ay - dy * ax
-
-
 def verify_duality(tc: TropicalCurve) -> DualityReport:
     """Recheck the three dual correspondences plus balancing.
 
-    Violations are reported, never raised: the point of the report is
-    to certify theorem statements on a given curve.
+    One pass over the edges checks each edge and adds its germs to the
+    per-vertex counts and balancing sums; one pass over the vertices
+    then compares those with the dual cells.  Violations are reported,
+    never raised: the point of the report is to certify theorem
+    statements on a given curve.
     """
     sd = tc.subdivision
+    n = len(tc.vertices)
+    germs = [0] * n
+    bx = [0] * n
+    by = [0] * n
+    links: list[tuple[int, int]] = []
+    ray_lines = []  # (direction, signed line offset): rays overlap iff equal
+    ip = sd.domain.interior_point()
     violations: list[str] = []
 
     for k, e in enumerate(tc.edges):
-        d = sub(e.dual_edge.b, e.dual_edge.a)
-        if e.weight != lattice_length(e.dual_edge.a, e.dual_edge.b):
+        a, b = e.dual_edge.a, e.dual_edge.b
+        d = sub(b, a)
+        if e.weight != lattice_length(a, b):
             violations.append(f"edge {k}: weight differs from dual lattice length")
         if e.kind == "segment":
-            g1 = tc.vertices[e.endpoints[0]].coords
-            g2 = tc.vertices[e.endpoints[1]].coords
+            v1, v2 = e.endpoints
+            links.append((v1, v2))
+            germs[v1] += 1
+            germs[v2] += 1
+            g1, g2 = tc.vertices[v1].coords, tc.vertices[v2].coords
             if g1 == g2:
                 violations.append(f"edge {k}: zero length segment")
-            elif (g2[0] - g1[0]) * d[0] + (g2[1] - g1[1]) * d[1] != 0:
+                continue
+            dx, dy = g2[0] - g1[0], g2[1] - g1[1]
+            if dx * d[0] + dy * d[1] != 0:
                 violations.append(f"edge {k}: not orthogonal to dual edge")
+            px, py = primitive_direction(dx, dy)
+            bx[v1] += e.weight * px
+            by[v1] += e.weight * py
+            bx[v2] -= e.weight * px
+            by[v2] -= e.weight * py
         else:
-            if e.direction[0] * d[0] + e.direction[1] * d[1] != 0:
+            v = e.endpoints[0]
+            dx, dy = e.direction
+            if dx * d[0] + dy * d[1] != 0:
                 violations.append(f"edge {k}: ray not orthogonal to dual edge")
-            ip = sd.domain.interior_point()
-            mid = (Fraction(e.dual_edge.a.i + e.dual_edge.b.i, 2),
-                   Fraction(e.dual_edge.a.j + e.dual_edge.b.j, 2))
-            if (e.direction[0] * (mid[0] - ip[0])
-                    + e.direction[1] * (mid[1] - ip[1])) <= 0:
+            mid = (Fraction(a.i + b.i, 2), Fraction(a.j + b.j, 2))
+            if dx * (mid[0] - ip[0]) + dy * (mid[1] - ip[1]) <= 0:
                 violations.append(f"edge {k}: ray points into the polygon")
+            germs[v] += 1
+            bx[v] += e.weight * dx
+            by[v] += e.weight * dy
+            ax, ay = tc.vertices[v].coords
+            ray_lines.append(((dx, dy), dx * ay - dy * ax))
 
-    for cid, v in enumerate(tc.vertices):
-        germs = 0
-        bx = by = 0
-        for e in tc.edges:
-            if e.kind == "segment" and cid in e.endpoints:
-                germs += 1
-                g1 = tc.vertices[e.endpoints[0]].coords
-                g2 = tc.vertices[e.endpoints[1]].coords
-                if g1 != g2:
-                    px, py = _segment_germ(tc, e, cid)
-                    bx += e.weight * px
-                    by += e.weight * py
-            elif e.kind == "ray" and e.endpoints[0] == cid:
-                germs += 1
-                bx += e.weight * e.direction[0]
-                by += e.weight * e.direction[1]
-        sides = len(sd.cells[v.dual_cell].polygon.vertices)
-        if germs != sides or v.valence != sides:
-            violations.append(f"vertex {cid}: valence {germs} but {sides} dual sides")
-        if bx != 0 or by != 0:
-            violations.append(f"vertex {cid}: balancing sum ({bx}, {by})")
+    for cid, vertex in enumerate(tc.vertices):
+        sides = len(sd.cells[vertex.dual_cell].polygon.vertices)
+        if germs[cid] != sides or vertex.valence != sides:
+            violations.append(f"vertex {cid}: valence {germs[cid]} but {sides} dual sides")
+        if bx[cid] != 0 or by[cid] != 0:
+            violations.append(f"vertex {cid}: balancing sum ({bx[cid]}, {by[cid]})")
+    unbounded = len(set(ray_lines))
+    violations += ["coincident rays share direction and line"] * (len(ray_lines) - unbounded)
 
-    seen: dict = {}
-    slots = 0
-    for e in tc.edges:
-        if e.kind != "ray":
-            continue
-        key = _ray_line_key(tc, e)
-        if key in seen:
-            violations.append("coincident rays share direction and line")
-        else:
-            seen[key] = True
-            slots += 1
-
-    links = []
-    for e in tc.edges:
-        if e.kind == "segment":
-            links.append((e.endpoints[0], e.endpoints[1]))
-    comp = _component_count(len(tc.vertices), links)
-    bounded = len(links) - len(tc.vertices) + comp
-    unbounded = slots
+    comp = _component_count(n, links)
+    bounded = len(links) - n + comp
     total = bounded + unbounded
 
-    interior = len(sd.vertices) - sd.boundary_vertex_count()
     boundary = sd.boundary_vertex_count()
+    interior = len(sd.vertices) - boundary
     if total != len(sd.vertices):
         violations.append(
             f"complement count {total} differs from {len(sd.vertices)} "

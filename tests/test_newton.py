@@ -14,7 +14,7 @@ from tropnewton.errors import (
     NotSingularAtOriginError,
     ParityViolationError,
 )
-from tropnewton.lattice import LatticePoint, cross
+from tropnewton.lattice import cross
 from tropnewton.newton import (
     analyze_support,
     decompose_diagram,

@@ -12,7 +12,6 @@ from tropnewton.lattice import LatticePoint
 from tropnewton.newton import analyze_support
 from tropnewton.parsing import parse_germ
 from tropnewton.patchwork import (
-    AnalysisReport,
     PatchworkPolynomial,
     analyze,
     build_patchwork,

@@ -10,6 +10,7 @@ import pytest
 
 from tropnewton.errors import (
     BadSequenceError,
+    DegenerateHullError,
     DegenerateInputError,
     NotCoprimeError,
     RegularityCertificationError,
@@ -155,7 +156,7 @@ def random_lifting(rng, npts, span=5, denom=4):
         pts = rng.sample(pool, npts)
         try:
             convex_hull(pts)
-        except Exception:
+        except DegenerateHullError:
             continue
         return {LatticePoint(*p): Fraction(rng.randrange(0, 12), rng.randrange(1, denom + 1))
                 for p in pts}

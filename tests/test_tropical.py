@@ -1,11 +1,13 @@
 """Dual tropical curves: construction, duality report, restriction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from tropnewton.errors import (
+    DegenerateHullError,
     NonRegularInputError,
     NotCellUnionError,
     NotConnectedError,
@@ -113,6 +115,44 @@ def test_quintic_curve_complement_split():
     assert (rep.bounded_components, rep.unbounded_components) == (6, 11)
     assert (rep.interior_vertex_count, rep.boundary_vertex_count) == (6, 11)
     assert check_embedded(tc) == ()
+
+
+def test_tampered_quintic_curve_reports_each_violation():
+    nd, sdd, tc = curve_for(QUINTIC)
+    edges, v0 = tc.edges, tc.vertices[0]
+    assert edges[0].endpoints == (0, 1) and edges[20].direction == (-1, 0)
+
+    def report(**changes):
+        rep = verify_duality(dataclasses.replace(tc, **changes))
+        return rep.violations, (rep.complement_components, rep.bounded_components,
+                                rep.unbounded_components)
+
+    heavier = dataclasses.replace(edges[0], weight=2)
+    assert report(edges=(heavier,) + edges[1:]) == ((
+        "edge 0: weight differs from dual lattice length",
+        "vertex 0: balancing sum (0, 1)",
+        "vertex 1: balancing sum (0, -1)"), (17, 6, 11))
+    inward = dataclasses.replace(edges[20], direction=(1, 0))
+    assert report(edges=edges[:20] + (inward,) + edges[21:]) == ((
+        "edge 20: ray points into the polygon",
+        "vertex 0: balancing sum (2, 0)"), (17, 6, 11))
+    moved = dataclasses.replace(v0, coords=(v0.coords[0] + Fraction(1, 3), v0.coords[1]))
+    assert report(vertices=(moved,) + tc.vertices[1:]) == ((
+        "edge 0: not orthogonal to dual edge",
+        "vertex 0: balancing sum (-1, 2)",
+        "vertex 1: balancing sum (1, -2)"), (17, 6, 11))
+    assert report(edges=edges[1:]) == ((
+        "vertex 0: valence 3 but 4 dual sides",
+        "vertex 0: balancing sum (0, -1)",
+        "vertex 1: valence 3 but 4 dual sides",
+        "vertex 1: balancing sum (0, 1)",
+        "complement count 16 differs from 17 subdivision vertices",
+        "complement split (5, 11) differs from subdivision vertex split (6, 11)"),
+        (16, 5, 11))
+    assert report(edges=edges + (edges[20],)) == ((
+        "vertex 0: valence 5 but 4 dual sides",
+        "vertex 0: balancing sum (-1, 0)",
+        "coincident rays share direction and line"), (17, 6, 11))
 
 
 def test_edges_orthogonal_to_duals_with_lattice_length_weights():
@@ -288,7 +328,7 @@ def random_lifting(rng, npts, span=5, denom=4):
         pts = rng.sample(pool, npts)
         try:
             convex_hull(pts)
-        except Exception:
+        except DegenerateHullError:
             continue
         return {p: Fraction(rng.randint(0, 6 * denom), denom) for p in pts}
 
