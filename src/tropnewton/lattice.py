@@ -16,7 +16,7 @@ Polygon conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DegenerateHullError, ZeroSegmentError, check
@@ -65,12 +65,12 @@ def lattice_length(a: Point, b: Point) -> int:
 
 def primitive_direction(dx: Coord, dy: Coord) -> tuple[int, int]:
     """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    fx, fy = Fraction(dx), Fraction(dy)
-    if fx == 0 and fy == 0:
+    if dx == 0 and dy == 0:
         raise ZeroSegmentError("no direction for the zero vector")
-    m = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-    ix, iy = int(fx * m), int(fy * m)
-    g = gcd(abs(ix), abs(iy))
+    m = lcm(dx.denominator, dy.denominator)
+    ix = dx.numerator * (m // dx.denominator)
+    iy = dy.numerator * (m // dy.denominator)
+    g = gcd(ix, iy)
     return ix // g, iy // g
 
 

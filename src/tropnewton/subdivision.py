@@ -4,8 +4,10 @@ of the region under a Newton boundary.
 The central construction lifts each support point (i, j) to height
 nu(i, j) and takes the lower convex hull; facets project to the cells
 of a regular subdivision.  All hull decisions are made on integers
-(heights are scaled by their common denominator), so there is no
-tolerance anywhere.
+(heights are scaled by their common denominator), and so is the split
+of the cells' edges into rim and interior edges, so there is no
+tolerance anywhere and no ``Fraction`` until the facet planes are
+reported.
 
 For a diagram the goal is a subdivision whose cells inside the region
 under the boundary are exactly unit squares and half-square triangles.
@@ -131,7 +133,8 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
         raise DegenerateInputError("support points are collinear") from None
 
     scale = lcm(*[h.denominator for h in heights.values()])
-    pts3 = {pt: (pt.i, pt.j, int(heights[pt] * scale)) for pt in pts}
+    pts3 = {pt: (pt.i, pt.j, h.numerator * (scale // h.denominator))
+            for pt, h in heights.items()}
 
     facets: dict[Plane, Cell] = {}
     claimed: set[tuple[LatticePoint, LatticePoint]] = set()
@@ -184,6 +187,12 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
 
 
 def _assemble(lifting, domain, cells) -> RegularSubdivision:
+    """Split the cells' edges into rim and interior edges.
+
+    Every cell corner lies on the inner side of every domain edge, so an
+    edge lies on the rim exactly when both its ends lie on the line of
+    one domain edge.
+    """
     check(sum(c.polygon.area2 for c in cells) == domain.area2,
           "cells do not tile the support hull")
     incidence: dict[tuple[LatticePoint, LatticePoint], list[int]] = {}
@@ -191,18 +200,19 @@ def _assemble(lifting, domain, cells) -> RegularSubdivision:
         for a, b in cell.polygon.edges():
             key = (a, b) if a < b else (b, a)
             incidence.setdefault(key, []).append(cid)
+    corners = sorted({v for c in cells for v in c.polygon.vertices})
+    rim = list(domain.edges())
+    lines = {v: {k for k, (u, w) in enumerate(rim) if cross(u, w, v) == 0}
+             for v in corners}
     interior = []
     boundary = []
     for (a, b), ids in sorted(incidence.items()):
-        mid = (Fraction(a.i + b.i, 2), Fraction(a.j + b.j, 2))
-        on_rim = domain.locate(mid) == "boundary"
-        if on_rim:
+        if lines[a] & lines[b]:
             check(len(ids) == 1, f"rim edge {a}-{b} shared by {len(ids)} cells")
             boundary.append(SubdivisionEdge(a, b, tuple(ids)))
         else:
             check(len(ids) == 2, f"inner edge {a}-{b} met {len(ids)} times")
             interior.append(SubdivisionEdge(a, b, tuple(sorted(ids))))
-    corners = sorted({v for c in cells for v in c.polygon.vertices})
     return RegularSubdivision(lifting, domain, cells, tuple(interior),
                               tuple(boundary), tuple(corners))
 

@@ -4,8 +4,11 @@ The curve is built straight from the subdivision, with no re-checks:
 one vertex per cell at the gradient of its plane, one segment per
 interior edge, one outward ray per boundary edge, weights given by dual
 lattice lengths.  ``verify_duality`` alone checks duality (orthogonality,
-valence, balancing, complement counts), from scratch.  A sub-curve can
-be cut out over any region that is a union of cells.
+valence, balancing, complement counts), from scratch.  Directions and
+ray sides are decided on integers: a segment is tested through the
+primitive direction of its gradient jump, and a ray's side through the
+integer multiple 2n (midpoint - vertex average) of an n-gon.  A
+sub-curve can be cut out over any region that is a union of cells.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ class TropicalCurve:
         return tuple(e for e in self.edges if e.kind == "ray")
 
 
+def _vertex_sums(polygon) -> tuple[int, int, int]:
+    v = polygon.vertices
+    return len(v), sum(p.i for p in v), sum(p.j for p in v)
+
+
+def _outward(dx, dy, e: SubdivisionEdge, sums: tuple[int, int, int]) -> int:
+    """(dx, dy) dotted with the step from a polygon's vertex average to
+    the midpoint of e, times 2n > 0 so that it stays on integers; ``sums``
+    is the polygon's vertex count and vertex sums."""
+    n, sx, sy = sums
+    return dx * (n * (e.a.i + e.b.i) - 2 * sx) + dy * (n * (e.a.j + e.b.j) - 2 * sy)
+
+
 def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
     """One vertex per cell, segments across interior edges, rays outward.
 
@@ -82,9 +98,7 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
         cid = e.cell_ids[0]
         d = sub(e.b, e.a)
         nx, ny = -d[1], d[0]
-        mid = (Fraction(e.a.i + e.b.i, 2), Fraction(e.a.j + e.b.j, 2))
-        ip = cells[cid].polygon.interior_point()
-        if nx * (mid[0] - ip[0]) + ny * (mid[1] - ip[1]) < 0:
+        if _outward(nx, ny, e, _vertex_sums(cells[cid].polygon)) < 0:
             nx, ny = -nx, -ny
         edges.append(TropicalEdge("ray", (cid,), primitive_direction(nx, ny),
                                   lattice_length(e.a, e.b), e))
@@ -140,7 +154,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
     by = [0] * n
     links: list[tuple[int, int]] = []
     ray_lines = []  # (direction, signed line offset): rays overlap iff equal
-    ip = sd.domain.interior_point()
+    domain_sums = _vertex_sums(sd.domain)
     violations: list[str] = []
 
     for k, e in enumerate(tc.edges):
@@ -157,10 +171,9 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             if g1 == g2:
                 violations.append(f"edge {k}: zero length segment")
                 continue
-            dx, dy = g2[0] - g1[0], g2[1] - g1[1]
-            if dx * d[0] + dy * d[1] != 0:
+            px, py = primitive_direction(g2[0] - g1[0], g2[1] - g1[1])
+            if px * d[0] + py * d[1] != 0:
                 violations.append(f"edge {k}: not orthogonal to dual edge")
-            px, py = primitive_direction(dx, dy)
             bx[v1] += e.weight * px
             by[v1] += e.weight * py
             bx[v2] -= e.weight * px
@@ -170,8 +183,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             dx, dy = e.direction
             if dx * d[0] + dy * d[1] != 0:
                 violations.append(f"edge {k}: ray not orthogonal to dual edge")
-            mid = (Fraction(a.i + b.i, 2), Fraction(a.j + b.j, 2))
-            if dx * (mid[0] - ip[0]) + dy * (mid[1] - ip[1]) <= 0:
+            if _outward(dx, dy, e.dual_edge, domain_sums) <= 0:
                 violations.append(f"edge {k}: ray points into the polygon")
             germs[v] += 1
             bx[v] += e.weight * dx

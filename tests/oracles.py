@@ -1,11 +1,12 @@
-"""Test-only oracles: exact, quadratic checks that the shipped package
+"""Test-only oracles: exact brute-force checks that the shipped package
 does not need, kept here as references for the test suites."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from tropnewton.lattice import Point, cross
+from tropnewton.lattice import Point, convex_hull, cross
 from tropnewton.tropical import TropicalCurve, TropicalEdge
 
 
@@ -15,6 +16,43 @@ def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
     d3, d4 = cross(a, b, c), cross(a, b, d)
     return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
             and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0)
+
+
+def brute_force_lower_hull(heights):
+    """Lower hull cells and edge split of a lifting, by brute force.
+
+    Every plane through three lifted points that projects to a
+    non-degenerate triangle is kept when no lifted point lies below it;
+    its tight set gives the cell.  Cells come as (vertices, plane, tight)
+    in the order of their vertices, planes as (dz/di, dz/dj, z(0, 0)) in
+    Fraction.  Edges come as (a, b, cell ids) with a < b, split by how
+    many cells have them: one for a rim edge, two for an interior edge.
+    """
+    lifted = {(p[0], p[1]): Fraction(h) for p, h in heights.items()}
+    planes = {}
+    for (p, zp), (q, zq), (r, zr) in combinations(sorted(lifted.items()), 3):
+        u = (q[0] - p[0], q[1] - p[1], zq - zp)
+        v = (r[0] - p[0], r[1] - p[1], zr - zp)
+        nz = u[0] * v[1] - u[1] * v[0]
+        if nz == 0:
+            continue
+        nx = u[1] * v[2] - u[2] * v[1]
+        ny = u[2] * v[0] - u[0] * v[2]
+        plane = (-nx / nz, -ny / nz, zp + (nx * p[0] + ny * p[1]) / nz)
+        if plane in planes or any(z < plane[0] * x + plane[1] * y + plane[2]
+                                  for (x, y), z in lifted.items()):
+            continue
+        planes[plane] = tuple((x, y) for (x, y), z in lifted.items()
+                              if z == plane[0] * x + plane[1] * y + plane[2])
+    cells = sorted((convex_hull(tight).vertices, plane, tuple(sorted(tight)))
+                   for plane, tight in planes.items())
+    incidence = {}
+    for cid, (verts, _, _) in enumerate(cells):
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            incidence.setdefault((min(a, b), max(a, b)), []).append(cid)
+    edges = sorted((a, b, tuple(ids)) for (a, b), ids in incidence.items())
+    return (cells, [e for e in edges if len(e[2]) == 2],
+            [e for e in edges if len(e[2]) == 1])
 
 
 def _edge_span(tc: TropicalCurve, e: TropicalEdge):

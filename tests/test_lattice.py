@@ -50,6 +50,14 @@ def test_primitive_direction_handles_rationals():
     assert primitive_direction(Fraction(3, 2), Fraction(-9, 4)) == (2, -3)
     assert primitive_direction(0, -7) == (0, -1)
     assert primitive_direction(Fraction(-4), Fraction(6)) == (-2, 3)
+    assert primitive_direction(-6, 4) == (-3, 2)
+    assert primitive_direction(Fraction(-1, 2), 3) == (-1, 6)
+    assert primitive_direction(4, Fraction(-2, 3)) == (6, -1)
+    assert all(type(c) is int for c in primitive_direction(Fraction(3, 2), 6))
+    with pytest.raises(ZeroSegmentError):
+        primitive_direction(0, 0)
+    with pytest.raises(ZeroSegmentError):
+        primitive_direction(Fraction(0), 0)
 
 
 def test_convex_hull_canonical_form():

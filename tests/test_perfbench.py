@@ -1,6 +1,9 @@
 """The benchmark's self-test runs against the package in src/, so a
-rename of anything the benchmark calls fails here first."""
+rename of anything the benchmark calls fails here first.  It runs in a
+copy of the benchmark and the package, so its output files stay out of
+the checkout."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_perfbench_selftest_passes():
-    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+def test_perfbench_selftest_passes(tmp_path):
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_out")
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / ".perfbench_out").is_dir()

@@ -4,7 +4,7 @@ independent all-triples oracle."""
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -28,6 +28,8 @@ from tropnewton.subdivision import (
     triangle_square_count,
 )
 
+from oracles import brute_force_lower_hull
+
 QUINTIC = analyze_support(parse_germ("x^5+x^2*y^2+y^5").points)
 CUSP = analyze_support(parse_germ("x^2+y^3").points)
 NODE = analyze_support(parse_germ("x^2+y^2").points)
@@ -35,6 +37,12 @@ NODE = analyze_support(parse_germ("x^2+y^2").points)
 
 def poly_verts(sd):
     return {c.polygon.vertices for c in sd.cells}
+
+
+def edge_split(heights):
+    sd = lower_hull_subdivision(heights)
+    return ([(e.a, e.b) for e in sd.interior_edges],
+            [(e.a, e.b) for e in sd.boundary_edges])
 
 
 def test_default_lifting_is_triangular_numbers():
@@ -69,6 +77,15 @@ def test_cusp_subdivision_cells():
     assert kinds == ["half_triangle"] * 4 + ["square"]
     assert len(sd.interior_edges) == 5
     assert len(sd.boundary_edges) == 6
+    # the diagonal of the unit square joins two rim points on different
+    # hull edges, yet it is an interior edge
+    inner, rim = edge_split({(0, 0): 0, (1, 0): 1, (1, 1): 0, (0, 1): 1})
+    assert inner == [((0, 0), (1, 1))]
+    assert rim == [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))]
+    # (1, 0) folds the bottom hull edge into two rim edges
+    inner, rim = edge_split({(0, 0): 1, (1, 0): 0, (2, 0): 1, (1, 1): 1})
+    assert inner == [((1, 0), (1, 1))]
+    assert rim == [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((1, 0), (2, 0)), ((1, 1), (2, 0))]
 
 
 def test_node_subdivision_cells():
@@ -121,33 +138,8 @@ def test_degenerate_inputs():
 # --- all-triples oracle -------------------------------------------------------
 
 def brute_force_cells(heights):
-    """Lower hull cells by checking every plane through three points."""
-    pts = sorted(heights)
-    scale = lcm(*[Fraction(h).denominator for h in heights.values()])
-    z = {p: int(Fraction(heights[p]) * scale) for p in pts}
-    lifted = {p: (p[0], p[1], z[p]) for p in pts}
-    found = {}
-    n = len(pts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                pa, pb, pc = pts[a], pts[b], pts[c]
-                u = tuple(x - y for x, y in zip(lifted[pb], lifted[pa]))
-                v = tuple(x - y for x, y in zip(lifted[pc], lifted[pa]))
-                nrm = (u[1] * v[2] - u[2] * v[1],
-                       u[2] * v[0] - u[0] * v[2],
-                       u[0] * v[1] - u[1] * v[0])
-                if nrm[2] == 0:
-                    continue
-                if nrm[2] < 0:
-                    nrm = tuple(-w for w in nrm)
-                level = sum(x * y for x, y in zip(nrm, lifted[pa]))
-                values = [sum(x * y for x, y in zip(nrm, lifted[p])) for p in pts]
-                if any(val < level for val in values):
-                    continue
-                tight = tuple(p for p, val in zip(pts, values) if val == level)
-                found[convex_hull(tight).vertices] = True
-    return set(found)
+    """Cell polygons of the lower hull, by the all-triples oracle."""
+    return {verts for verts, _, _ in brute_force_lower_hull(heights)[0]}
 
 
 def random_lifting(rng, npts, span=5, denom=4):
@@ -164,10 +156,20 @@ def random_lifting(rng, npts, span=5, denom=4):
 
 def test_hull_matches_all_triples_oracle():
     rng = random.Random(20260814)
-    for _ in range(60):
-        heights = random_lifting(rng, rng.randrange(4, 11))
+    rational = inside_rim_edge = inside_cell_edge = 0
+    for _ in range(300):
+        heights = random_lifting(rng, rng.randrange(4, 13))
         sd = lower_hull_subdivision(heights)
-        assert poly_verts(sd) == brute_force_cells(heights)
+        cells, interior, boundary = brute_force_lower_hull(heights)
+        assert [(c.polygon.vertices, c.plane, c.tight) for c in sd.cells] == cells
+        assert list(sd.interior_edges) == interior
+        assert list(sd.boundary_edges) == boundary
+        rational += any(h.denominator > 1 for h in heights.values())
+        inside_rim_edge += any(sd.domain.locate(p) == "boundary"
+                               and p not in sd.domain.vertices for p in heights)
+        inside_cell_edge += any(len(c.tight) > len(c.polygon.vertices) for c in sd.cells)
+    # the draws must reach rational heights and points inside edges
+    assert min(rational, inside_rim_edge, inside_cell_edge) > 0
 
 
 def test_hull_on_lifted_text_input():
