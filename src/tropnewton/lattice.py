@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import DegenerateHullError, ZeroSegmentError, check
+from .errors import DegenerateHullError, InternalCheckError, ZeroSegmentError, check
 
 Coord = Union[int, Fraction]
 Point = Sequence[Coord]
@@ -34,10 +34,12 @@ class LatticePoint(NamedTuple):
 
 
 def as_lattice_point(p: Point) -> LatticePoint:
+    if type(p) is LatticePoint:
+        return p
     i, j = p
     if isinstance(i, Fraction):
-        check(i.denominator == 1 and j.denominator == 1,
-              f"point {p} is not a lattice point")
+        if i.denominator != 1 or j.denominator != 1:
+            raise InternalCheckError(f"point {p} is not a lattice point")
         i, j = int(i), int(j)
     return LatticePoint(int(i), int(j))
 
@@ -143,8 +145,8 @@ class ConvexPolygon:
         verts = _canonical_rotation(verts)
         n = len(verts)
         for k in range(n):
-            c = cross(verts[k - 1], verts[k], verts[(k + 1) % n])
-            check(c > 0, f"vertices not strictly convex ccw at {verts[k]}")
+            if cross(verts[k - 1], verts[k], verts[(k + 1) % n]) <= 0:
+                raise InternalCheckError(f"vertices not strictly convex ccw at {verts[k]}")
         object.__setattr__(self, "vertices", verts)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
@@ -208,15 +210,17 @@ class LatticePolygon:
             # a spike folds the boundary back over itself
             c = cross(verts[k - 1], verts[k], verts[(k + 1) % n])
             d = dot(sub(verts[k], verts[k - 1]), sub(verts[(k + 1) % n], verts[k]))
-            check(c != 0 or d > 0, f"boundary spike at {verts[k]}")
+            if c == 0 and d <= 0:
+                raise InternalCheckError(f"boundary spike at {verts[k]}")
         for a_idx in range(n):
             a1, a2 = verts[a_idx], verts[(a_idx + 1) % n]
             for b_idx in range(a_idx + 1, n):
                 if b_idx == a_idx or (b_idx + 1) % n == a_idx or (a_idx + 1) % n == b_idx:
                     continue  # adjacent edges share an endpoint by design
                 b1, b2 = verts[b_idx], verts[(b_idx + 1) % n]
-                check(not segments_intersect(a1, a2, b1, b2),
-                      f"self-intersection between edges {a1}-{a2} and {b1}-{b2}")
+                if segments_intersect(a1, a2, b1, b2):
+                    raise InternalCheckError(
+                        f"self-intersection between edges {a1}-{a2} and {b1}-{b2}")
         object.__setattr__(self, "vertices", verts)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard

@@ -3,11 +3,14 @@ of the region under a Newton boundary.
 
 The central construction lifts each support point (i, j) to height
 nu(i, j) and takes the lower convex hull; facets project to the cells
-of a regular subdivision.  All hull decisions are made on integers
-(heights are scaled by their common denominator), and so is the split
-of the cells' edges into rim and interior edges, so there is no
-tolerance anywhere and no ``Fraction`` until the facet planes are
-reported.
+of a regular subdivision.  The hull is a gift-wrap over integer triples
+(heights are scaled by their common denominator): one flat scan per
+facet picks it, and one pass checks that its plane supports every
+lifted point.  The split of the cells' edges into rim and interior
+edges is on integers too, so there is no tolerance anywhere and no
+``Fraction`` until a cell's plane is built.  The wrap never finds a
+facet twice (see ``lower_hull_subdivision``), so the cells are a plain
+list with no lookup by plane.
 
 For a diagram the goal is a subdivision whose cells inside the region
 under the boundary are exactly unit squares and half-square triangles.
@@ -29,6 +32,7 @@ from .errors import (
     BadSequenceError,
     DegenerateHullError,
     DegenerateInputError,
+    InternalCheckError,
     NotCoprimeError,
     RegularityCertificationError,
     check,
@@ -46,12 +50,6 @@ from .newton import NewtonDiagram, StaircaseDecomposition, decompose_diagram
 from .parsing import LiftedSupport
 
 Plane = tuple[Fraction, Fraction, Fraction]
-
-
-def _det3(u, v, w):
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,22 @@ def _lower_chain_edge(pts3, a, b):
 
 
 def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSubdivision:
-    """Exact regular subdivision induced by the lifting's lower hull."""
+    """Exact regular subdivision induced by the lifting's lower hull.
+
+    A gift-wrap over the integer triples (i, j, scale * height).  From an
+    unclaimed directed edge ab, one scan over the points picks the next
+    facet: among the points strictly left of ab, the first point below
+    the plane through a, b and the current pick replaces it.  One pass
+    then checks that every point lies on or above the picked plane and
+    collects the tight points.
+
+    No facet is found twice, so cells go into a plain list.  The facet
+    found from ab lies left of ab, so ab is one of its counterclockwise
+    edges (checked), and a directed edge has only one cell on its left.
+    All of the facet's edges are claimed when it is found, and a
+    claimed edge is never wrapped from again.  A duplicate cell would
+    also break the area sum that ``_assemble`` checks.
+    """
     if not isinstance(lifting, LiftedSupport):
         lifting = LiftedSupport.from_mapping(lifting)
     heights = lifting.as_dict()
@@ -135,8 +148,9 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
     scale = lcm(*[h.denominator for h in heights.values()])
     pts3 = {pt: (pt.i, pt.j, h.numerator * (scale // h.denominator))
             for pt, h in heights.items()}
+    lifted = list(pts3.values())
 
-    facets: dict[Plane, Cell] = {}
+    cells: list[Cell] = []
     claimed: set[tuple[LatticePoint, LatticePoint]] = set()
     queue = [_lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1])]
 
@@ -144,45 +158,43 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
         a, b = queue.pop()
         if (a, b) in claimed:
             continue
-        a3, b3 = pts3[a], pts3[b]
-        ab = (b3[0] - a3[0], b3[1] - a3[1], b3[2] - a3[2])
-        candidates = [pt for pt in pts if cross(a, b, pt) > 0]
-        if not candidates:
+        ax, ay, az = pts3[a]
+        dx, dy, dz = pts3[b][0] - ax, pts3[b][1] - ay, pts3[b][2] - az
+        # c = (cx, cy, cz) is a point's offset from a, left of ab when
+        # dx*cy - dy*cx > 0.  It replaces the pick u when det(ab, u, c) < 0,
+        # that is when it lies below the plane through a, b and the pick.
+        found = False
+        for x, y, z in lifted:
+            cx, cy = x - ax, y - ay
+            if dx * cy - dy * cx > 0:
+                cz = z - az
+                if not found or (dx * (uy * cz - uz * cy) - dy * (ux * cz - uz * cx)
+                                 + dz * (ux * cy - uy * cx)) < 0:
+                    ux, uy, uz = cx, cy, cz
+                    found = True
+        if not found:
             continue  # domain boundary on this side
-        best = candidates[0]
-        for c in candidates[1:]:
-            c3 = pts3[c]
-            w3 = pts3[best]
-            if _det3(ab, (w3[0] - a3[0], w3[1] - a3[1], w3[2] - a3[2]),
-                     (c3[0] - a3[0], c3[1] - a3[1], c3[2] - a3[2])) < 0:
-                best = c
-        w3 = pts3[best]
-        u = (w3[0] - a3[0], w3[1] - a3[1], w3[2] - a3[2])
-        normal = (ab[1] * u[2] - ab[2] * u[1],
-                  ab[2] * u[0] - ab[0] * u[2],
-                  ab[0] * u[1] - ab[1] * u[0])
-        check(normal[2] > 0, "facet normal must point up")
-        level = normal[0] * a3[0] + normal[1] * a3[1] + normal[2] * a3[2]
-        tight = []
-        for pt, p3 in pts3.items():
-            value = normal[0] * p3[0] + normal[1] * p3[1] + normal[2] * p3[2]
-            check(value >= level, "wrap produced a non-supporting plane")
-            if value == level:
-                tight.append(pt)
-        plane = (Fraction(-normal[0], normal[2] * scale),
-                 Fraction(-normal[1], normal[2] * scale),
-                 Fraction(level, normal[2] * scale))
-        if plane in facets:
-            continue
-        facets[plane] = Cell(convex_hull(tight), plane, tuple(sorted(tight)))
-        edge_list = list(facets[plane].polygon.edges())
-        check(any(e == (a, b) for e in edge_list), "wrap edge is not a facet edge")
-        for u_, v_ in edge_list:
-            claimed.add((u_, v_))
-            if (v_, u_) not in claimed:
-                queue.append((v_, u_))
+        # the normal ab x u points up: its last coordinate is > 0 because
+        # the pick is left of ab
+        n0 = dy * uz - dz * uy
+        n1 = dz * ux - dx * uz
+        n2 = dx * uy - dy * ux
+        level = n0 * ax + n1 * ay + n2 * az
+        values = [n0 * x + n1 * y + n2 * z for x, y, z in lifted]
+        check(min(values) >= level, "wrap produced a non-supporting plane")
+        tight = [pt for pt, value in zip(pts3, values) if value == level]
+        plane = (Fraction(-n0, n2 * scale), Fraction(-n1, n2 * scale),
+                 Fraction(level, n2 * scale))
+        cell = Cell(convex_hull(tight), plane, tuple(sorted(tight)))
+        edge_list = list(cell.polygon.edges())
+        check((a, b) in edge_list, "wrap edge is not a facet edge")
+        cells.append(cell)
+        for u, v in edge_list:
+            claimed.add((u, v))
+            if (v, u) not in claimed:
+                queue.append((v, u))
 
-    cells = sorted(facets.values(), key=lambda c: c.polygon.vertices)
+    cells.sort(key=lambda c: c.polygon.vertices)
     return _assemble(lifting, domain, tuple(cells))
 
 
@@ -208,10 +220,12 @@ def _assemble(lifting, domain, cells) -> RegularSubdivision:
     boundary = []
     for (a, b), ids in sorted(incidence.items()):
         if lines[a] & lines[b]:
-            check(len(ids) == 1, f"rim edge {a}-{b} shared by {len(ids)} cells")
+            if len(ids) != 1:
+                raise InternalCheckError(f"rim edge {a}-{b} shared by {len(ids)} cells")
             boundary.append(SubdivisionEdge(a, b, tuple(ids)))
         else:
-            check(len(ids) == 2, f"inner edge {a}-{b} met {len(ids)} times")
+            if len(ids) != 2:
+                raise InternalCheckError(f"inner edge {a}-{b} met {len(ids)} times")
             interior.append(SubdivisionEdge(a, b, tuple(sorted(ids))))
     return RegularSubdivision(lifting, domain, cells, tuple(interior),
                               tuple(boundary), tuple(corners))

@@ -6,9 +6,11 @@ interior edge, one outward ray per boundary edge, weights given by dual
 lattice lengths.  ``verify_duality`` alone checks duality (orthogonality,
 valence, balancing, complement counts), from scratch.  Directions and
 ray sides are decided on integers: a segment is tested through the
-primitive direction of its gradient jump, and a ray's side through the
-integer multiple 2n (midpoint - vertex average) of an n-gon.  A
-sub-curve can be cut out over any region that is a union of cells.
+primitive direction of its gradient jump, taken from the gradients'
+numerators and denominators with no ``Fraction`` subtraction, and a
+ray's side through the integer multiple 2n (midpoint - vertex average)
+of an n-gon.  A sub-curve can be cut out over any region that is a
+union of cells.
 """
 
 from __future__ import annotations
@@ -138,6 +140,16 @@ def _component_count(n: int, links: list[tuple[int, int]]) -> int:
     return len({find(k) for k in range(n)})
 
 
+def _jump_direction(g1: Coords, g2: Coords) -> tuple[int, int]:
+    """Primitive direction of g2 - g1, taken on integers: g2 - g1 times
+    the product of the four denominators, a positive factor."""
+    (x1, y1), (x2, y2) = g1, g2
+    dx = x2.numerator * x1.denominator - x1.numerator * x2.denominator
+    dy = y2.numerator * y1.denominator - y1.numerator * y2.denominator
+    return primitive_direction(dx * y1.denominator * y2.denominator,
+                               dy * x1.denominator * x2.denominator)
+
+
 def verify_duality(tc: TropicalCurve) -> DualityReport:
     """Recheck the three dual correspondences plus balancing.
 
@@ -171,7 +183,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             if g1 == g2:
                 violations.append(f"edge {k}: zero length segment")
                 continue
-            px, py = primitive_direction(g2[0] - g1[0], g2[1] - g1[1])
+            px, py = _jump_direction(g1, g2)
             if px * d[0] + py * d[1] != 0:
                 violations.append(f"edge {k}: not orthogonal to dual edge")
             bx[v1] += e.weight * px

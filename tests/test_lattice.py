@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,10 +82,13 @@ def test_convex_hull_rejects_degenerate_input():
 
 
 def test_convex_polygon_validation():
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError, match=re.escape("strictly convex ccw at (2,0)")):
         ConvexPolygon([(0, 0), (2, 0), (4, 0), (0, 4)])  # collinear run
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError, match=re.escape("strictly convex ccw at (0,0)")):
         ConvexPolygon([(0, 0), (0, 4), (4, 0)])  # clockwise
+    with pytest.raises(InternalCheckError, match=re.escape(
+            "point (Fraction(3, 2), Fraction(2, 1)) is not a lattice point")):
+        ConvexPolygon([(0, 0), (Fraction(3, 2), Fraction(2)), (0, 4)])
 
 
 def test_region_areas_match_hand_values():
@@ -94,12 +98,16 @@ def test_region_areas_match_hand_values():
 
 
 def test_lattice_polygon_rejects_self_intersection():
-    with pytest.raises(InternalCheckError):
+    # the symmetric bowtie has zero signed area, so the area check fires first
+    with pytest.raises(InternalCheckError, match="ccw with area > 0"):
         LatticePolygon([(0, 0), (4, 4), (4, 0), (0, 4)])
+    with pytest.raises(InternalCheckError, match=re.escape(
+            "self-intersection between edges (0,0)-(4,4) and (4,0)-(0,8)")):
+        LatticePolygon([(0, 0), (4, 4), (4, 0), (0, 8)])
 
 
 def test_lattice_polygon_rejects_spike():
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError, match=re.escape("boundary spike at (4,0)")):
         LatticePolygon([(0, 0), (4, 0), (2, 0), (2, 2)])
 
 

@@ -4,7 +4,7 @@ independent all-triples oracle."""
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -15,7 +15,7 @@ from tropnewton.errors import (
     NotCoprimeError,
     RegularityCertificationError,
 )
-from tropnewton.lattice import LatticePoint, convex_hull
+from tropnewton.lattice import LatticePoint, convex_hull, cross
 from tropnewton.newton import analyze_support, decompose_diagram
 from tropnewton.parsing import parse_germ, parse_puiseux_poly
 from tropnewton import subdivision
@@ -154,22 +154,51 @@ def random_lifting(rng, npts, span=5, denom=4):
                 for p in pts}
 
 
+def assert_matches_oracle(heights):
+    sd = lower_hull_subdivision(heights)
+    cells, interior, boundary = brute_force_lower_hull(heights)
+    assert [(c.polygon.vertices, c.plane, c.tight) for c in sd.cells] == cells
+    assert list(sd.interior_edges) == interior
+    assert list(sd.boundary_edges) == boundary
+    return sd
+
+
 def test_hull_matches_all_triples_oracle():
     rng = random.Random(20260814)
     rational = inside_rim_edge = inside_cell_edge = 0
     for _ in range(300):
         heights = random_lifting(rng, rng.randrange(4, 13))
-        sd = lower_hull_subdivision(heights)
-        cells, interior, boundary = brute_force_lower_hull(heights)
-        assert [(c.polygon.vertices, c.plane, c.tight) for c in sd.cells] == cells
-        assert list(sd.interior_edges) == interior
-        assert list(sd.boundary_edges) == boundary
+        sd = assert_matches_oracle(heights)
         rational += any(h.denominator > 1 for h in heights.values())
         inside_rim_edge += any(sd.domain.locate(p) == "boundary"
                                and p not in sd.domain.vertices for p in heights)
         inside_cell_edge += any(len(c.tight) > len(c.polygon.vertices) for c in sd.cells)
     # the draws must reach rational heights and points inside edges
     assert min(rational, inside_rim_edge, inside_cell_edge) > 0
+
+
+def test_hull_oracle_on_ties_large_scales_and_late_winners():
+    # an affine lifting of the 4x4 grid: one cell with all 16 points
+    # tight, so every candidate test in the scan is a tie
+    grid = {(i, j): Fraction(3 * i - 2 * j, 7) + 5 for i in range(4) for j in range(4)}
+    sd = assert_matches_oracle(grid)
+    assert len(sd.cells) == 1 and len(sd.cells[0].tight) == 16
+    # heights up to 10^12 over denominators up to 10^6
+    rng = random.Random(20261018)
+    big_scale = 0
+    for _ in range(40):
+        heights = {p: Fraction(rng.randrange(10 ** 12), rng.randrange(1, 10 ** 6 + 1))
+                   for p in random_lifting(rng, rng.randrange(4, 11))}
+        assert_matches_oracle(heights)
+        big_scale += lcm(*[h.denominator for h in heights.values()]) > 10 ** 12
+    assert big_scale > 0
+    # from the seed edge (0,0)->(2,0) the scan meets (0,2) first, then
+    # (1,1), but the facet is the one through (2,2)
+    heights = {(0, 0): 0, (2, 0): 0, (2, 2): 0, (0, 2): 1, (1, 1): 1}
+    sd = assert_matches_oracle(heights)
+    order = list(sd.lifting.as_dict())
+    assert [p for p in order if cross((0, 0), (2, 0), p) > 0] == [(0, 2), (1, 1), (2, 2)]
+    assert sd.cells[0].polygon.vertices == ((0, 0), (2, 0), (2, 2))
 
 
 def test_hull_on_lifted_text_input():
