@@ -3,11 +3,16 @@
 Subcommands: analyze, certify, render, emit-poly, lemma, corpus.
 Exit codes: 0 all verdicts hold, 1 a verdict fails, 2 malformed input,
 3 precondition violation, 4 file system trouble.
+
+``main(argv)`` may be called repeatedly in one process.  The calls
+share one argument parser, built on the first call; each parse returns
+a fresh namespace, so no call sees another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -115,6 +120,7 @@ def _at_least(lo: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tropnewton",

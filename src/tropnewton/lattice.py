@@ -271,7 +271,11 @@ Region = Union[ConvexPolygon, LatticePolygon]
 
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     """Convex hull by monotone chain.  Needs 3 non-collinear points."""
-    pts = sorted({as_lattice_point(p) for p in points})
+    return convex_hull_of_sorted(sorted({as_lattice_point(p) for p in points}))
+
+
+def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
+    """Convex hull of distinct lattice points already in sorted order."""
     if len(pts) < 3:
         raise DegenerateHullError(f"{len(pts)} distinct points")
 

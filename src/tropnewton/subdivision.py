@@ -40,10 +40,8 @@ from .errors import (
 from .lattice import (
     ConvexPolygon,
     LatticePoint,
-    convex_hull,
-    cross,
+    convex_hull_of_sorted,
     lattice_length,
-    on_segment,
     segment_lattice_points,
 )
 from .newton import NewtonDiagram, StaircaseDecomposition, decompose_diagram
@@ -100,11 +98,14 @@ class RegularSubdivision:
 
 
 def _lower_chain_edge(pts3, a, b):
-    """First edge of the 2d lower hull of the lifted points on segment ab."""
-    d = (b.i - a.i, b.j - a.j)
-    on_line = [(p3[0] * d[0] + p3[1] * d[1], p3[2], pt)
-               for pt, p3 in pts3.items()
-               if cross(a, b, pt) == 0 and on_segment(pt, a, b)]
+    """First edge of the 2d lower hull of the lifted points on segment ab.
+
+    ab is an edge of the support's hull, which holds every support
+    point, so a point on the line of ab lies on the segment.
+    """
+    dx, dy = b.i - a.i, b.j - a.j
+    on_line = [(x * dx + y * dy, z, pt) for pt, (x, y, z) in pts3.items()
+               if dx * (y - a.j) == dy * (x - a.i)]
     on_line.sort()
     chain: list = []
     for t, z, pt in on_line:
@@ -125,7 +126,9 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
     facet: among the points strictly left of ab, the first point below
     the plane through a, b and the current pick replaces it.  One pass
     then checks that every point lies on or above the picked plane and
-    collects the tight points.
+    collects the tight points.  The scan runs in sorted point order, so
+    the tight points come out sorted and distinct and the cell polygon
+    is their monotone chain with no re-sort.
 
     No facet is found twice, so cells go into a plain list.  The facet
     found from ab lies left of ab, so ab is one of its counterclockwise
@@ -133,22 +136,38 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
     All of the facet's edges are claimed when it is found, and a
     claimed edge is never wrapped from again.  A duplicate cell would
     also break the area sum that ``_assemble`` checks.
+
+    A rim edge uv, one whose ends lie on the line of one domain edge, is
+    never wrapped from in reverse: its cell lies left of uv, so the
+    domain does too, and by convexity no support point lies strictly
+    right of uv.  Every other edge has domain interior on both sides,
+    so its reverse always finds a facet.
     """
     if not isinstance(lifting, LiftedSupport):
         lifting = LiftedSupport.from_mapping(lifting)
-    heights = lifting.as_dict()
-    pts = list(heights)
-    if len(pts) < 3:
+    domain, cells, rim_lines = _wrap(lifting)
+    # the wrap's points and claimed edges are freed before assembling
+    return _assemble(lifting, domain, cells, rim_lines)
+
+
+def _wrap(lifting: LiftedSupport):
+    """The domain, the sorted cells and each corner's rim-line bitmask."""
+    heights = sorted(lifting.as_dict().items())
+    if len(heights) < 3:
         raise DegenerateInputError("need at least 3 support points")
     try:
-        domain = convex_hull(pts)
+        domain = convex_hull_of_sorted([pt for pt, _ in heights])
     except DegenerateHullError:
         raise DegenerateInputError("support points are collinear") from None
 
-    scale = lcm(*[h.denominator for h in heights.values()])
+    scale = lcm(*[h.denominator for _, h in heights])
     pts3 = {pt: (pt.i, pt.j, h.numerator * (scale // h.denominator))
-            for pt, h in heights.items()}
+            for pt, h in heights}
     lifted = list(pts3.values())
+    # bit k of a corner's mask: the corner lies on the line nx*i + ny*j = c
+    # of domain edge k
+    rim = [(u.j - w.j, w.i - u.i, u.j * w.i - u.i * w.j) for u, w in domain.edges()]
+    lines: dict[LatticePoint, int] = {}
 
     cells: list[Cell] = []
     claimed: set[tuple[LatticePoint, LatticePoint]] = set()
@@ -172,8 +191,7 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
                                  + dz * (ux * cy - uy * cx)) < 0:
                     ux, uy, uz = cx, cy, cz
                     found = True
-        if not found:
-            continue  # domain boundary on this side
+        check(found, "wrap edge has no support point on its left")
         # the normal ab x u points up: its last coordinate is > 0 because
         # the pick is left of ab
         n0 = dy * uz - dz * uy
@@ -185,25 +203,29 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
         tight = [pt for pt, value in zip(pts3, values) if value == level]
         plane = (Fraction(-n0, n2 * scale), Fraction(-n1, n2 * scale),
                  Fraction(level, n2 * scale))
-        cell = Cell(convex_hull(tight), plane, tuple(sorted(tight)))
+        cell = Cell(convex_hull_of_sorted(tight), plane, tuple(tight))
         edge_list = list(cell.polygon.edges())
         check((a, b) in edge_list, "wrap edge is not a facet edge")
         cells.append(cell)
+        for v in cell.polygon.vertices:
+            if v not in lines:
+                lines[v] = sum(1 << k for k, (nx, ny, c) in enumerate(rim)
+                               if nx * v.i + ny * v.j == c)
         for u, v in edge_list:
             claimed.add((u, v))
-            if (v, u) not in claimed:
+            if not lines[u] & lines[v] and (v, u) not in claimed:
                 queue.append((v, u))
 
     cells.sort(key=lambda c: c.polygon.vertices)
-    return _assemble(lifting, domain, tuple(cells))
+    return domain, tuple(cells), lines
 
 
-def _assemble(lifting, domain, cells) -> RegularSubdivision:
+def _assemble(lifting, domain, cells, lines) -> RegularSubdivision:
     """Split the cells' edges into rim and interior edges.
 
     Every cell corner lies on the inner side of every domain edge, so an
     edge lies on the rim exactly when both its ends lie on the line of
-    one domain edge.
+    one domain edge: when their ``lines`` bitmasks share a bit.
     """
     check(sum(c.polygon.area2 for c in cells) == domain.area2,
           "cells do not tile the support hull")
@@ -212,10 +234,6 @@ def _assemble(lifting, domain, cells) -> RegularSubdivision:
         for a, b in cell.polygon.edges():
             key = (a, b) if a < b else (b, a)
             incidence.setdefault(key, []).append(cid)
-    corners = sorted({v for c in cells for v in c.polygon.vertices})
-    rim = list(domain.edges())
-    lines = {v: {k for k, (u, w) in enumerate(rim) if cross(u, w, v) == 0}
-             for v in corners}
     interior = []
     boundary = []
     for (a, b), ids in sorted(incidence.items()):
@@ -228,7 +246,7 @@ def _assemble(lifting, domain, cells) -> RegularSubdivision:
                 raise InternalCheckError(f"inner edge {a}-{b} met {len(ids)} times")
             interior.append(SubdivisionEdge(a, b, tuple(sorted(ids))))
     return RegularSubdivision(lifting, domain, cells, tuple(interior),
-                              tuple(boundary), tuple(corners))
+                              tuple(boundary), tuple(sorted(lines)))
 
 
 # --- liftings ---------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Output is deterministic byte for byte: all geometry is exact rational
 until the final formatting step, which quantizes to four decimal
-places with half-even rounding.  Rays are clipped to the viewbox
-exactly; the viewbox is the bounding box of the hull and the finite
-curve vertices, padded by twenty percent per side.
+places with half-even rounding on the integer numerator and
+denominator (no float and no ``Fraction`` arithmetic).  Rays are
+clipped to the viewbox exactly; the viewbox is the bounding box of the
+hull and the finite curve vertices, padded by twenty percent per side.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from .tropical import TropicalCurve, dual_tropical_curve, restrict
 
 
 def _fmt(x) -> str:
-    n = round(Fraction(x) * 10000)
+    """x (an int or a Fraction) to four decimal places, half to even."""
+    d = x.denominator
+    n, r = divmod(x.numerator * 10000, d)
+    if 2 * r > d or (2 * r == d and n & 1):
+        n += 1
     s = f"{abs(n) // 10000}.{abs(n) % 10000:04d}".rstrip("0").rstrip(".")
     return ("-" if n < 0 else "") + s
 

@@ -1,12 +1,25 @@
 """Subcommand behavior, exit codes, and SVG output."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from tropnewton.cli import main
+from tropnewton.cli import _build_parser, main
+from tropnewton.corpus import SplitMix64
 from tropnewton.parsing import LiftedSupport, parse_germ, serialize_json
-from tropnewton.svg import render_svg
+from tropnewton.svg import _fmt, render_svg
+
+QUINTIC = "x^5+x^2*y^2+y^5"
+# SHA-256 of the figures `render GERM [FLAGS]` writes, pinned when the
+# benchmark was introduced; the bytes must not drift.
+SVG_DIGESTS = {
+    (QUINTIC,): "dfcf98f32bd688fb5419f1de9022927a922f1427d6b5d6cc36c6a82cc384ac9e",
+    (QUINTIC, "--region", "full"):
+        "a83e5d55658b761014a318b5fd06fd896f74ec1e3a994620a10380c6373450a6",
+    ("x^2+y^3",): "7bff95af2aa1b3319994e1b2b96bbd3afc465e506059bf06908b602785a3f8e6",
+}
 
 
 def run(capsys, *argv):
@@ -157,3 +170,55 @@ def test_svg_is_deterministic_and_clips_rays():
         attrs = dict(re.findall(r'([a-z0-9-]+)="([^"]+)"', m.group(1)))
         assert x0 <= float(attrs["x2"]) <= x0 + w
         assert y0 <= float(attrs["y2"]) <= y0 + h
+
+
+@pytest.mark.parametrize("args", sorted(SVG_DIGESTS))
+def test_render_bytes_match_pinned_digest(tmp_path, capsys, args):
+    target = tmp_path / "fig.svg"
+    assert run(capsys, "render", *args, "-o", str(target))[0] == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SVG_DIGESTS[args]
+
+
+def test_fmt_matches_fraction_rounding():
+    def oracle(x):
+        n = round(Fraction(x) * 10000)
+        s = f"{abs(n) // 10000}.{abs(n) % 10000:04d}".rstrip("0").rstrip(".")
+        return ("-" if n < 0 else "") + s
+
+    rng = SplitMix64(11)
+    cases = [0, 1, -1, 7, -12, 10**15, -(10**15)]
+    cases += [rng.between(-10**6, 10**6) for _ in range(200)]
+    # exact half-way ties, which half-even sends both ways
+    cases += [Fraction(sign * (2 * k + 1), 20000)
+              for k in range(400) for sign in (1, -1)]
+    cases += [Fraction(sign * (2 * rng.below(10**9) + 1), 20000)
+              for _ in range(200) for sign in (1, -1)]
+    # negatives that round to zero and must print without a sign
+    cases += [Fraction(-1, 20000), Fraction(-1, 30000), Fraction(-3, 10**9)]
+    cases += [Fraction(rng.between(-10**12, 10**12), rng.between(1, 10**9))
+              for _ in range(2000)]
+    for x in cases:
+        assert _fmt(x) == oracle(x), x
+    assert _fmt(Fraction(-1, 30000)) == "0"
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    full, plain = tmp_path / "full.svg", tmp_path / "plain.svg"
+    assert run(capsys, "render", QUINTIC, "--region", "full", "-o", str(full))[0] == 0
+    assert run(capsys, "render", QUINTIC, "-o", str(plain))[0] == 0
+    quintic = parse_germ(QUINTIC).points
+    assert plain.read_text() == render_svg(quintic)
+    assert full.read_text() == render_svg(quintic, region="full")
+    # an argparse exit leaves the parser usable
+    with pytest.raises(SystemExit):
+        main(["corpus", "--count", "0"])
+    capsys.readouterr()
+    assert run(capsys, "lemma", "2", "3")[:2] == (0, "squares=1 I=4 PASS\n")
+    code, out, _ = run(capsys, "analyze", "x^2+y^3", "--json", "-")
+    assert code == 0 and json.loads(out)["mu"] == 2
+    code, out, _ = run(capsys, "certify", "x^2+y^3")
+    assert code == 0
+    assert out == ("mu = v + r: PASS (2 vs 1 + 1)\n"
+                   "delta = v:  PASS (1 vs 1)\n"
+                   "duality:    PASS\n")
