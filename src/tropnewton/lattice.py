@@ -37,10 +37,8 @@ def as_lattice_point(p: Point) -> LatticePoint:
     if type(p) is LatticePoint:
         return p
     i, j = p
-    if isinstance(i, Fraction):
-        if i.denominator != 1 or j.denominator != 1:
-            raise InternalCheckError(f"point {p} is not a lattice point")
-        i, j = int(i), int(j)
+    if int(i) != i or int(j) != j:
+        raise InternalCheckError(f"point {p} is not a lattice point")
     return LatticePoint(int(i), int(j))
 
 
@@ -134,47 +132,61 @@ def _strip_collinear(vertices: Sequence[LatticePoint]) -> tuple:
     return tuple(out)
 
 
-class ConvexPolygon:
-    """Strictly convex lattice polygon, counterclockwise, canonical start."""
+class _Polygon:
+    """Vertex tuple, counterclockwise from the smallest vertex, immutable.
+
+    Two polygons are equal when they have the same class and vertices.
+    """
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices: Iterable[Point]):
-        verts = tuple(as_lattice_point(v) for v in vertices)
-        check(len(verts) >= 3, "convex polygon needs at least 3 vertices")
-        verts = _canonical_rotation(verts)
-        n = len(verts)
-        for k in range(n):
-            if cross(verts[k - 1], verts[k], verts[(k + 1) % n]) <= 0:
-                raise InternalCheckError(f"vertices not strictly convex ccw at {verts[k]}")
-        object.__setattr__(self, "vertices", verts)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("ConvexPolygon is immutable")
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConvexPolygon) and self.vertices == other.vertices
+        return type(other) is type(self) and self.vertices == other.vertices
 
     def __hash__(self) -> int:
         return hash(self.vertices)
 
     def __repr__(self) -> str:
-        return f"ConvexPolygon({list(self.vertices)})"
+        return f"{type(self).__name__}({list(self.vertices)})"
 
     def edges(self) -> Iterator[tuple[LatticePoint, LatticePoint]]:
-        n = len(self.vertices)
-        for k in range(n):
-            yield self.vertices[k], self.vertices[(k + 1) % n]
+        v = self.vertices
+        return zip(v, v[1:] + v[:1])
 
     @property
     def area2(self) -> int:
         return int(shoelace2(self.vertices))
 
+    def bbox(self) -> tuple[int, int, int, int]:
+        xs = [v.i for v in self.vertices]
+        ys = [v.j for v in self.vertices]
+        return min(xs), min(ys), max(xs), max(ys)
+
+
+class ConvexPolygon(_Polygon):
+    """Strictly convex lattice polygon, counterclockwise, canonical start."""
+
+    __slots__ = ()
+
+    def __init__(self, vertices: Iterable[Point]):
+        verts = tuple(map(as_lattice_point, vertices))
+        check(len(verts) >= 3, "convex polygon needs at least 3 vertices")
+        verts = _canonical_rotation(verts)
+        for (ax, ay), b, (cx, cy) in zip(verts[-1:] + verts[:-1], verts,
+                                         verts[1:] + verts[:1]):
+            if (b[0] - ax) * (cy - ay) - (b[1] - ay) * (cx - ax) <= 0:
+                raise InternalCheckError(f"vertices not strictly convex ccw at {b}")
+        object.__setattr__(self, "vertices", verts)
+
     def locate(self, p: Point) -> str:
         """'inside', 'boundary' or 'outside', decided exactly."""
+        x, y = p[0], p[1]
         on_edge = False
-        for a, b in self.edges():
-            c = cross(a, b, p)
+        for (ax, ay), (bx, by) in self.edges():
+            c = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
             if c < 0:
                 return "outside"
             if c == 0:
@@ -187,16 +199,11 @@ class ConvexPolygon:
         return (Fraction(sum(v.i for v in self.vertices), n),
                 Fraction(sum(v.j for v in self.vertices), n))
 
-    def bbox(self) -> tuple[int, int, int, int]:
-        xs = [v.i for v in self.vertices]
-        ys = [v.j for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
 
-
-class LatticePolygon:
+class LatticePolygon(_Polygon):
     """Simple closed lattice polygon, possibly non-convex, ccw."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ()
 
     def __init__(self, vertices: Iterable[Point]):
         verts = tuple(as_lattice_point(v) for v in vertices)
@@ -222,32 +229,6 @@ class LatticePolygon:
                     raise InternalCheckError(
                         f"self-intersection between edges {a1}-{a2} and {b1}-{b2}")
         object.__setattr__(self, "vertices", verts)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("LatticePolygon is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticePolygon) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"LatticePolygon({list(self.vertices)})"
-
-    def edges(self) -> Iterator[tuple[LatticePoint, LatticePoint]]:
-        n = len(self.vertices)
-        for k in range(n):
-            yield self.vertices[k], self.vertices[(k + 1) % n]
-
-    @property
-    def area2(self) -> int:
-        return int(shoelace2(self.vertices))
-
-    def bbox(self) -> tuple[int, int, int, int]:
-        xs = [v.i for v in self.vertices]
-        ys = [v.j for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
 
     def locate(self, p: Point) -> str:
         """'inside', 'boundary' or 'outside' by exact crossing count."""
@@ -278,11 +259,22 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
     """Convex hull of distinct lattice points already in sorted order."""
     if len(pts) < 3:
         raise DegenerateHullError(f"{len(pts)} distinct points")
+    if len(pts) == 3:
+        # three points are their own triangle, counterclockwise from the first
+        p, q, r = pts
+        turn = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        if turn == 0:
+            raise DegenerateHullError("all points collinear")
+        return ConvexPolygon((p, q, r) if turn > 0 else (p, r, q))
 
     def half(seq):
         chain: list[LatticePoint] = []
         for p in seq:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+            px, py = p
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain

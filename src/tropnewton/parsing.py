@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -68,11 +69,28 @@ class LiftedSupport:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "LiftedSupport":
-        items = sorted((LatticePoint(int(p[0]), int(p[1])), Fraction(v))
-                       for p, v in mapping.items())
-        if not items:
+        """Entries from a ``{(i, j): height}`` mapping.
+
+        A key that is not a pair of integral numbers is a SchemaError; a
+        point named by two keys (a mapping whose items repeat a point, or
+        keys that are distinct objects) is a DuplicateMonomialError.
+        """
+        entries: dict[LatticePoint, Fraction] = {}
+        for p, v in mapping.items():
+            try:
+                i, j = p
+                lattice = int(i) == i and int(j) == j
+            except (TypeError, ValueError, OverflowError):
+                lattice = False
+            if not lattice:
+                raise SchemaError(f"lifted support key {p!r} is not a lattice point")
+            point = LatticePoint(int(i), int(j))
+            if point in entries:
+                raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
+            entries[point] = Fraction(v)
+        if not entries:
             raise EmptySupportError("lifted support must be nonempty")
-        return cls(tuple(items))
+        return cls(tuple(sorted(entries.items())))
 
     @property
     def points(self) -> tuple[LatticePoint, ...]:
@@ -81,8 +99,12 @@ class LiftedSupport:
     def as_dict(self) -> dict[LatticePoint, Fraction]:
         return dict(self.entries)
 
+    @cached_property
+    def _heights(self) -> dict[LatticePoint, Fraction]:
+        return dict(self.entries)
+
     def value(self, p) -> Fraction:
-        return self.as_dict()[LatticePoint(int(p[0]), int(p[1]))]
+        return self._heights[tuple(p)]
 
 
 class _Scanner:

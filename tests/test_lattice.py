@@ -9,7 +9,9 @@ from tropnewton.lattice import (
     ConvexPolygon,
     LatticePoint,
     LatticePolygon,
+    as_lattice_point,
     convex_hull,
+    convex_hull_of_sorted,
     cross,
     enumerate_lattice_points,
     lattice_length,
@@ -79,6 +81,44 @@ def test_convex_hull_rejects_degenerate_input():
         convex_hull([(0, 0), (1, 1), (2, 2), (5, 5)])
     with pytest.raises(DegenerateHullError):
         convex_hull([(1, 2), (1, 2)])
+
+
+def test_three_point_hull_is_its_own_triangle():
+    p, q, r = LatticePoint(0, 0), LatticePoint(1, 2), LatticePoint(3, 1)
+    # (1,2) is left of (0,0)->(3,1): the triangle runs p, r, q
+    assert convex_hull_of_sorted([p, q, r]).vertices == (p, r, q)
+    assert convex_hull_of_sorted([p, LatticePoint(1, 0), r]).vertices == (p, (1, 0), r)
+    assert convex_hull([q, r, p]) == convex_hull([q, r, p, (1, 1)])
+    with pytest.raises(DegenerateHullError, match="all points collinear"):
+        convex_hull_of_sorted([p, LatticePoint(1, 1), LatticePoint(2, 2)])
+
+
+def test_as_lattice_point_checks_both_coordinates():
+    for bad in [(1, Fraction(1, 2)), (Fraction(1, 2), 1), (2, 0.5)]:
+        with pytest.raises(InternalCheckError, match="is not a lattice point"):
+            as_lattice_point(bad)
+    assert as_lattice_point((Fraction(2), 3)) == (2, 3)
+    assert type(as_lattice_point((Fraction(2), 3.0)).j) is int
+
+
+def test_polygon_classes_share_shape_but_not_equality():
+    verts = [(0, 0), (2, 0), (0, 2)]
+    convex, simple = ConvexPolygon(verts), LatticePolygon(verts)
+    assert convex.vertices == simple.vertices
+    assert list(convex.edges()) == list(simple.edges()) == [
+        ((0, 0), (2, 0)), ((2, 0), (0, 2)), ((0, 2), (0, 0))]
+    assert convex.area2 == simple.area2 == 4
+    assert convex.bbox() == simple.bbox() == (0, 0, 2, 2)
+    assert convex != simple and simple != convex
+    assert convex == convex_hull(verts + [(1, 0)])
+    assert hash(convex) == hash(simple) == hash(convex.vertices)
+    assert repr(convex) == "ConvexPolygon([LatticePoint(i=0, j=0), " \
+        "LatticePoint(i=2, j=0), LatticePoint(i=0, j=2)])"
+    assert repr(simple) == "LatticePolygon" + repr(convex)[len("ConvexPolygon"):]
+    for poly in (convex, simple):
+        with pytest.raises(AttributeError, match=f"{type(poly).__name__} is immutable"):
+            poly.vertices = ()
+        assert not hasattr(poly, "__dict__")
 
 
 def test_convex_polygon_validation():

@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -214,6 +216,51 @@ def test_json_duplicate_lifted_monomial():
     with pytest.raises(SchemaError) as e:
         parse_json_obj(obj)
     assert e.value.pointer == "/monomials/1"
+
+
+class PairList(Mapping):
+    """A mapping read from a list of pairs, which may name a point twice."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return dict(self.pairs)[key]
+
+    def __iter__(self):
+        return (key for key, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def test_lifted_mapping_rejects_non_lattice_keys():
+    # (3/2, 1/2) used to be truncated onto (1, 0), and the later key won
+    for bad in [{(Fraction(3, 2), Fraction(1, 2)): 5, (1, 0): 7},
+                {(1, Fraction(1, 2)): 5, (0, 0): 1},
+                {(1, 2, 3): 1}, {"ab": 1}]:
+        with pytest.raises(SchemaError, match="is not a lattice point"):
+            LiftedSupport.from_mapping(bad)
+    ls = LiftedSupport.from_mapping({(Fraction(2), 1): "3/2", (0, 0.0): 0})
+    assert ls.entries == (((0, 0), 0), ((2, 1), Fraction(3, 2)))
+    assert all(type(c) is int for p in ls.points for c in p)
+
+
+def test_lifted_mapping_rejects_a_repeated_point():
+    with pytest.raises(DuplicateMonomialError, match=re.escape("z^1 w^0 appears twice")):
+        LiftedSupport.from_mapping(PairList([((1, 0), 7), ((0, 0), 1),
+                                             ((Fraction(1), 0), 5)]))
+
+
+def test_lifted_value_looks_up_without_rebuilding(monkeypatch):
+    ls = LiftedSupport.from_mapping({(0, 0): 1, (1, 0): Fraction(3, 2)})
+    monkeypatch.setattr(LiftedSupport, "as_dict",
+                        lambda self: pytest.fail("value() rebuilt the dict"))
+    assert [ls.value(p) for p in [(1, 0), LatticePoint(0, 0), [1, 0]]] == [
+        Fraction(3, 2), 1, Fraction(3, 2)]
+    for missing in [(1, Fraction(1, 2)), (0, 1)]:
+        with pytest.raises(KeyError):
+            ls.value(missing)
 
 
 def test_json_plain_coefficients_combine_and_cancel():

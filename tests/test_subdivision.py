@@ -1,6 +1,7 @@
 """Lower hull subdivisions, checked against hand-computed cells and an
 independent all-triples oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,12 +9,15 @@ from math import gcd, lcm
 
 import pytest
 
+from tropnewton.corpus import SplitMix64, random_lifted_support
 from tropnewton.errors import (
     BadSequenceError,
     DegenerateHullError,
     DegenerateInputError,
+    InternalCheckError,
     NotCoprimeError,
     RegularityCertificationError,
+    SchemaError,
 )
 from tropnewton.lattice import LatticePoint, convex_hull, cross
 from tropnewton.newton import analyze_support, decompose_diagram
@@ -205,6 +209,127 @@ def test_hull_on_lifted_text_input():
     ls = parse_puiseux_poly("1+tz+tw+t^3z^2+t^2zw+t^3w^2+t^6w^3")
     sd = lower_hull_subdivision(ls)
     assert len(sd.cells) == 5
+
+
+def test_hull_rejects_non_lattice_keys_as_input():
+    with pytest.raises(SchemaError):
+        lower_hull_subdivision({(Fraction(3, 2), Fraction(1, 2)): 5, (1, 0): 7,
+                                (0, 1): 1, (0, 0): 0})
+
+
+# --- the fan prefilter --------------------------------------------------------
+
+def fan_height(heights, p):
+    """Height at p of the fan from the lowest lifted point (first in
+    point order on ties) over the support hull's corners, in Fraction."""
+    m = min(sorted(heights), key=lambda q: heights[q])
+    corners = convex_hull(heights).vertices
+    for u, v in zip(corners[-1:] + corners[:-1], corners):
+        area = cross(m, u, v)
+        if area <= 0:
+            continue
+        # barycentric weights of p in the triangle (m, u, v)
+        wu, wv = Fraction(cross(m, p, v), area), Fraction(cross(m, u, p), area)
+        if wu >= 0 and wv >= 0 and wu + wv <= 1:
+            return (1 - wu - wv) * heights[m] + wu * heights[u] + wv * heights[v]
+    raise AssertionError(f"{p} is in no fan triangle")
+
+
+def assert_fan_prunes_exactly(monkeypatch, heights):
+    """The hull matches the oracle, and the fan dropped exactly the
+    points strictly above it, none of them tight.  Returns those points."""
+    heights = {LatticePoint(*p): Fraction(h) for p, h in heights.items()}
+    kept = []
+    real = subdivision._under_fan
+
+    def spy(pts3, corners):
+        kept.append(real(pts3, corners))
+        return kept[-1]
+
+    monkeypatch.setattr(subdivision, "_under_fan", spy)
+    sd = assert_matches_oracle(heights)
+    dropped = set(heights) - set(kept[0])
+    assert dropped == {p for p, h in heights.items() if h > fan_height(heights, p)}
+    assert not dropped & {p for c in sd.cells for p in c.tight}
+    return dropped
+
+
+def bowl(rng, low, span=4):
+    """Heights |p - low|^2 on the span x span grid, about half of them
+    raised, so that low is the only lowest point."""
+    return {(i, j): (i - low[0]) ** 2 + (j - low[1]) ** 2 + rng.choice([0, rng.randrange(1, 30)])
+            for i in range(span) for j in range(span)}
+
+
+def test_fan_from_a_corner_an_edge_and_the_interior(monkeypatch):
+    # a corner drops two degenerate fan triangles, an edge point one,
+    # an interior point none
+    rng = random.Random(20261018)
+    for low in [(0, 0), (3, 3), (2, 0), (0, 1), (1, 1), (2, 1)]:
+        pruned = 0
+        for _ in range(3):
+            heights = bowl(rng, low)
+            pruned += len(assert_fan_prunes_exactly(monkeypatch, heights))
+        assert pruned > 0, low
+
+
+def test_fan_with_tied_lowest_heights(monkeypatch):
+    rng = random.Random(7)
+    for lows in [[(0, 0), (3, 3)], [(2, 0), (1, 2), (3, 3)], [(3, 1), (0, 3)]]:
+        for _ in range(3):
+            heights = {(i, j): rng.randrange(1, 20) for i in range(4) for j in range(4)}
+            heights.update(dict.fromkeys(lows, 0))
+            assert_fan_prunes_exactly(monkeypatch, heights)
+    # everything tied: every point lies on the fan and is kept
+    flat = {(i, j): 3 for i in range(4) for j in range(4)}
+    assert not assert_fan_prunes_exactly(monkeypatch, flat)
+
+
+def test_fan_keeps_points_on_it(monkeypatch):
+    # z = i + j at the lowest point and the corners: the fan is that plane.
+    # (2,2) and (2,0) lie on it and are tight without being corners; (1,3)
+    # is strictly above it and goes
+    heights = {(0, 0): 0, (4, 0): 4, (4, 4): 8, (0, 4): 4,
+               (2, 2): 4, (2, 0): 2, (1, 3): 5}
+    assert assert_fan_prunes_exactly(monkeypatch, heights) == {(1, 3)}
+    sd = lower_hull_subdivision(heights)
+    assert [c.tight for c in sd.cells] == [
+        ((0, 0), (0, 4), (2, 0), (2, 2), (4, 0), (4, 4))]
+    # here the fan folds along the ray from (0,0) to (4,4): (2,2) lies on
+    # the fan, so it stays, though the hull passes 4 below it
+    heights = {(0, 0): 0, (4, 0): 0, (4, 4): 8, (0, 4): 0, (2, 2): 4, (1, 1): 3}
+    assert assert_fan_prunes_exactly(monkeypatch, heights) == {(1, 1)}
+    sd = lower_hull_subdivision(heights)
+    assert all((2, 2) not in c.tight for c in sd.cells)
+
+
+def test_fan_prunes_most_points_of_a_spike_field(monkeypatch):
+    # low corners and a low centre under a field of high points
+    rng = random.Random(3)
+    heights = {(i, j): rng.randrange(10, 40) for i in range(6) for j in range(5)}
+    heights.update({(0, 0): 1, (5, 0): 3, (5, 4): 2, (0, 4): 4, (3, 2): 0})
+    dropped = assert_fan_prunes_exactly(monkeypatch, heights)
+    assert len(heights) == 30 and len(dropped) == 25
+
+
+def test_wrap_checks_each_plane_supports_the_kept_points(monkeypatch):
+    # seeded from the whole bottom edge, the wrap's first plane is z = 0,
+    # and (1,0) lies below it: the check must name the plane
+    monkeypatch.setattr(subdivision, "_lower_chain_edge", lambda pts3, a, b: (a, b))
+    heights = {(0, 0): 0, (1, 0): -5, (2, 0): 0, (2, 2): 0, (0, 2): 0}
+    with pytest.raises(InternalCheckError, match="wrap produced a non-supporting plane"):
+        lower_hull_subdivision(heights)
+
+
+def test_hull_of_seeded_liftings_is_pinned():
+    # repr of 200 span-20 liftings of up to 120 points, as the
+    # benchmark's liftings workload draws them, before the fan prefilter
+    rng = SplitMix64(1)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        digest.update(repr(lower_hull_subdivision(random_lifted_support(rng, 20, 120))).encode())
+    assert digest.hexdigest() == \
+        "0091bc38e8dabf48ac08bd58bd3c1ae93b4b3296aef1fb215222b21f4d39ef20"
 
 
 # --- square counting lemmas ---------------------------------------------------
