@@ -59,8 +59,7 @@ def _cmd_analyze(ns) -> int:
     elif ns.json:
         with open(ns.json, "w", encoding="utf-8") as fh:
             fh.write(rep.to_json() + "\n")
-    ok = rep.identity_holds and rep.corollary_holds and rep.duality_ok
-    return EXIT_OK if ok else EXIT_VERDICT
+    return EXIT_OK if rep.verdicts_hold else EXIT_VERDICT
 
 
 def _cmd_certify(ns) -> int:
@@ -70,8 +69,7 @@ def _cmd_certify(ns) -> int:
     print(f"delta = v:  {'PASS' if rep.corollary_holds else 'FAIL'} "
           f"({rep.delta} vs {rep.v})")
     print(f"duality:    {'PASS' if rep.duality_ok else 'FAIL'}")
-    ok = rep.identity_holds and rep.corollary_holds and rep.duality_ok
-    return EXIT_OK if ok else EXIT_VERDICT
+    return EXIT_OK if rep.verdicts_hold else EXIT_VERDICT
 
 
 def _cmd_emit_poly(ns) -> int:
@@ -131,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("expression", nargs="?",
                        help="germ, e.g. \"x^5+x^2*y^2+y^5\"")
-        p.add_argument("--file", help="JSON support or lifting instead of an "
-                                      "inline expression")
+        p.add_argument("--file", help="JSON support (monomials without \"t\" "
+                                      "heights) instead of an inline expression")
 
     p = sub.add_parser("analyze", help="full pipeline with summary and verdicts")
     add_input(p)
@@ -185,8 +183,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return ns.fn(ns)
-    except (ParseError, SchemaError, DuplicateMonomialError,
-            EmptySupportError) as exc:
+    except ParseError as exc:
+        print(f"error: {exc}\n{exc.caret_block()}", file=sys.stderr)
+        return EXIT_PARSE
+    except (SchemaError, DuplicateMonomialError, EmptySupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

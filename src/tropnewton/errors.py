@@ -70,7 +70,7 @@ class NotCoprimeError(TropnewtonError):
 
 
 class BadSequenceError(TropnewtonError):
-    """A lifting sequence is not non-negative strictly increasing ints."""
+    """A lifting increment sequence is too short or not strictly increasing."""
 
 
 # --- geometry --------------------------------------------------------------
@@ -114,7 +114,7 @@ class RegularityCertificationError(TropnewtonError):
 # --- self checks -----------------------------------------------------------
 
 class ParityViolationError(TropnewtonError):
-    """mu + r - 1 came out odd; signals a defect, never corrected."""
+    """mu + branches - 1 came out odd; signals a defect, never corrected."""
 
 
 class InternalCheckError(TropnewtonError):

@@ -287,17 +287,17 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
-def enumerate_lattice_points(region: Region, interior_only: bool = False) -> list[LatticePoint]:
-    """Lattice points of a region by exact point location over its bbox.
+def enumerate_lattice_points(region: Region) -> list[LatticePoint]:
+    """Lattice points of a region, boundary included, by exact point
+    location over its bbox.
 
     Fine at desk scale; the scan is |bbox| point-in-polygon tests.
     """
     x0, y0, x1, y1 = region.bbox()
-    wanted = ("inside",) if interior_only else ("inside", "boundary")
     out = []
     for i in range(x0, x1 + 1):
         for j in range(y0, y1 + 1):
-            if region.locate((i, j)) in wanted:
+            if region.locate((i, j)) != "outside":
                 out.append(LatticePoint(i, j))
     return out
 

@@ -24,8 +24,10 @@ from .lattice import (
     LatticePolygon,
     cross,
     enumerate_lattice_points,
+    pick_interior_boundary,
     segment_lattice_points,
 )
+from .parsing import lattice_key
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class NewtonDiagram:
 
     def on_gamma(self, point) -> bool:
         g = self.gamma_lattice
-        pt = LatticePoint(int(point[0]), int(point[1]))
+        pt = lattice_key(point)
         return any(a.i <= pt.i <= b.i and b.j <= pt.j <= a.j
                    and cross(a, b, pt) == 0 for a, b in zip(g, g[1:]))
 
@@ -71,12 +73,12 @@ class NewtonDiagram:
 
     @cached_property
     def interior_lattice_count(self) -> int:
-        return len(enumerate_lattice_points(self.gamma_minus, interior_only=True))
+        return pick_interior_boundary(self.gamma_minus)[0]
 
 
 def analyze_support(points) -> NewtonDiagram:
     """Build the Newton diagram, rejecting non-singular or non-convenient input."""
-    pts = sorted({LatticePoint(int(p[0]), int(p[1])) for p in points})
+    pts = sorted({lattice_key(p, "support point") for p in points})
     for bad in ((0, 0), (1, 0), (0, 1)):
         if LatticePoint(*bad) in pts:
             raise NotSingularAtOriginError(
@@ -86,7 +88,6 @@ def analyze_support(points) -> NewtonDiagram:
     if not on_x or not on_y:
         raise NotConvenientError("support must meet both coordinate axes")
     p, q = min(on_x), min(on_y)
-    check(p >= 2 and q >= 2, "axis intercepts below 2 after singularity check")
 
     lowest: dict[int, int] = {}
     for pt in pts:
@@ -103,7 +104,6 @@ def analyze_support(points) -> NewtonDiagram:
         while len(chain) >= 2 and cross(chain[-2], chain[-1], nxt) <= 0:
             chain.pop()
         chain.append(nxt)
-    check(chain[0] == (0, q) and chain[-1] == (p, 0), "boundary endpoints off axes")
 
     lattice: list[LatticePoint] = [chain[0]]
     for a, b in zip(chain, chain[1:]):
@@ -140,7 +140,6 @@ def decompose_diagram(nd: NewtonDiagram) -> StaircaseDecomposition:
         corner = LatticePoint(a.i, b.j)
         triangles.append((corner, b, a))
         tri_squares2 += (b.i - a.i - 1) * (a.j - b.j - 1)
-    check(tri_squares2 % 2 == 0, "triangle square total must be even")
 
     n = len(g) - 1
     staircase = None
@@ -151,7 +150,6 @@ def decompose_diagram(nd: NewtonDiagram) -> StaircaseDecomposition:
             ring.append(LatticePoint(g[k].i, g[k].j))
             ring.append(LatticePoint(g[k - 1].i, g[k].j))
         staircase = LatticePolygon(ring)
-        check(staircase.area2 % 2 == 0, "staircase area must be integral in squares")
         stair_squares = staircase.area2 // 2
         alt = sum((g[i].i - g[i - 1].i) * g[i].j for i in range(1, n))
         check(stair_squares == alt, "staircase area disagrees with step sum")

@@ -31,6 +31,19 @@ from .errors import (
 from .lattice import LatticePoint
 
 
+def lattice_key(p, what: str = "point") -> LatticePoint:
+    """``p`` as a LatticePoint: a SchemaError unless it is a pair of
+    integral numbers, so no coordinate is ever truncated."""
+    try:
+        i, j = p
+        lattice = int(i) == i and int(j) == j
+    except (TypeError, ValueError, OverflowError):
+        lattice = False
+    if not lattice:
+        raise SchemaError(f"{what} {p!r} is not a lattice point")
+    return LatticePoint(int(i), int(j))
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """Finite set of exponent points with nonzero Gaussian coefficients."""
@@ -41,7 +54,7 @@ class SupportSet:
     def from_points(cls, points, coeffs: Mapping | None = None) -> "SupportSet":
         seen = {}
         for p in points:
-            lp = LatticePoint(int(p[0]), int(p[1]))
+            lp = lattice_key(p, "support point")
             c = (coeffs or {}).get(tuple(p), (1, 0))
             if isinstance(c, int):
                 c = (c, 0)
@@ -77,14 +90,7 @@ class LiftedSupport:
         """
         entries: dict[LatticePoint, Fraction] = {}
         for p, v in mapping.items():
-            try:
-                i, j = p
-                lattice = int(i) == i and int(j) == j
-            except (TypeError, ValueError, OverflowError):
-                lattice = False
-            if not lattice:
-                raise SchemaError(f"lifted support key {p!r} is not a lattice point")
-            point = LatticePoint(int(i), int(j))
+            point = lattice_key(p, "lifted support key")
             if point in entries:
                 raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
             entries[point] = Fraction(v)

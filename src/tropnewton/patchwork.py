@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import check
-from .lattice import ConvexPolygon, LatticePoint, convex_hull
+from .lattice import ConvexPolygon, LatticePoint
 from .newton import NewtonDiagram, analyze_support, delta_invariant, milnor_number
 from .parsing import SupportSet
 from .subdivision import SubdividedDiagram, subdivide_diagram
@@ -31,8 +31,9 @@ from .tropical import (
 class PatchworkPolynomial:
     """F(z, w) = sum of t^{nu(i, j)} z^i w^j over the support.
 
-    ``hull`` is the convex hull of the support; it is None only for
-    hand-built degenerate instances (fewer than three hull corners).
+    ``hull`` is the subdivision's domain, which is the convex hull of
+    the support; it is None only for hand-built degenerate instances
+    (fewer than three hull corners).
     """
 
     support: tuple[LatticePoint, ...]
@@ -48,7 +49,7 @@ def build_patchwork(nd: NewtonDiagram,
     support = tuple(sorted(nu))
     check(support == tuple(sorted(nd.gamma_minus_lattice)),
           "lifting points differ from the lattice points under the boundary")
-    return PatchworkPolynomial(support, nu, convex_hull(support))
+    return PatchworkPolynomial(support, nu, sdd.subdivision.domain)
 
 
 def _monomial_text(pt: LatticePoint) -> str:
@@ -80,6 +81,11 @@ class AnalysisReport:
     gamma_lattice: tuple[LatticePoint, ...]
     lifting: tuple[tuple[LatticePoint, Fraction], ...]
     notes: tuple[str, ...]
+
+    @property
+    def verdicts_hold(self) -> bool:
+        """mu = v + r, delta = v and the duality check all hold."""
+        return self.identity_holds and self.corollary_holds and self.duality_ok
 
     def to_json_obj(self) -> dict:
         return {
@@ -132,7 +138,6 @@ def analyze(support) -> AnalysisReport:
         support = support.points
     nd = analyze_support(support)
     sdd = subdivide_diagram(nd)
-    pp = build_patchwork(nd, sdd)
     tc = dual_tropical_curve(sdd.subdivision)
     duality = verify_duality(tc)
     sc = restrict(tc, nd.gamma_minus)
@@ -161,5 +166,5 @@ def analyze(support) -> AnalysisReport:
         corollary_holds=(delta == v),
         duality_ok=duality.ok,
         gamma_lattice=nd.gamma_lattice,
-        lifting=tuple(sorted(pp.nu.items())),
+        lifting=sdd.lifting.entries,
         notes=tuple(notes))

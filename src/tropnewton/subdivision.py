@@ -48,7 +48,7 @@ from .lattice import (
     segment_lattice_points,
 )
 from .newton import NewtonDiagram, StaircaseDecomposition, decompose_diagram
-from .parsing import LiftedSupport
+from .parsing import LiftedSupport, lattice_key
 
 Plane = tuple[Fraction, Fraction, Fraction]
 
@@ -104,7 +104,8 @@ def _lower_chain_edge(pts3, a, b):
     """First edge of the 2d lower hull of the lifted points on segment ab.
 
     ab is an edge of the support's hull, which holds every support
-    point, so a point on the line of ab lies on the segment.
+    point, so a point on the line of ab lies on the segment.  The fan
+    keeps both corners, so the chain holds at least a and b.
     """
     dx, dy = b.i - a.i, b.j - a.j
     on_line = [(x * dx + y * dy, z, pt) for pt, (x, y, z) in pts3.items()
@@ -117,7 +118,6 @@ def _lower_chain_edge(pts3, a, b):
                 - (chain[-1][1] - chain[-2][1]) * (t - chain[-2][0])) <= 0:
             chain.pop()
         chain.append((t, z, pt))
-    check(len(chain) >= 2, "seed edge has no lifted chain")
     return chain[0][2], chain[1][2]
 
 
@@ -309,7 +309,7 @@ def separable_lifting(diagram_or_points, a: Sequence[int] | None = None,
     if isinstance(diagram_or_points, NewtonDiagram):
         points = diagram_or_points.gamma_minus_lattice
     else:
-        points = tuple(LatticePoint(int(p[0]), int(p[1])) for p in diagram_or_points)
+        points = tuple(lattice_key(p) for p in diagram_or_points)
     need_i = max(pt.i for pt in points)
     need_j = max(pt.j for pt in points)
 

@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 
 from .newton import NewtonDiagram, analyze_support
-from .patchwork import build_patchwork
 from .subdivision import subdivide_diagram
 from .tropical import TropicalCurve, dual_tropical_curve, restrict
 
@@ -29,6 +28,10 @@ def _fmt(x) -> str:
     return ("-" if n < 0 else "") + s
 
 
+def _attrs(attrs: dict) -> str:
+    return "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
+
+
 class _Scene:
     def __init__(self, box: tuple[Fraction, Fraction, Fraction, Fraction]):
         self.box = box
@@ -41,26 +44,31 @@ class _Scene:
     def line(self, a, b, **attrs) -> None:
         x1, y1 = a
         x2, y2 = b
-        at = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(self.flip - y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(self.flip - y2)}"{at}/>')
+            f'x2="{_fmt(x2)}" y2="{_fmt(self.flip - y2)}"{_attrs(attrs)}/>')
 
     def polygon(self, ring, **attrs) -> None:
-        at = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
         pts = " ".join(self.pt(p[0], p[1]) for p in ring)
-        self.parts.append(f'<polygon points="{pts}"{at}/>')
+        self.parts.append(f'<polygon points="{pts}"{_attrs(attrs)}/>')
 
     def circle(self, c, r, **attrs) -> None:
-        at = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
         self.parts.append(
             f'<circle cx="{_fmt(c[0])}" cy="{_fmt(self.flip - c[1])}" '
-            f'r="{r}"{at}/>')
+            f'r="{r}"{_attrs(attrs)}/>')
 
     def text(self, c, s, **attrs) -> None:
-        at = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
         self.parts.append(
-            f'<text x="{_fmt(c[0])}" y="{_fmt(self.flip - c[1])}"{at}>{s}</text>')
+            f'<text x="{_fmt(c[0])}" y="{_fmt(self.flip - c[1])}"'
+            f'{_attrs(attrs)}>{s}</text>')
+
+    def curve_edge(self, a, b, weight: int, cls: str) -> None:
+        """A curve edge from a to b, labelled at its midpoint if weight > 1."""
+        self.line(a, b, stroke="#b3202c", stroke_width="0.06", **{"class": cls})
+        if weight > 1:
+            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            self.text(mid, str(weight), font_size="0.3", fill="#b3202c",
+                      **{"class": "weight"})
 
     def to_svg(self) -> str:
         x0, y0, x1, y1 = self.box
@@ -103,9 +111,9 @@ def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
     """Figure for a support set; ``region`` picks the curve restriction."""
     nd = analyze_support(support)
     sdd = subdivide_diagram(nd)
-    build_patchwork(nd, sdd)  # runs the coefficient consistency checks
     tc = dual_tropical_curve(sdd.subdivision)
-    sc = restrict(tc, nd.gamma_minus) if region == "gamma-minus" else None
+    sc = restrict(tc, nd.gamma_minus if region == "gamma-minus"
+                  else sdd.subdivision.domain)
 
     box = _bounding_box(nd, tc)
     sc_scene = _Scene(box)
@@ -134,38 +142,20 @@ def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
                              fill_opacity="0.85", **{"class": cls})
 
     if show_curve:
-        keep_v = set(sc.vprime) if sc else set(range(len(tc.vertices)))
-        segs = (sc.full_segments if sc
-                else [k for k, e in enumerate(tc.edges) if e.kind == "segment"])
-        raysk = (sc.rays if sc
-                 else [k for k, e in enumerate(tc.edges) if e.kind == "ray"])
-        for k in segs:
+        for k in sc.full_segments:
+            e = tc.edges[k]
+            sc_scene.curve_edge(tc.vertices[e.endpoints[0]].coords,
+                              tc.vertices[e.endpoints[1]].coords, e.weight, "seg")
+        for k in sc.rays:
             e = tc.edges[k]
             a = tc.vertices[e.endpoints[0]].coords
-            b = tc.vertices[e.endpoints[1]].coords
-            sc_scene.line(a, b, stroke="#b3202c", stroke_width="0.06",
-                          **{"class": "seg"})
-            if e.weight > 1:
-                mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-                sc_scene.text(mid, str(e.weight), font_size="0.3",
-                              fill="#b3202c", **{"class": "weight"})
-        for k in raysk:
-            e = tc.edges[k]
-            a = tc.vertices[e.endpoints[0]].coords
-            end = _clip_ray(a, e.direction, box)
-            sc_scene.line(a, end, stroke="#b3202c", stroke_width="0.06",
-                          **{"class": "ray"})
-            if e.weight > 1:
-                mid = ((a[0] + end[0]) / 2, (a[1] + end[1]) / 2)
-                sc_scene.text(mid, str(e.weight), font_size="0.3",
-                              fill="#b3202c", **{"class": "weight"})
-        if sc:
-            for h in sc.half_edges:
-                a = tc.vertices[h.vertex].coords
-                sc_scene.line(a, h.midpoint, stroke="#b3202c",
-                              stroke_width="0.06", stroke_dasharray="0.12 0.08",
-                              **{"class": "half"})
-        for vid in sorted(keep_v):
+            sc_scene.curve_edge(a, _clip_ray(a, e.direction, box), e.weight, "ray")
+        for h in sc.half_edges:
+            a = tc.vertices[h.vertex].coords
+            sc_scene.line(a, h.midpoint, stroke="#b3202c",
+                          stroke_width="0.06", stroke_dasharray="0.12 0.08",
+                          **{"class": "half"})
+        for vid in sc.vprime:
             sc_scene.circle(tc.vertices[vid].coords, "0.09", fill="#27496d",
                             **{"class": "vertex"})
 

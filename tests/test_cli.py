@@ -1,11 +1,13 @@
 """Subcommand behavior, exit codes, and SVG output."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from tropnewton import cli
 from tropnewton.cli import _build_parser, main
 from tropnewton.corpus import SplitMix64
 from tropnewton.parsing import LiftedSupport, parse_germ, serialize_json
@@ -64,6 +66,24 @@ def test_analyze_exit_codes(capsys):
     assert run(capsys, "analyze", "x^2 + x*y")[0] == 3  # no y-axis point
     assert run(capsys, "analyze", "x^&")[0] == 2
     assert run(capsys, "analyze")[0] == 2  # no input at all
+
+
+@pytest.mark.parametrize("field", ["identity_holds", "corollary_holds", "duality_ok"])
+def test_one_failed_verdict_exits_one(monkeypatch, capsys, field):
+    for command in ("analyze", "certify"):
+        assert run(capsys, command, "x^2+y^3")[0] == 0
+    real = cli.analyze
+    monkeypatch.setattr(cli, "analyze",
+                        lambda s: dataclasses.replace(real(s), **{field: False}))
+    for command in ("analyze", "certify"):
+        assert run(capsys, command, "x^2+y^3")[0] == 1
+
+
+def test_parse_error_prints_a_caret(capsys):
+    code, out, err = run(capsys, "analyze", "x^2 & y^3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected '+' or '-', found '&'\nx^2 & y^3\n    ^\n"
 
 
 def test_certify_pass_lines(capsys):

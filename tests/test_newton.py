@@ -6,6 +6,7 @@ are frozen here.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from tropnewton.errors import (
     NotConvenientError,
     NotSingularAtOriginError,
     ParityViolationError,
+    SchemaError,
 )
 from tropnewton.lattice import cross
 from tropnewton.newton import (
@@ -92,6 +94,18 @@ def test_on_gamma():
     assert nd.on_gamma((0, 5))
     assert not nd.on_gamma((1, 1))
     assert not nd.on_gamma((1, 4))  # strictly above the first edge
+    assert nd.on_gamma((Fraction(5), 0))
+    # (5/2, 5/2) is on the boundary's line but not a lattice point; it
+    # used to be truncated onto (2, 2)
+    with pytest.raises(SchemaError, match="is not a lattice point"):
+        nd.on_gamma((Fraction(5, 2), Fraction(5, 2)))
+
+
+def test_non_lattice_support_is_rejected():
+    # (5/2, 0) used to be truncated onto (2, 0), reporting p = 2
+    with pytest.raises(SchemaError, match="is not a lattice point"):
+        analyze_support([(Fraction(5, 2), 0), (0, 3)])
+    assert analyze_support([(Fraction(4, 2), 0), (0, 3)]).p == 2
 
 
 def test_quintic_decomposition():

@@ -246,6 +246,15 @@ def test_lifted_mapping_rejects_non_lattice_keys():
     assert all(type(c) is int for p in ls.points for c in p)
 
 
+def test_support_points_reject_non_lattice_coordinates():
+    # (3/2, 0) used to be truncated onto (1, 0), leaving two points
+    with pytest.raises(SchemaError, match="is not a lattice point"):
+        SupportSet.from_points([(Fraction(3, 2), 0), (1, 0), (0, 2)])
+    s = SupportSet.from_points([(Fraction(2), 0), (0, 3.0)])
+    assert s.points == ((0, 3), (2, 0))
+    assert all(type(c) is int for p in s.points for c in p)
+
+
 def test_lifted_mapping_rejects_a_repeated_point():
     with pytest.raises(DuplicateMonomialError, match=re.escape("z^1 w^0 appears twice")):
         LiftedSupport.from_mapping(PairList([((1, 0), 7), ((0, 0), 1),

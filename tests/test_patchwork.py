@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tropnewton.errors import NotConvenientError, NotSingularAtOriginError
-from tropnewton.lattice import LatticePoint
+from tropnewton.lattice import LatticePoint, convex_hull
 from tropnewton.newton import analyze_support
 from tropnewton.parsing import parse_germ
 from tropnewton.patchwork import (
@@ -17,6 +17,7 @@ from tropnewton.patchwork import (
     build_patchwork,
     emit_polynomial_text,
 )
+from tropnewton.subdivision import subdivide_diagram
 
 CUSP_NU = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (2, 0): 3,
            (1, 1): 2, (0, 2): 3, (0, 3): 6}
@@ -78,6 +79,9 @@ def test_report_golden_values():
         rep = analyze(parse_germ(text))
         assert (rep.mu, rep.v, rep.r, rep.delta, rep.branches) == want
         assert rep.identity_holds and rep.corollary_holds and rep.duality_ok
+        assert rep.verdicts_hold
+        for field in ("identity_holds", "corollary_holds", "duality_ok"):
+            assert not dataclasses.replace(rep, **{field: False}).verdicts_hold
 
 
 def test_report_preconditions_propagate():
@@ -134,5 +138,12 @@ def test_verdicts_hold_on_random_corpus():
         assert rep.identity_holds, rep.notes
         assert rep.corollary_holds, rep.notes
         assert rep.duality_ok, rep.notes
+        nd = analyze_support(pts)
         # the bounded-region count doubles as an interior-point counter
-        assert rep.r == analyze_support(pts).interior_lattice_count
+        assert rep.r == nd.interior_lattice_count
+        # the report and the polynomial read the subdivision's own lifting
+        # and domain
+        sdd = subdivide_diagram(nd)
+        assert rep.lifting == sdd.lifting.entries
+        pp = build_patchwork(nd)
+        assert pp.hull == convex_hull(pp.support) == sdd.subdivision.domain

@@ -64,6 +64,8 @@ def test_separable_lifting_custom_and_errors():
         separable_lifting([(0, 0), (2, 0)], a=[0, 1])  # too short
     with pytest.raises(BadSequenceError):
         separable_lifting([(0, 0), (2, 0)], a=[0, 1, 1])  # not increasing
+    with pytest.raises(SchemaError, match="is not a lattice point"):
+        separable_lifting([(Fraction(3, 2), 0), (1, 0), (0, 2)])
 
 
 def test_cusp_subdivision_cells():

@@ -305,6 +305,17 @@ def random_staircase(rng):
     return sorted(pts)
 
 
+def assert_keeps_everything(tc, domain):
+    """The full-region figure draws restrict(tc, domain): it must keep
+    every vertex, segment and ray, in edge order, and cut nothing."""
+    sc = restrict(tc, domain)
+    assert sc.vprime == tuple(range(len(tc.vertices)))
+    assert sc.full_segments == tuple(k for k, e in enumerate(tc.edges)
+                                     if e.kind == "segment")
+    assert sc.rays == tuple(k for k, e in enumerate(tc.edges) if e.kind == "ray")
+    assert sc.half_edges == ()
+
+
 def test_duality_and_restriction_on_random_diagrams():
     rng = random.Random(424242)
     for _ in range(40):
@@ -314,6 +325,7 @@ def test_duality_and_restriction_on_random_diagrams():
         rep = verify_duality(tc)
         assert rep.ok, rep.violations
         assert check_embedded(tc) == ()
+        assert_keeps_everything(tc, sdd.subdivision.domain)
         sc = restrict(tc, nd.gamma_minus)
         dec = decompose_diagram(nd)
         assert count_four_valent(sc) == dec.square_count
@@ -341,3 +353,4 @@ def test_duality_on_random_liftings():
         rep = verify_duality(tc)
         assert rep.ok, rep.violations
         assert check_embedded(tc) == ()
+        assert_keeps_everything(tc, sd.domain)
