@@ -28,7 +28,7 @@ from .newton import analyze_support
 from .parsing import LiftedSupport, SupportSet, germ_text, load_json, parse_germ
 from .patchwork import analyze, build_patchwork, emit_polynomial_text
 from .subdivision import crossed_square_count, triangle_square_count
-from .svg import render_svg
+from .svg import REGIONS, render_svg
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subdivision", action="store_true",
                    help="draw the subdivision cells")
     p.add_argument("--curve", action="store_true", help="draw the dual curve")
-    p.add_argument("--region", choices=["gamma-minus", "full"],
+    p.add_argument("--region", choices=REGIONS,
                    default="gamma-minus",
                    help="restrict the curve under the boundary or keep all of it")
     p.add_argument("-o", "--output", required=True, metavar="FILE.svg")

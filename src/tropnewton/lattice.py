@@ -11,15 +11,29 @@ Polygon conventions:
     vertex (smallest i, then smallest j),
   * ConvexPolygon additionally forbids three consecutive collinear
     vertices, so equality of polygons is equality of vertex tuples.
+
+``ConvexPolygon(...)`` checks all of this on whatever it is given.  The
+hulls built here are trusted instead: the monotone chain proves the
+conventions as it runs (see ``convex_hull_of_sorted``), so its output
+goes into the polygon with no second pass.  ``convex_hull`` takes
+outside points and raises SchemaError for one that is not a lattice
+point; ``as_lattice_point`` is for the package's own data, where a
+non-lattice point is a defect.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import DegenerateHullError, InternalCheckError, ZeroSegmentError, check
+from .errors import (
+    DegenerateHullError,
+    InternalCheckError,
+    SchemaError,
+    ZeroSegmentError,
+    check,
+)
 
 Coord = Union[int, Fraction]
 Point = Sequence[Coord]
@@ -31,6 +45,19 @@ class LatticePoint(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.i},{self.j})"
+
+
+def lattice_key(p, what: str = "point") -> LatticePoint:
+    """``p`` as a LatticePoint: a SchemaError unless it is a pair of
+    integral numbers, so no coordinate is ever truncated."""
+    try:
+        i, j = p
+        lattice = int(i) == i and int(j) == j
+    except (TypeError, ValueError, OverflowError):
+        lattice = False
+    if not lattice:
+        raise SchemaError(f"{what} {p!r} is not a lattice point")
+    return LatticePoint(int(i), int(j))
 
 
 def as_lattice_point(p: Point) -> LatticePoint:
@@ -56,22 +83,12 @@ def sub(a: Point, b: Point) -> tuple:
 
 
 def lattice_length(a: Point, b: Point) -> int:
-    """Number of primitive lattice steps from a to b along their segment."""
-    di, dj = int(b[0] - a[0]), int(b[1] - a[1])
-    if di == 0 and dj == 0:
+    """Number of primitive lattice steps from lattice point a to lattice
+    point b along their segment."""
+    n = gcd(b[0] - a[0], b[1] - a[1])
+    if not n:
         raise ZeroSegmentError(f"zero segment at {tuple(a)}")
-    return gcd(abs(di), abs(dj))
-
-
-def primitive_direction(dx: Coord, dy: Coord) -> tuple[int, int]:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    if dx == 0 and dy == 0:
-        raise ZeroSegmentError("no direction for the zero vector")
-    m = lcm(dx.denominator, dy.denominator)
-    ix = dx.numerator * (m // dx.denominator)
-    iy = dy.numerator * (m // dy.denominator)
-    g = gcd(ix, iy)
-    return ix // g, iy // g
+    return n
 
 
 def segment_lattice_points(a: Point, b: Point) -> list[LatticePoint]:
@@ -181,6 +198,15 @@ class ConvexPolygon(_Polygon):
                 raise InternalCheckError(f"vertices not strictly convex ccw at {b}")
         object.__setattr__(self, "vertices", verts)
 
+    @classmethod
+    def _trusted(cls, verts: tuple) -> "ConvexPolygon":
+        """A polygon from vertices already known to be distinct
+        LatticePoints, strictly convex, counterclockwise and in canonical
+        order, so none of that is checked again."""
+        polygon = object.__new__(cls)
+        object.__setattr__(polygon, "vertices", verts)
+        return polygon
+
     def locate(self, p: Point) -> str:
         """'inside', 'boundary' or 'outside', decided exactly."""
         x, y = p[0], p[1]
@@ -251,12 +277,24 @@ Region = Union[ConvexPolygon, LatticePolygon]
 
 
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
-    """Convex hull by monotone chain.  Needs 3 non-collinear points."""
-    return convex_hull_of_sorted(sorted({as_lattice_point(p) for p in points}))
+    """Convex hull by monotone chain.  Needs 3 non-collinear points; a
+    point that is not a lattice point is a SchemaError."""
+    return convex_hull_of_sorted(sorted({lattice_key(p) for p in points}))
 
 
 def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
-    """Convex hull of distinct lattice points already in sorted order."""
+    """Convex hull of distinct LatticePoints already in sorted order.
+
+    The hull is trusted, not re-checked.  Why it meets the polygon
+    conventions: the lower chain starts at pts[0], the smallest point,
+    so the vertex order is already canonical.  Each half-chain keeps a
+    point only where it makes a strict left turn with the two before
+    it, and the two chains meet at pts[0] and pts[-1], the leftmost and
+    rightmost points, with the lower chain below the upper one; so once
+    the points are not all collinear, the vertices are distinct,
+    strictly convex and counterclockwise.  With three points the turn
+    sign orders them from pts[0] directly.
+    """
     if len(pts) < 3:
         raise DegenerateHullError(f"{len(pts)} distinct points")
     if len(pts) == 3:
@@ -265,7 +303,7 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
         turn = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
         if turn == 0:
             raise DegenerateHullError("all points collinear")
-        return ConvexPolygon((p, q, r) if turn > 0 else (p, r, q))
+        return ConvexPolygon._trusted((p, q, r) if turn > 0 else (p, r, q))
 
     def half(seq):
         chain: list[LatticePoint] = []
@@ -284,7 +322,7 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
     verts = lower[:-1] + upper[:-1]
     if len(verts) < 3:
         raise DegenerateHullError("all points collinear")
-    return ConvexPolygon(verts)
+    return ConvexPolygon._trusted(tuple(verts))
 
 
 def enumerate_lattice_points(region: Region) -> list[LatticePoint]:

@@ -24,10 +24,10 @@ from .lattice import (
     LatticePolygon,
     cross,
     enumerate_lattice_points,
+    lattice_key,
     pick_interior_boundary,
     segment_lattice_points,
 )
-from .parsing import lattice_key
 
 
 @dataclass(frozen=True)

@@ -28,20 +28,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .lattice import LatticePoint
-
-
-def lattice_key(p, what: str = "point") -> LatticePoint:
-    """``p`` as a LatticePoint: a SchemaError unless it is a pair of
-    integral numbers, so no coordinate is ever truncated."""
-    try:
-        i, j = p
-        lattice = int(i) == i and int(j) == j
-    except (TypeError, ValueError, OverflowError):
-        lattice = False
-    if not lattice:
-        raise SchemaError(f"{what} {p!r} is not a lattice point")
-    return LatticePoint(int(i), int(j))
+from .lattice import LatticePoint, lattice_key
 
 
 @dataclass(frozen=True)
@@ -80,23 +67,29 @@ class LiftedSupport:
 
     entries: tuple[tuple[LatticePoint, Fraction], ...]
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping) -> "LiftedSupport":
-        """Entries from a ``{(i, j): height}`` mapping.
+    def __post_init__(self):
+        """Checked once, however the entries were built, and stored sorted.
 
         A key that is not a pair of integral numbers is a SchemaError; a
-        point named by two keys (a mapping whose items repeat a point, or
-        keys that are distinct objects) is a DuplicateMonomialError.
+        point named by two entries is a DuplicateMonomialError.  Keys
+        become LatticePoints and heights Fractions, so the hull code can
+        trust both.
         """
-        entries: dict[LatticePoint, Fraction] = {}
-        for p, v in mapping.items():
+        heights: dict[LatticePoint, Fraction] = {}
+        for p, v in self.entries:
             point = lattice_key(p, "lifted support key")
-            if point in entries:
+            if point in heights:
                 raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
-            entries[point] = Fraction(v)
-        if not entries:
+            heights[point] = Fraction(v)
+        if not heights:
             raise EmptySupportError("lifted support must be nonempty")
-        return cls(tuple(sorted(entries.items())))
+        object.__setattr__(self, "entries", tuple(sorted(heights.items())))
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping) -> "LiftedSupport":
+        """Entries from a ``{(i, j): height}`` mapping; two keys that name
+        one point (distinct objects) are a DuplicateMonomialError."""
+        return cls(tuple(mapping.items()))
 
     @property
     def points(self) -> tuple[LatticePoint, ...]:
@@ -285,7 +278,7 @@ def parse_puiseux_poly(text: str) -> LiftedSupport:
         if sc.peek() not in "+-":
             sc.error(f"expected '+' or '-', found {sc.peek()!r}")
         sc.take()
-    return LiftedSupport(tuple(sorted(entries.items())))
+    return LiftedSupport(tuple(entries.items()))
 
 
 def _parse_lifted_term(sc: _Scanner) -> tuple[LatticePoint, Fraction]:
@@ -402,7 +395,7 @@ def parse_json_obj(obj) -> Union[SupportSet, LiftedSupport]:
             support_acc[point] = _gauss_add(support_acc.get(point, (0, 0)), (coeff, 0))
 
     if lifted:
-        return LiftedSupport(tuple(sorted(lift_acc.items())))
+        return LiftedSupport(tuple(lift_acc.items()))
     support_acc = {p: c for p, c in support_acc.items() if c != (0, 0)}
     if not support_acc:
         raise SchemaError("support is empty after combining terms", "/monomials")

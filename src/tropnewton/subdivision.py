@@ -44,11 +44,12 @@ from .lattice import (
     ConvexPolygon,
     LatticePoint,
     convex_hull_of_sorted,
+    lattice_key,
     lattice_length,
     segment_lattice_points,
 )
 from .newton import NewtonDiagram, StaircaseDecomposition, decompose_diagram
-from .parsing import LiftedSupport, lattice_key
+from .parsing import LiftedSupport
 
 Plane = tuple[Fraction, Fraction, Fraction]
 

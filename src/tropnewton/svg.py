@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import SchemaError
 from .newton import NewtonDiagram, analyze_support
 from .subdivision import subdivide_diagram
 from .tropical import TropicalCurve, dual_tropical_curve, restrict
@@ -106,9 +107,15 @@ def _bounding_box(nd: NewtonDiagram, tc: TropicalCurve):
     return (x0 - mx, y0 - my, x1 + mx, y1 + my)
 
 
+REGIONS = ("gamma-minus", "full")
+
+
 def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
                region: str = "gamma-minus") -> str:
-    """Figure for a support set; ``region`` picks the curve restriction."""
+    """Figure for a support set; ``region``, one of ``REGIONS``, picks the
+    curve restriction: the region under the boundary or the whole hull."""
+    if region not in REGIONS:
+        raise SchemaError(f"region {region!r} is not one of {', '.join(REGIONS)}")
     nd = analyze_support(support)
     sdd = subdivide_diagram(nd)
     tc = dual_tropical_curve(sdd.subdivision)

@@ -4,22 +4,25 @@ The curve is built straight from the subdivision, with no re-checks:
 one vertex per cell at the gradient of its plane, one segment per
 interior edge, one outward ray per boundary edge, weights given by dual
 lattice lengths.  ``verify_duality`` alone checks duality (orthogonality,
-valence, balancing, complement counts), from scratch.  Directions and
-ray sides are decided on integers: a segment is tested through the
-primitive direction of its gradient jump, taken from the gradients'
-numerators and denominators with no ``Fraction`` subtraction, and a
-ray's side through the integer multiple 2n (midpoint - vertex average)
-of an n-gon.  A sub-curve can be cut out over any region that is a
-union of cells.
+valence, balancing, complement counts), from scratch.  Directions, zero
+jumps, ray sides and ray lines are decided on integers: a segment is
+tested through the primitive direction of its gradient jump, taken from
+the gradients' numerators and denominators with no ``Fraction``
+subtraction and (0, 0) exactly when the gradients are equal; a ray's
+side through the integer multiple 2n (midpoint - vertex average) of an
+n-gon; a ray's line through its direction and its reduced offset
+numerator and denominator.  A sub-curve can be cut out over any region
+that is a union of cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import NonRegularInputError, NotCellUnionError, NotConnectedError
-from .lattice import lattice_length, primitive_direction, sub
+from .lattice import lattice_length, sub
 from .subdivision import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
 
 Coords = tuple[Fraction, Fraction]
@@ -102,8 +105,9 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
         nx, ny = -d[1], d[0]
         if _outward(nx, ny, e, _vertex_sums(cells[cid].polygon)) < 0:
             nx, ny = -nx, -ny
-        edges.append(TropicalEdge("ray", (cid,), primitive_direction(nx, ny),
-                                  lattice_length(e.a, e.b), e))
+        # the normal's gcd is the edge's lattice length
+        w = lattice_length(e.a, e.b)
+        edges.append(TropicalEdge("ray", (cid,), (nx // w, ny // w), w, e))
     return TropicalCurve(sd, vertices, tuple(edges))
 
 
@@ -142,12 +146,26 @@ def _component_count(n: int, links: list[tuple[int, int]]) -> int:
 
 def _jump_direction(g1: Coords, g2: Coords) -> tuple[int, int]:
     """Primitive direction of g2 - g1, taken on integers: g2 - g1 times
-    the product of the four denominators, a positive factor."""
+    the product of the four denominators, a positive factor, divided by
+    its gcd.  (0, 0) exactly when g1 == g2."""
     (x1, y1), (x2, y2) = g1, g2
-    dx = x2.numerator * x1.denominator - x1.numerator * x2.denominator
-    dy = y2.numerator * y1.denominator - y1.numerator * y2.denominator
-    return primitive_direction(dx * y1.denominator * y2.denominator,
-                               dy * x1.denominator * x2.denominator)
+    dx = ((x2.numerator * x1.denominator - x1.numerator * x2.denominator)
+          * y1.denominator * y2.denominator)
+    dy = ((y2.numerator * y1.denominator - y1.numerator * y2.denominator)
+          * x1.denominator * x2.denominator)
+    g = gcd(dx, dy)
+    return (dx // g, dy // g) if g else (0, 0)
+
+
+def _ray_line(dx: int, dy: int, anchor: Coords) -> tuple[int, int, int, int]:
+    """(dx, dy, num, den) with num/den = dx*ay - dy*ax in lowest terms,
+    den > 0: two rays in the same direction lie on one line exactly when
+    their keys are equal."""
+    ax, ay = anchor
+    num = dx * ay.numerator * ax.denominator - dy * ax.numerator * ay.denominator
+    den = ax.denominator * ay.denominator
+    g = gcd(num, den)
+    return dx, dy, num // g, den // g
 
 
 def verify_duality(tc: TropicalCurve) -> DualityReport:
@@ -165,7 +183,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
     bx = [0] * n
     by = [0] * n
     links: list[tuple[int, int]] = []
-    ray_lines = []  # (direction, signed line offset): rays overlap iff equal
+    ray_lines = []  # one _ray_line key per ray: rays overlap iff equal
     domain_sums = _vertex_sums(sd.domain)
     violations: list[str] = []
 
@@ -179,11 +197,10 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             links.append((v1, v2))
             germs[v1] += 1
             germs[v2] += 1
-            g1, g2 = tc.vertices[v1].coords, tc.vertices[v2].coords
-            if g1 == g2:
+            px, py = _jump_direction(tc.vertices[v1].coords, tc.vertices[v2].coords)
+            if not (px or py):
                 violations.append(f"edge {k}: zero length segment")
                 continue
-            px, py = _jump_direction(g1, g2)
             if px * d[0] + py * d[1] != 0:
                 violations.append(f"edge {k}: not orthogonal to dual edge")
             bx[v1] += e.weight * px
@@ -200,8 +217,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             germs[v] += 1
             bx[v] += e.weight * dx
             by[v] += e.weight * dy
-            ax, ay = tc.vertices[v].coords
-            ray_lines.append(((dx, dy), dx * ay - dy * ax))
+            ray_lines.append(_ray_line(dx, dy, tc.vertices[v].coords))
 
     for cid, vertex in enumerate(tc.vertices):
         sides = len(sd.cells[vertex.dual_cell].polygon.vertices)

@@ -5,9 +5,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
-from tropnewton.lattice import Point, convex_hull, cross
+from tropnewton.errors import ZeroSegmentError
+from tropnewton.lattice import Coord, Point, convex_hull, cross
 from tropnewton.tropical import TropicalCurve, TropicalEdge
+
+
+def primitive_direction(dx: Coord, dy: Coord) -> tuple[int, int]:
+    """Scale a nonzero rational vector to coprime integers, keeping
+    direction; the reference for the integer directions of the curve."""
+    if dx == 0 and dy == 0:
+        raise ZeroSegmentError("no direction for the zero vector")
+    m = lcm(dx.denominator, dy.denominator)
+    ix = dx.numerator * (m // dx.denominator)
+    iy = dy.numerator * (m // dy.denominator)
+    g = gcd(ix, iy)
+    return ix // g, iy // g
 
 
 def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:

@@ -10,6 +10,7 @@ import pytest
 from tropnewton import cli
 from tropnewton.cli import _build_parser, main
 from tropnewton.corpus import SplitMix64
+from tropnewton.errors import SchemaError
 from tropnewton.parsing import LiftedSupport, parse_germ, serialize_json
 from tropnewton.svg import _fmt, render_svg
 
@@ -175,6 +176,12 @@ def test_quintic_svg_highlights_squares_and_half_edges():
     assert full.count('class="vertex"') == 15
     assert full.count('class="half"') == 0
     assert full.count('class="weight"') == 1  # the weight 5 ray
+
+
+def test_render_rejects_an_unknown_region():
+    quintic = parse_germ(QUINTIC).points
+    with pytest.raises(SchemaError, match="'gama-minus' is not one of gamma-minus, full"):
+        render_svg(quintic, region="gama-minus")
 
 
 def test_svg_is_deterministic_and_clips_rays():

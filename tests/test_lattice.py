@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from tropnewton.errors import DegenerateHullError, InternalCheckError, ZeroSegmentError
+from tropnewton.corpus import SplitMix64
+from tropnewton.errors import (
+    DegenerateHullError,
+    InternalCheckError,
+    SchemaError,
+    ZeroSegmentError,
+)
 from tropnewton.lattice import (
     ConvexPolygon,
     LatticePoint,
@@ -17,13 +23,12 @@ from tropnewton.lattice import (
     lattice_length,
     on_segment,
     pick_interior_boundary,
-    primitive_direction,
     segment_lattice_points,
     segments_intersect,
     shoelace2,
 )
 
-from oracles import segments_cross_properly
+from oracles import primitive_direction, segments_cross_properly
 
 QUINTIC_REGION = LatticePolygon([(0, 0), (5, 0), (2, 2), (0, 5)])
 CUSP_REGION = LatticePolygon([(0, 0), (2, 0), (0, 3)])
@@ -91,6 +96,42 @@ def test_three_point_hull_is_its_own_triangle():
     assert convex_hull([q, r, p]) == convex_hull([q, r, p, (1, 1)])
     with pytest.raises(DegenerateHullError, match="all points collinear"):
         convex_hull_of_sorted([p, LatticePoint(1, 1), LatticePoint(2, 2)])
+
+
+def test_trusted_hull_equals_validating_constructor():
+    """The hull skips ConvexPolygon's checks; they must pass on it anyway.
+    Point sets: general ones, 3-point ones, and collinear runs with an
+    off-line point or two."""
+    rng = SplitMix64(11)
+    sets = []
+    for _ in range(300):
+        sets.append({(rng.below(12), rng.below(12)) for _ in range(rng.between(3, 14))})
+        sets.append({(rng.below(12), rng.below(12)) for _ in range(3)})
+        x0, y0 = rng.below(12), rng.below(12)
+        dx, dy = rng.between(-2, 2), rng.between(-2, 2)
+        run = {(x0 + k * dx, y0 + k * dy) for k in range(rng.between(2, 6))}
+        sets.append(run | {(rng.below(12), rng.below(12))
+                           for _ in range(rng.between(0, 2))})
+    hulls = 0
+    for pts in sets:
+        try:
+            hull = convex_hull_of_sorted(sorted(map(LatticePoint._make, pts)))
+        except DegenerateHullError:
+            continue
+        hulls += 1
+        assert hull == ConvexPolygon(hull.vertices)
+        assert all(type(v) is LatticePoint for v in hull.vertices)
+        assert set(hull.vertices) <= pts
+        assert all(hull.locate(p) != "outside" for p in pts)
+    assert hulls > 600
+
+
+def test_convex_hull_rejects_non_lattice_input():
+    with pytest.raises(SchemaError, match=re.escape(
+            "point (Fraction(1, 2), 0) is not a lattice point")):
+        convex_hull([(Fraction(1, 2), 0), (1, 0), (0, 1)])
+    assert convex_hull([(Fraction(2), 0), (1, 0.0), (0, 1)]).vertices == (
+        (0, 1), (1, 0), (2, 0))
 
 
 def test_as_lattice_point_checks_both_coordinates():

@@ -261,6 +261,34 @@ def test_lifted_mapping_rejects_a_repeated_point():
                                              ((Fraction(1), 0), 5)]))
 
 
+def test_hand_built_lifted_support_is_checked_like_a_mapping():
+    P = LatticePoint
+    with pytest.raises(DuplicateMonomialError, match=re.escape("z^1 w^1 appears twice")):
+        LiftedSupport(((P(1, 1), 5), (P(1, 1), -3), (P(0, 0), 0), (P(2, 0), 1)))
+    with pytest.raises(SchemaError, match="is not a lattice point"):
+        LiftedSupport((((Fraction(1, 2), 0), 1), ((0, 0), 0), ((0, 1), 2)))
+    with pytest.raises(EmptySupportError):
+        LiftedSupport(())
+    # plain-tuple keys become LatticePoints, heights Fractions, in point order
+    ls = LiftedSupport((((2, 0), 1), ((0, 0), 0), ((0, 2), "1/2")))
+    assert ls.entries == ((P(0, 0), 0), (P(0, 2), Fraction(1, 2)), (P(2, 0), 1))
+    assert all(type(p) is P and type(h) is Fraction for p, h in ls.entries)
+    assert ls == LiftedSupport.from_mapping({(0, 2): "1/2", (2, 0): 1, (0, 0): 0})
+
+
+def test_lifted_support_checks_each_key_once(monkeypatch):
+    import tropnewton.parsing as parsing
+    lattice_key, seen = parsing.lattice_key, []
+
+    def counting(p, what="point"):
+        seen.append(p)
+        return lattice_key(p, what)
+
+    monkeypatch.setattr(parsing, "lattice_key", counting)
+    LiftedSupport.from_mapping({(0, 0): 0, (1, 0): 1, (0, 1): 2})
+    assert seen == [(0, 0), (1, 0), (0, 1)]
+
+
 def test_lifted_value_looks_up_without_rebuilding(monkeypatch):
     ls = LiftedSupport.from_mapping({(0, 0): 1, (1, 0): Fraction(3, 2)})
     monkeypatch.setattr(LiftedSupport, "as_dict",

@@ -21,7 +21,7 @@ from tropnewton.errors import (
 )
 from tropnewton.lattice import LatticePoint, convex_hull, cross
 from tropnewton.newton import analyze_support, decompose_diagram
-from tropnewton.parsing import parse_germ, parse_puiseux_poly
+from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly
 from tropnewton import subdivision
 from tropnewton.subdivision import (
     classify_cells_by_region,
@@ -217,6 +217,14 @@ def test_hull_rejects_non_lattice_keys_as_input():
     with pytest.raises(SchemaError):
         lower_hull_subdivision({(Fraction(3, 2), Fraction(1, 2)): 5, (1, 0): 7,
                                 (0, 1): 1, (0, 0): 0})
+
+
+def test_hull_of_a_hand_built_lifting_with_tuple_keys():
+    # the dent at (1, 1) splits the triangle into three cells around it
+    sd = lower_hull_subdivision(LiftedSupport(
+        (((0, 0), 0), ((3, 0), 0), ((0, 3), 0), ((1, 1), -1))))
+    assert sorted(c.polygon.vertices for c in sd.cells) == [
+        ((0, 0), (1, 1), (0, 3)), ((0, 0), (3, 0), (1, 1)), ((0, 3), (1, 1), (3, 0))]
 
 
 # --- the fan prefilter --------------------------------------------------------

@@ -22,7 +22,10 @@ from tropnewton.subdivision import (
     lower_hull_subdivision,
     subdivide_diagram,
 )
+from tropnewton.corpus import SplitMix64, random_lifted_support
 from tropnewton.tropical import (
+    _jump_direction,
+    _ray_line,
     count_bounded_regions,
     count_four_valent,
     dual_tropical_curve,
@@ -30,7 +33,7 @@ from tropnewton.tropical import (
     verify_duality,
 )
 
-from oracles import check_embedded
+from oracles import check_embedded, primitive_direction
 
 QUINTIC = [(5, 0), (2, 2), (0, 5)]
 CUSP = [(2, 0), (0, 3)]
@@ -153,6 +156,19 @@ def test_tampered_quintic_curve_reports_each_violation():
         "vertex 0: valence 5 but 4 dual sides",
         "vertex 0: balancing sum (-1, 0)",
         "coincident rays share direction and line"), (17, 6, 11))
+    # vertex 0 onto its neighbour across edge 0: that segment has no length,
+    # and vertex 0's ray (-1, 0) now runs along vertex 1's
+    onto = dataclasses.replace(v0, coords=tc.vertices[1].coords)
+    assert report(vertices=(onto,) + tc.vertices[1:]) == ((
+        "edge 0: zero length segment",
+        "edge 6: not orthogonal to dual edge",
+        "vertex 0: balancing sum (0, -2)",
+        "vertex 1: balancing sum (0, 1)",
+        "vertex 7: balancing sum (0, 1)",
+        "coincident rays share direction and line",
+        "complement count 16 differs from 17 subdivision vertices",
+        "complement split (6, 10) differs from subdivision vertex split (6, 11)"),
+        (16, 6, 10))
 
 
 def test_edges_orthogonal_to_duals_with_lattice_length_weights():
@@ -354,3 +370,34 @@ def test_duality_on_random_liftings():
         assert rep.ok, rep.violations
         assert check_embedded(tc) == ()
         assert_keeps_everything(tc, sd.domain)
+
+
+def test_integer_directions_and_ray_lines_match_the_fraction_forms():
+    """On the benchmark's liftings (span 20, up to 120 points), seeds 1-3:
+    segment jumps, ray directions and ray line keys against the
+    ``Fraction`` forms they replace."""
+    for seed in (1, 2, 3):
+        rng = SplitMix64(seed)
+        for _ in range(500):
+            sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
+            tc = dual_tropical_curve(sd)
+            for e in tc.segments():
+                g1, g2 = (tc.vertices[v].coords for v in e.endpoints)
+                assert _jump_direction(g1, g2) == primitive_direction(
+                    g2[0] - g1[0], g2[1] - g1[1])
+                assert _jump_direction(g1, g1) == (0, 0)
+            n = len(sd.domain.vertices)
+            avg = (Fraction(sum(v.i for v in sd.domain.vertices), n),
+                   Fraction(sum(v.j for v in sd.domain.vertices), n))
+            for e in tc.rays():
+                a, b = e.dual_edge.a, e.dual_edge.b
+                out = primitive_direction(a.j - b.j, b.i - a.i)
+                mid = (Fraction(a.i + b.i, 2), Fraction(a.j + b.j, 2))
+                if out[0] * (mid[0] - avg[0]) + out[1] * (mid[1] - avg[1]) < 0:
+                    out = (-out[0], -out[1])
+                assert e.direction == out
+                dx, dy = out
+                ax, ay = tc.vertices[e.endpoints[0]].coords
+                offset = dx * ay - dy * ax
+                assert _ray_line(dx, dy, (ax, ay)) == (
+                    dx, dy, offset.numerator, offset.denominator)
