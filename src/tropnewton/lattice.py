@@ -122,9 +122,7 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
 def shoelace2(vertices: Sequence[Point]) -> Coord:
     """Twice the signed area of the closed polygon through ``vertices``."""
     total = 0
-    n = len(vertices)
-    for k in range(n):
-        a, b = vertices[k], vertices[(k + 1) % n]
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
         total += a[0] * b[1] - b[0] * a[1]
     return total
 

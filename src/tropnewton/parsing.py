@@ -37,8 +37,25 @@ class SupportSet:
 
     terms: tuple[tuple[LatticePoint, tuple[int, int]], ...]
 
+    def __post_init__(self):
+        """Checked once, however the terms were built, and stored sorted
+        with LatticePoint keys: a non-lattice point is a SchemaError, a
+        repeated one a DuplicateMonomialError, and no terms or a zero
+        coefficient an EmptySupportError."""
+        coeffs: dict[LatticePoint, tuple[int, int]] = {}
+        for p, c in self.terms:
+            point = lattice_key(p, "support point")
+            if point in coeffs:
+                raise DuplicateMonomialError(f"monomial x^{point.i} y^{point.j} appears twice")
+            coeffs[point] = c
+        if not coeffs or any(c == (0, 0) for c in coeffs.values()):
+            raise EmptySupportError("support must be nonempty with nonzero coefficients")
+        object.__setattr__(self, "terms", tuple(sorted(coeffs.items())))
+
     @classmethod
     def from_points(cls, points, coeffs: Mapping | None = None) -> "SupportSet":
+        """Terms from points, coefficient one unless ``coeffs`` names it;
+        a point given twice keeps its last coefficient."""
         seen = {}
         for p in points:
             lp = lattice_key(p, "support point")
@@ -46,9 +63,7 @@ class SupportSet:
             if isinstance(c, int):
                 c = (c, 0)
             seen[lp] = c
-        if not seen or any(c == (0, 0) for c in seen.values()):
-            raise EmptySupportError("support must be nonempty with nonzero coefficients")
-        return cls(tuple(sorted(seen.items())))
+        return cls(tuple(seen.items()))
 
     @property
     def points(self) -> tuple[LatticePoint, ...]:
@@ -177,7 +192,7 @@ def parse_germ(text: str) -> SupportSet:
     terms = {p: c for p, c in acc.items() if c != (0, 0)}
     if not terms:
         raise EmptySupportError("all terms cancelled")
-    return SupportSet(tuple(sorted(terms.items())))
+    return SupportSet(tuple(terms.items()))
 
 
 def _parse_germ_term(sc: _Scanner) -> tuple[LatticePoint, tuple[int, int]]:
@@ -399,7 +414,7 @@ def parse_json_obj(obj) -> Union[SupportSet, LiftedSupport]:
     support_acc = {p: c for p, c in support_acc.items() if c != (0, 0)}
     if not support_acc:
         raise SchemaError("support is empty after combining terms", "/monomials")
-    return SupportSet(tuple(sorted(support_acc.items())))
+    return SupportSet(tuple(support_acc.items()))
 
 
 def load_json(path) -> Union[SupportSet, LiftedSupport]:

@@ -4,7 +4,10 @@ of the region under a Newton boundary.
 The central construction lifts each support point (i, j) to height
 nu(i, j) and takes the lower convex hull; facets project to the cells
 of a regular subdivision.  The hull is a gift-wrap over integer triples
-(heights are scaled by their common denominator).  First a fan
+(heights are scaled by their common denominator).  The domain is the
+hull of the lowest and highest point of each column: a point with
+another point of its column above it and one below lies inside a
+vertical segment, so it is no hull corner.  First a fan
 prefilter drops the lifted points that lie strictly above the fan from
 the lowest lifted point to the domain corners: they lie strictly above
 the hull.  Then, over the kept points, one flat scan per facet picks
@@ -98,7 +101,18 @@ class RegularSubdivision:
     vertices: tuple[LatticePoint, ...]
 
     def boundary_vertex_count(self) -> int:
-        return sum(1 for v in self.vertices if self.domain.locate(v) == "boundary")
+        """Vertices on the domain's boundary: those on the inner side of
+        every domain edge line nx*i + ny*j = c and on one of them, so the
+        least nx*i + ny*j - c is zero (``ConvexPolygon.locate``'s test)."""
+        lines = _edge_lines(self.domain)
+        return sum(1 for v in self.vertices
+                   if min(nx * v.i + ny * v.j - c for nx, ny, c in lines) == 0)
+
+
+def _edge_lines(polygon: ConvexPolygon) -> list[tuple[int, int, int]]:
+    """(nx, ny, c) per edge uw: uw lies on nx*i + ny*j = c, and the
+    polygon on the side where nx*i + ny*j >= c."""
+    return [(u.j - w.j, w.i - u.i, u.j * w.i - u.i * w.j) for u, w in polygon.edges()]
 
 
 def _lower_chain_edge(pts3, a, b):
@@ -203,23 +217,36 @@ def _under_fan(pts3: dict, corners) -> dict:
     return kept
 
 
+def _column_extremes(heights) -> list[LatticePoint]:
+    """The lowest and the highest point of each column, in point order:
+    the only possible hull corners (see the module docstring), so their
+    hull is the hull of all the points."""
+    out: list[LatticePoint] = []
+    for (pt, _), (nxt, _) in zip(heights, heights[1:]):
+        if not out or out[-1].i != pt.i or nxt.i != pt.i:
+            out.append(pt)
+    out.append(heights[-1][0])
+    return out
+
+
 def _wrap(lifting: LiftedSupport):
     """The domain, the sorted cells and each corner's rim-line bitmask."""
-    heights = sorted(lifting.as_dict().items())
+    heights = lifting.entries  # sorted and distinct, see LiftedSupport
     if len(heights) < 3:
         raise DegenerateInputError("need at least 3 support points")
     try:
-        domain = convex_hull_of_sorted([pt for pt, _ in heights])
+        domain = convex_hull_of_sorted(_column_extremes(heights))
     except DegenerateHullError:
         raise DegenerateInputError("support points are collinear") from None
 
-    scale = lcm(*[h.denominator for _, h in heights])
-    pts3 = _under_fan({pt: (pt.i, pt.j, h.numerator * (scale // h.denominator))
-                       for pt, h in heights}, domain.vertices)
+    ratios = [h.as_integer_ratio() for _, h in heights]
+    scale = lcm(*[d for _, d in ratios])
+    pts3 = _under_fan({pt: (pt.i, pt.j, n * (scale // d))
+                       for (pt, _), (n, d) in zip(heights, ratios)}, domain.vertices)
     lifted = list(pts3.values())
     # bit k of a corner's mask: the corner lies on the line nx*i + ny*j = c
     # of domain edge k
-    rim = [(u.j - w.j, w.i - u.i, u.j * w.i - u.i * w.j) for u, w in domain.edges()]
+    rim = _edge_lines(domain)
     lines: dict[LatticePoint, int] = {}
 
     cells: list[Cell] = []
@@ -248,16 +275,17 @@ def _wrap(lifting: LiftedSupport):
         values = [n0 * x + n1 * y + n2 * z for x, y, z in lifted]
         check(min(values) >= level, "wrap produced a non-supporting plane")
         tight = [pt for pt, value in zip(pts3, values) if value == level]
-        plane = (Fraction(-n0, n2 * scale), Fraction(-n1, n2 * scale),
-                 Fraction(level, n2 * scale))
+        den = n2 * scale
+        plane = (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den))
         cell = Cell(convex_hull_of_sorted(tight), plane, tuple(tight))
         edge_list = list(cell.polygon.edges())
         check((a, b) in edge_list, "wrap edge is not a facet edge")
         cells.append(cell)
         for v in cell.polygon.vertices:
             if v not in lines:
-                lines[v] = sum(1 << k for k, (nx, ny, c) in enumerate(rim)
-                               if nx * v.i + ny * v.j == c)
+                i, j = v
+                lines[v] = sum([1 << k for k, (nx, ny, c) in enumerate(rim)
+                                if nx * i + ny * j == c])
         for u, v in edge_list:
             claimed.add((u, v))
             if not lines[u] & lines[v] and (v, u) not in claimed:
@@ -276,6 +304,7 @@ def _assemble(lifting, domain, cells, lines) -> RegularSubdivision:
     """
     check(sum(c.polygon.area2 for c in cells) == domain.area2,
           "cells do not tile the support hull")
+    # each edge's cell ids come in ascending order
     incidence: dict[tuple[LatticePoint, LatticePoint], list[int]] = {}
     for cid, cell in enumerate(cells):
         for a, b in cell.polygon.edges():
@@ -291,7 +320,7 @@ def _assemble(lifting, domain, cells, lines) -> RegularSubdivision:
         else:
             if len(ids) != 2:
                 raise InternalCheckError(f"inner edge {a}-{b} met {len(ids)} times")
-            interior.append(SubdivisionEdge(a, b, tuple(sorted(ids))))
+            interior.append(SubdivisionEdge(a, b, tuple(ids)))
     return RegularSubdivision(lifting, domain, cells, tuple(interior),
                               tuple(boundary), tuple(sorted(lines)))
 

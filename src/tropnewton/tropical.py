@@ -5,14 +5,15 @@ one vertex per cell at the gradient of its plane, one segment per
 interior edge, one outward ray per boundary edge, weights given by dual
 lattice lengths.  ``verify_duality`` alone checks duality (orthogonality,
 valence, balancing, complement counts), from scratch.  Directions, zero
-jumps, ray sides and ray lines are decided on integers: a segment is
-tested through the primitive direction of its gradient jump, taken from
-the gradients' numerators and denominators with no ``Fraction``
-subtraction and (0, 0) exactly when the gradients are equal; a ray's
-side through the integer multiple 2n (midpoint - vertex average) of an
-n-gon; a ray's line through its direction and its reduced offset
-numerator and denominator.  A sub-curve can be cut out over any region
-that is a union of cells.
+jumps, ray sides and ray lines are decided on integers.  Each vertex
+(x, y) is read once into an integer triple (X, Y, D) with D > 0 and
+(x, y) = (X/D, Y/D).  A segment is tested through the primitive
+direction of its gradient jump, (X2*D1 - X1*D2, Y2*D1 - Y1*D2) over its
+gcd, which is (0, 0) exactly when the gradients are equal; a ray's side
+through the integer multiple 2n (midpoint - vertex average) of an
+n-gon; a ray's line through its direction and its offset
+(dx*Y - dy*X)/D in lowest terms.  A sub-curve can be cut out over any
+region that is a union of cells.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NonRegularInputError, NotCellUnionError, NotConnectedError
-from .lattice import lattice_length, sub
+from .lattice import lattice_length
 from .subdivision import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
 
 Coords = tuple[Fraction, Fraction]
@@ -89,6 +90,7 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
         TropicalVertex(cell.gradient, cid, len(cell.polygon.vertices))
         for cid, cell in enumerate(cells))
 
+    sums: dict[int, tuple[int, int, int]] = {}  # once per ray cell
     edges: list[TropicalEdge] = []
     for e in sd.interior_edges:
         c1, c2 = e.cell_ids
@@ -101,9 +103,10 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
                                   lattice_length(e.a, e.b), e))
     for e in sd.boundary_edges:
         cid = e.cell_ids[0]
-        d = sub(e.b, e.a)
-        nx, ny = -d[1], d[0]
-        if _outward(nx, ny, e, _vertex_sums(cells[cid].polygon)) < 0:
+        if cid not in sums:
+            sums[cid] = _vertex_sums(cells[cid].polygon)
+        nx, ny = e.a.j - e.b.j, e.b.i - e.a.i
+        if _outward(nx, ny, e, sums[cid]) < 0:
             nx, ny = -nx, -ny
         # the normal's gcd is the edge's lattice length
         w = lattice_length(e.a, e.b)
@@ -144,28 +147,34 @@ def _component_count(n: int, links: list[tuple[int, int]]) -> int:
     return len({find(k) for k in range(n)})
 
 
-def _jump_direction(g1: Coords, g2: Coords) -> tuple[int, int]:
-    """Primitive direction of g2 - g1, taken on integers: g2 - g1 times
-    the product of the four denominators, a positive factor, divided by
-    its gcd.  (0, 0) exactly when g1 == g2."""
-    (x1, y1), (x2, y2) = g1, g2
-    dx = ((x2.numerator * x1.denominator - x1.numerator * x2.denominator)
-          * y1.denominator * y2.denominator)
-    dy = ((y2.numerator * y1.denominator - y1.numerator * y2.denominator)
-          * x1.denominator * x2.denominator)
+def _triple(coords: Coords) -> tuple[int, int, int]:
+    """(X, Y, D) with D > 0 and coords == (X/D, Y/D)."""
+    x, y = coords
+    return (x.numerator * y.denominator, y.numerator * x.denominator,
+            x.denominator * y.denominator)
+
+
+def _jump_direction(t1: tuple, t2: tuple) -> tuple[int, int]:
+    """Primitive direction of g2 - g1 for the gradients with triples t1
+    and t2: g2 - g1 times D1*D2 > 0, divided by its gcd.  (0, 0) exactly
+    when g1 == g2."""
+    x1, y1, d1 = t1
+    x2, y2, d2 = t2
+    dx = x2 * d1 - x1 * d2
+    dy = y2 * d1 - y1 * d2
     g = gcd(dx, dy)
     return (dx // g, dy // g) if g else (0, 0)
 
 
-def _ray_line(dx: int, dy: int, anchor: Coords) -> tuple[int, int, int, int]:
+def _ray_line(dx: int, dy: int, anchor: tuple) -> tuple[int, int, int, int]:
     """(dx, dy, num, den) with num/den = dx*ay - dy*ax in lowest terms,
-    den > 0: two rays in the same direction lie on one line exactly when
-    their keys are equal."""
-    ax, ay = anchor
-    num = dx * ay.numerator * ax.denominator - dy * ax.numerator * ay.denominator
-    den = ax.denominator * ay.denominator
-    g = gcd(num, den)
-    return dx, dy, num // g, den // g
+    den > 0, for the anchor (ax, ay) with triple (X, Y, D): two rays in
+    the same direction lie on one line exactly when their keys are
+    equal."""
+    x, y, d = anchor
+    num = dx * y - dy * x
+    g = gcd(num, d)
+    return dx, dy, num // g, d // g
 
 
 def verify_duality(tc: TropicalCurve) -> DualityReport:
@@ -184,12 +193,13 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
     by = [0] * n
     links: list[tuple[int, int]] = []
     ray_lines = []  # one _ray_line key per ray: rays overlap iff equal
+    triples = [_triple(v.coords) for v in tc.vertices]
     domain_sums = _vertex_sums(sd.domain)
     violations: list[str] = []
 
     for k, e in enumerate(tc.edges):
         a, b = e.dual_edge.a, e.dual_edge.b
-        d = sub(b, a)
+        d = (b[0] - a[0], b[1] - a[1])
         if e.weight != lattice_length(a, b):
             violations.append(f"edge {k}: weight differs from dual lattice length")
         if e.kind == "segment":
@@ -197,7 +207,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             links.append((v1, v2))
             germs[v1] += 1
             germs[v2] += 1
-            px, py = _jump_direction(tc.vertices[v1].coords, tc.vertices[v2].coords)
+            px, py = _jump_direction(triples[v1], triples[v2])
             if not (px or py):
                 violations.append(f"edge {k}: zero length segment")
                 continue
@@ -217,7 +227,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             germs[v] += 1
             bx[v] += e.weight * dx
             by[v] += e.weight * dy
-            ray_lines.append(_ray_line(dx, dy, tc.vertices[v].coords))
+            ray_lines.append(_ray_line(dx, dy, triples[v]))
 
     for cid, vertex in enumerate(tc.vertices):
         sides = len(sd.cells[vertex.dual_cell].polygon.vertices)

@@ -69,6 +69,12 @@ def brute_force_lower_hull(heights):
             [e for e in edges if len(e[2]) == 1])
 
 
+def locate_boundary_vertex_count(sd) -> int:
+    """Subdivision vertices that ``ConvexPolygon.locate`` puts on the
+    domain's boundary; the reference for ``boundary_vertex_count``."""
+    return sum(1 for v in sd.vertices if sd.domain.locate(v) == "boundary")
+
+
 def _edge_span(tc: TropicalCurve, e: TropicalEdge):
     """Anchor, direction and parameter cap (None for rays)."""
     a = tc.vertices[e.endpoints[0]].coords

@@ -255,6 +255,28 @@ def test_support_points_reject_non_lattice_coordinates():
     assert all(type(c) is int for p in s.points for c in p)
 
 
+def test_hand_built_support_set_is_checked_like_from_points():
+    P = LatticePoint
+    # each of these used to be kept as given, and serialize_json crashed on it
+    with pytest.raises(DuplicateMonomialError, match=re.escape("x^5 y^0 appears twice")):
+        SupportSet(terms=(((5, 0), (1, 0)), ((5, 0), (3, 0)), ((0, 5), (1, 0))))
+    with pytest.raises(SchemaError, match="is not a lattice point"):
+        SupportSet(terms=(((5.5, 0), (1, 0)), ((0, 5), (1, 0))))
+    message = "support must be nonempty with nonzero coefficients"
+    for terms in [(), (((5, 0), (0, 0)), ((0, 5), (1, 0)))]:
+        with pytest.raises(EmptySupportError, match=message):
+            SupportSet(terms=terms)
+    with pytest.raises(EmptySupportError, match=message):
+        SupportSet.from_points([(5, 0), (0, 5)], {(5, 0): 0})
+    # plain-tuple points become LatticePoints, in point order
+    s = SupportSet(terms=(((5, 0), (-2, 0)), ((0, 5), (1, 0)), ((2, 2), (3, 0))))
+    assert s.terms == ((P(0, 5), (1, 0)), (P(2, 2), (3, 0)), (P(5, 0), (-2, 0)))
+    assert all(type(p) is P for p in s.points)
+    assert s == SupportSet.from_points([(5, 0), (0, 5), (2, 2)],
+                                       {(5, 0): -2, (2, 2): 3})
+    assert parse_json_obj(json.loads(serialize_json(s))) == s
+
+
 def test_lifted_mapping_rejects_a_repeated_point():
     with pytest.raises(DuplicateMonomialError, match=re.escape("z^1 w^0 appears twice")):
         LiftedSupport.from_mapping(PairList([((1, 0), 7), ((0, 0), 1),

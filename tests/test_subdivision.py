@@ -1,6 +1,7 @@
 """Lower hull subdivisions, checked against hand-computed cells and an
 independent all-triples oracle."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -31,8 +32,9 @@ from tropnewton.subdivision import (
     subdivide_diagram,
     triangle_square_count,
 )
+from tropnewton.tropical import dual_tropical_curve, verify_duality
 
-from oracles import brute_force_lower_hull
+from oracles import brute_force_lower_hull, locate_boundary_vertex_count
 
 QUINTIC = analyze_support(parse_germ("x^5+x^2*y^2+y^5").points)
 CUSP = analyze_support(parse_germ("x^2+y^3").points)
@@ -333,13 +335,78 @@ def test_wrap_checks_each_plane_supports_the_kept_points(monkeypatch):
 
 def test_hull_of_seeded_liftings_is_pinned():
     # repr of 200 span-20 liftings of up to 120 points, as the
-    # benchmark's liftings workload draws them, before the fan prefilter
+    # benchmark's liftings workload draws them: the subdivision as it was
+    # before the fan prefilter, its dual curve and duality report as they
+    # were before the per-vertex integer triples
     rng = SplitMix64(1)
-    digest = hashlib.sha256()
+    digests = [hashlib.sha256() for _ in range(3)]
     for _ in range(200):
-        digest.update(repr(lower_hull_subdivision(random_lifted_support(rng, 20, 120))).encode())
-    assert digest.hexdigest() == \
-        "0091bc38e8dabf48ac08bd58bd3c1ae93b4b3296aef1fb215222b21f4d39ef20"
+        sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
+        tc = dual_tropical_curve(sd)
+        for digest, out in zip(digests, (sd, tc, verify_duality(tc))):
+            digest.update(repr(out).encode())
+    assert [d.hexdigest() for d in digests] == [
+        "0091bc38e8dabf48ac08bd58bd3c1ae93b4b3296aef1fb215222b21f4d39ef20",
+        "d68ad5928c594b57d9782d6477cc89afb4518aa522c82cd0e8b4848d575e6577",
+        "149a71636b8e6d7228c5fcfcb9d54783d578aba4473004855f9822f706cc0a82"]
+
+
+# --- the domain and its boundary vertices --------------------------------------
+
+def column_supports():
+    """Supports with full vertical columns, with two columns, and with
+    three points, plus the benchmark's random ones."""
+    rng = SplitMix64(7)
+    for _ in range(60):
+        # every column a full run of at least two rows between its own ends
+        cols = rng.sample(0, 9, rng.between(2, 5))
+        yield {(i, lo + j) for i in cols for lo in [rng.below(4)]
+               for j in range(rng.between(2, 6))}
+    for _ in range(60):
+        i0, i1 = rng.sample(0, 9, 2)
+        yield ({(i0, j) for j in rng.sample(0, 9, rng.between(1, 6))}
+               | {(i1, j) for j in rng.sample(0, 9, rng.between(2, 6))})
+    for _ in range(60):
+        cells = rng.sample(0, 63, 3)
+        pts = {(c // 8, c % 8) for c in cells}
+        if cross(*sorted(pts)) != 0:
+            yield pts
+    for _ in range(60):
+        yield set(random_lifted_support(rng, 20, 120).points)
+
+
+def test_domain_from_column_extremes_matches_the_full_hull():
+    for pts in column_supports():
+        heights = {p: (p[0] * 7 + p[1] * 3) % 5 for p in pts}
+        sd = lower_hull_subdivision(heights)
+        assert sd.domain == convex_hull(pts)
+        columns = {}
+        for i, j in pts:
+            columns.setdefault(i, []).append(j)
+        extremes = sorted({(i, j) for i, js in columns.items() for j in (min(js), max(js))})
+        assert subdivision._column_extremes(sd.lifting.entries) == extremes
+
+
+def test_one_column_is_collinear():
+    for heights in [{(2, j): j * j for j in range(5)}, {(0, 0): 0, (0, 1): 1, (0, 3): 0}]:
+        with pytest.raises(DegenerateInputError, match="support points are collinear"):
+            lower_hull_subdivision(heights)
+
+
+def test_boundary_vertex_count_matches_locate():
+    # corners (0,0), (4,0), (0,4); (2,0) inside the bottom edge and (2,2)
+    # inside the long one; (1,1) inside the domain, all lifted as vertices
+    sd = lower_hull_subdivision({(0, 0): 0, (4, 0): 0, (0, 4): 0, (2, 0): -1,
+                                 (2, 2): -1, (1, 1): -3})
+    assert set(sd.vertices) == {(0, 0), (4, 0), (0, 4), (2, 0), (2, 2), (1, 1)}
+    assert sd.boundary_vertex_count() == locate_boundary_vertex_count(sd) == 5
+    # a vertex outside the domain, on the line of the bottom edge, is not on it
+    moved = dataclasses.replace(sd, vertices=sd.vertices + (LatticePoint(6, 0),))
+    assert moved.boundary_vertex_count() == locate_boundary_vertex_count(moved) == 5
+    rng = SplitMix64(3)
+    for _ in range(100):
+        sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
+        assert sd.boundary_vertex_count() == locate_boundary_vertex_count(sd)
 
 
 # --- square counting lemmas ---------------------------------------------------

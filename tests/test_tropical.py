@@ -26,6 +26,7 @@ from tropnewton.corpus import SplitMix64, random_lifted_support
 from tropnewton.tropical import (
     _jump_direction,
     _ray_line,
+    _triple,
     count_bounded_regions,
     count_four_valent,
     dual_tropical_curve,
@@ -374,8 +375,9 @@ def test_duality_on_random_liftings():
 
 def test_integer_directions_and_ray_lines_match_the_fraction_forms():
     """On the benchmark's liftings (span 20, up to 120 points), seeds 1-3:
-    segment jumps, ray directions and ray line keys against the
-    ``Fraction`` forms they replace."""
+    segment jumps and ray line keys, taken from the vertices' integer
+    triples as ``verify_duality`` takes them, and ray directions against
+    the ``Fraction`` forms they replace."""
     for seed in (1, 2, 3):
         rng = SplitMix64(seed)
         for _ in range(500):
@@ -383,9 +385,11 @@ def test_integer_directions_and_ray_lines_match_the_fraction_forms():
             tc = dual_tropical_curve(sd)
             for e in tc.segments():
                 g1, g2 = (tc.vertices[v].coords for v in e.endpoints)
-                assert _jump_direction(g1, g2) == primitive_direction(
+                x, y, d = _triple(g1)
+                assert d > 0 and (Fraction(x, d), Fraction(y, d)) == g1
+                assert _jump_direction(_triple(g1), _triple(g2)) == primitive_direction(
                     g2[0] - g1[0], g2[1] - g1[1])
-                assert _jump_direction(g1, g1) == (0, 0)
+                assert _jump_direction(_triple(g1), _triple(g1)) == (0, 0)
             n = len(sd.domain.vertices)
             avg = (Fraction(sum(v.i for v in sd.domain.vertices), n),
                    Fraction(sum(v.j for v in sd.domain.vertices), n))
@@ -399,5 +403,5 @@ def test_integer_directions_and_ray_lines_match_the_fraction_forms():
                 dx, dy = out
                 ax, ay = tc.vertices[e.endpoints[0]].coords
                 offset = dx * ay - dy * ax
-                assert _ray_line(dx, dy, (ax, ay)) == (
+                assert _ray_line(dx, dy, _triple((ax, ay))) == (
                     dx, dy, offset.numerator, offset.denominator)

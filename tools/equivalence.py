@@ -1,0 +1,111 @@
+"""Print one SHA-256 digest per output family of the package in this
+checkout, so that two checkouts can be compared line by line.
+
+    python3 tools/equivalence.py            # seeds 1-3, every item
+    python3 tools/equivalence.py --quick    # seed 1, first 50 items per family
+
+Run it in the parent checkout and in the changed one and diff the two
+outputs: a change that keeps every answer prints the same lines.  The
+families are
+
+  * liftings.{subdivision,curve,duality}: ``repr`` of the lower hull
+    subdivision, its dual curve and the duality report on 500
+    ``random_lifted_support(SplitMix64(s), 20, 120)`` per seed, the
+    benchmark's liftings;
+  * {corpus,ladder}.{chosen,default}: ``repr(RegularSubdivision)`` under
+    the lifting ``subdivide_diagram`` chooses and under the default
+    separable lifting, on 200 ``staircase_support(SplitMix64(s), 12, 12)``
+    per seed and on the ladder x^n + y^(n+1), n = 2..40;
+  * {corpus,ladder}.{json,emit-poly}: ``analyze(...).to_json()`` and the
+    ``emit-poly`` text on the same germs;
+  * svg: ``render_svg`` bytes of the quintic and the cusp, both regions.
+
+Standard library only; the package is imported from this checkout's
+``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_support  # noqa: E402
+from tropnewton.newton import analyze_support  # noqa: E402
+from tropnewton.patchwork import analyze, build_patchwork, emit_polynomial_text  # noqa: E402
+from tropnewton.subdivision import (  # noqa: E402
+    lower_hull_subdivision,
+    separable_lifting,
+    subdivide_diagram,
+)
+from tropnewton.svg import REGIONS, render_svg  # noqa: E402
+from tropnewton.tropical import dual_tropical_curve, verify_duality  # noqa: E402
+
+LIFTINGS = 500
+GERMS = 200
+LADDER = range(2, 41)
+FIGURES = {"quintic": [(5, 0), (2, 2), (0, 5)], "cusp": [(2, 0), (0, 3)]}
+
+
+def _lifting_family(seed: int, count: int) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {"subdivision": [], "curve": [], "duality": []}
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
+        tc = dual_tropical_curve(sd)
+        out["subdivision"].append(repr(sd))
+        out["curve"].append(repr(tc))
+        out["duality"].append(repr(verify_duality(tc)))
+    return out
+
+
+def _germ_family(supports) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {"chosen": [], "default": [], "json": [], "emit-poly": []}
+    for support in supports:
+        nd = analyze_support(support)
+        sdd = subdivide_diagram(nd)
+        out["chosen"].append(repr(sdd.subdivision))
+        out["default"].append(repr(lower_hull_subdivision(separable_lifting(nd))))
+        out["json"].append(analyze(support).to_json())
+        out["emit-poly"].append(emit_polynomial_text(build_patchwork(nd, sdd)))
+    return out
+
+
+def families(quick: bool):
+    """(name, texts) for every family, in a fixed order."""
+    seeds = (1,) if quick else (1, 2, 3)
+    cap = 50 if quick else None
+    for seed in seeds:
+        for name, texts in _lifting_family(seed, cap or LIFTINGS).items():
+            yield f"liftings.{name} seed={seed}", texts
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        supports = [staircase_support(rng, 12, 12) for _ in range(GERMS)][:cap]
+        for name, texts in _germ_family(supports).items():
+            yield f"corpus.{name} seed={seed}", texts
+    ladder = [[(n, 0), (0, n + 1)] for n in LADDER][:cap]
+    for name, texts in _germ_family(ladder).items():
+        yield f"ladder.{name} n={LADDER[0]}..{LADDER[0] + len(ladder) - 1}", texts
+    yield "svg", [render_svg(points, region=region)
+                  for points in FIGURES.values() for region in REGIONS]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="seed 1 and the first 50 items of each family")
+    ns = ap.parse_args(argv)
+    for name, texts in families(ns.quick):
+        digest = hashlib.sha256()
+        for text in texts:
+            digest.update(text.encode())
+            digest.update(b"\0")
+        print(f"{digest.hexdigest()}  {len(texts):4d}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
