@@ -7,6 +7,11 @@ Three input routes produce the same two data shapes:
   * JSON ``{"monomials": [...]}``           -> either, decided by whether
     the monomials carry a ``t`` field (mixing is a SchemaError)
 
+Both text routes share one signed-term loop.  Each data shape is
+checked in one place, its constructor, so the text parsers only read
+syntax; the JSON route keeps its SchemaErrors, which point at the bad
+entry of outside input.
+
 Coefficients only matter up to cancellation, so germ coefficients are
 kept as Gaussian integers (re, im) and everything else about them is
 forgotten.
@@ -39,15 +44,16 @@ class SupportSet:
 
     def __post_init__(self):
         """Checked once, however the terms were built, and stored sorted
-        with LatticePoint keys: a non-lattice point is a SchemaError, a
-        repeated one a DuplicateMonomialError, and no terms or a zero
+        with LatticePoint keys: a non-lattice point or a coefficient not
+        an int c (kept as (c, 0)) or a pair of ints is a SchemaError, a
+        repeated point a DuplicateMonomialError, and no terms or a zero
         coefficient an EmptySupportError."""
         coeffs: dict[LatticePoint, tuple[int, int]] = {}
         for p, c in self.terms:
             point = lattice_key(p, "support point")
             if point in coeffs:
                 raise DuplicateMonomialError(f"monomial x^{point.i} y^{point.j} appears twice")
-            coeffs[point] = c
+            coeffs[point] = _gaussian(c, point)
         if not coeffs or any(c == (0, 0) for c in coeffs.values()):
             raise EmptySupportError("support must be nonempty with nonzero coefficients")
         object.__setattr__(self, "terms", tuple(sorted(coeffs.items())))
@@ -58,11 +64,7 @@ class SupportSet:
         a point given twice keeps its last coefficient."""
         seen = {}
         for p in points:
-            lp = lattice_key(p, "support point")
-            c = (coeffs or {}).get(tuple(p), (1, 0))
-            if isinstance(c, int):
-                c = (c, 0)
-            seen[lp] = c
+            seen[lattice_key(p, "support point")] = (coeffs or {}).get(tuple(p), (1, 0))
         return cls(tuple(seen.items()))
 
     @property
@@ -74,6 +76,14 @@ class SupportSet:
             if q == tuple(p):
                 return c
         return (0, 0)
+
+
+def _gaussian(c, point: LatticePoint) -> tuple[int, int]:
+    pair = (c, 0) if isinstance(c, int) else c
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(type(x) is int for x in pair)):
+        raise SchemaError(f"coefficient {c!r} of support point {tuple(point)} "
+                          "is neither an int nor a pair of ints")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -166,36 +176,41 @@ def _gauss_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] + b[0], a[1] + b[1])
 
 
+def _signed_terms(text: str, parse_term):
+    """The term loop of both text routes: an optional leading sign, then
+    terms joined by '+' or '-', each read by ``parse_term(sc, negative)``
+    right after its sign; the terms come back in text order."""
+    sc = _Scanner(text)
+    if sc.at_end():
+        sc.error("empty expression")
+    terms = []
+    while True:
+        negative = sc.peek() == "-"
+        if sc.peek() in "+-":
+            sc.take()
+        terms.append(parse_term(sc, negative))
+        if sc.at_end():
+            return terms
+        if sc.peek() not in "+-":
+            sc.error(f"expected '+' or '-', found {sc.peek()!r}")
+
+
 def parse_germ(text: str) -> SupportSet:
     """Parse a polynomial germ in x, y and return its support.
 
     Terms are combined; a support that cancels to nothing raises
     EmptySupportError.  Coefficients may be integers, ``i``, or ``<int>i``.
     """
-    sc = _Scanner(text)
     acc: dict[LatticePoint, tuple[int, int]] = {}
-    if sc.at_end():
-        sc.error("empty expression")
-    sign = 1
-    if sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
-    while True:
-        point, coeff = _parse_germ_term(sc)
-        coeff = (sign * coeff[0], sign * coeff[1])
+    for point, coeff in _signed_terms(text, _parse_germ_term):
         acc[point] = _gauss_add(acc.get(point, (0, 0)), coeff)
-        if sc.at_end():
-            break
-        ch = sc.peek()
-        if ch not in "+-":
-            sc.error(f"expected '+' or '-', found {ch!r}")
-        sign = -1 if sc.take() == "-" else 1
     terms = {p: c for p, c in acc.items() if c != (0, 0)}
     if not terms:
         raise EmptySupportError("all terms cancelled")
     return SupportSet(tuple(terms.items()))
 
 
-def _parse_germ_term(sc: _Scanner) -> tuple[LatticePoint, tuple[int, int]]:
+def _parse_germ_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, tuple[int, int]]:
     sc.skip_ws()
     coeff: tuple[int, int] | None = None
     coeff_pos = sc.pos
@@ -242,7 +257,8 @@ def _parse_germ_term(sc: _Scanner) -> tuple[LatticePoint, tuple[int, int]]:
         sc.error("expected a monomial after '*'")
     if coeff is None and not seen_var:
         sc.error("expected a term")
-    return LatticePoint(exps["x"], exps["y"]), coeff if coeff is not None else (1, 0)
+    re_, im = coeff or (1, 0)
+    return LatticePoint(exps["x"], exps["y"]), (-re_, -im) if negative else (re_, im)
 
 
 def _rational_exponent(sc: _Scanner) -> Fraction:
@@ -274,72 +290,38 @@ def _rational_exponent(sc: _Scanner) -> Fraction:
 def parse_puiseux_poly(text: str) -> LiftedSupport:
     """Parse ``t``-lifted terms in z, w like ``1+tz+t^3z^2+t^2zw``.
 
-    Coefficients are implicitly one; factors appear in t, z, w order;
-    a repeated (i, j) monomial is a DuplicateMonomialError.
+    Coefficients are implicitly one, so a '-' sign is a ParseError;
+    factors appear in t, z, w order; a repeated (i, j) monomial is a
+    DuplicateMonomialError.
     """
-    sc = _Scanner(text)
-    entries: dict[LatticePoint, Fraction] = {}
-    if sc.at_end():
-        sc.error("empty expression")
-    if sc.peek() in "+-":
-        sc.take()
-    while True:
-        point, nu = _parse_lifted_term(sc)
-        if point in entries:
-            raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
-        entries[point] = nu
-        if sc.at_end():
-            break
-        if sc.peek() not in "+-":
-            sc.error(f"expected '+' or '-', found {sc.peek()!r}")
-        sc.take()
-    return LiftedSupport(tuple(entries.items()))
+    return LiftedSupport(_signed_terms(text, _parse_lifted_term))
 
 
-def _parse_lifted_term(sc: _Scanner) -> tuple[LatticePoint, Fraction]:
+def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Fraction]:
+    if negative:
+        sc.error("coefficients are implicitly 1", pos=sc.pos - 1)
     sc.skip_ws()
-    nu = Fraction(0)
-    i = j = 0
-    saw_factor = False
+    start = sc.pos
     if sc.peek().isdigit():
-        one_pos = sc.pos
-        n = sc.integer()
-        if n != 1:
-            sc.error("coefficients are implicitly 1", pos=one_pos)
-        saw_factor = True
+        if sc.integer() != 1:
+            sc.error("coefficients are implicitly 1", pos=start)
         if sc.peek() == "*":
             sc.take()
-    sc.skip_ws()
-    if sc.peek() == "t":
+    powers = {"t": 0, "z": 0, "w": 0}
+    for var in "tzw":
+        sc.skip_ws()
+        if sc.peek() != var:
+            continue
         sc.take()
-        nu = Fraction(1)
+        powers[var] = 1
         if sc.peek() == "^":
             sc.take()
-            nu = _rational_exponent(sc)
-        saw_factor = True
-        if sc.peek() == "*":
+            powers[var] = _rational_exponent(sc) if var == "t" else sc.natural_exponent()
+        if var != "w" and sc.peek() == "*":  # '*' may follow each factor but the last
             sc.take()
-    sc.skip_ws()
-    if sc.peek() == "z":
-        sc.take()
-        i = 1
-        if sc.peek() == "^":
-            sc.take()
-            i = sc.natural_exponent()
-        saw_factor = True
-        if sc.peek() == "*":
-            sc.take()
-    sc.skip_ws()
-    if sc.peek() == "w":
-        sc.take()
-        j = 1
-        if sc.peek() == "^":
-            sc.take()
-            j = sc.natural_exponent()
-        saw_factor = True
-    if not saw_factor:
+    if sc.pos == start:
         sc.error("expected a term (t, z, w or 1)")
-    return LatticePoint(i, j), nu
+    return LatticePoint(powers["z"], powers["w"]), Fraction(powers["t"])
 
 
 # --- JSON route -------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import check
-from .lattice import ConvexPolygon, LatticePoint
+from .lattice import LatticePoint
 from .newton import NewtonDiagram, analyze_support, delta_invariant, milnor_number
 from .parsing import SupportSet
 from .subdivision import SubdividedDiagram, subdivide_diagram
@@ -29,16 +29,10 @@ from .tropical import (
 
 @dataclass(frozen=True)
 class PatchworkPolynomial:
-    """F(z, w) = sum of t^{nu(i, j)} z^i w^j over the support.
-
-    ``hull`` is the subdivision's domain, which is the convex hull of
-    the support; it is None only for hand-built degenerate instances
-    (fewer than three hull corners).
-    """
+    """F(z, w) = sum of t^{nu(i, j)} z^i w^j over the support."""
 
     support: tuple[LatticePoint, ...]
     nu: dict[LatticePoint, Fraction]
-    hull: ConvexPolygon | None
 
 
 def build_patchwork(nd: NewtonDiagram,
@@ -47,9 +41,10 @@ def build_patchwork(nd: NewtonDiagram,
     sdd = subdivided if subdivided is not None else subdivide_diagram(nd)
     nu = sdd.lifting.as_dict()
     support = tuple(sorted(nu))
+    # cannot fail for our own subdivision; guards a passed-in one of another diagram
     check(support == tuple(sorted(nd.gamma_minus_lattice)),
           "lifting points differ from the lattice points under the boundary")
-    return PatchworkPolynomial(support, nu, sdd.subdivision.domain)
+    return PatchworkPolynomial(support, nu)
 
 
 def _monomial_text(pt: LatticePoint) -> str:

@@ -8,7 +8,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from tropnewton.errors import ZeroSegmentError
-from tropnewton.lattice import Coord, Point, convex_hull, cross
+from tropnewton.lattice import Coord, LatticePoint, LatticePolygon, Point, convex_hull, cross
 from tropnewton.tropical import TropicalCurve, TropicalEdge
 
 
@@ -22,6 +22,29 @@ def primitive_direction(dx: Coord, dy: Coord) -> tuple[int, int]:
     iy = dy.numerator * (m // dy.denominator)
     g = gcd(ix, iy)
     return ix // g, iy // g
+
+
+def on_gamma_by_cross(nd, point) -> bool:
+    """Whether a point lies on a segment of the boundary chain, by the
+    cross product; the reference for ``NewtonDiagram.on_gamma``."""
+    g = nd.gamma_lattice
+    return any(a.i <= point[0] <= b.i and b.j <= point[1] <= a.j
+               and cross(a, b, point) == 0 for a, b in zip(g, g[1:]))
+
+
+def staircase_squares_by_shoelace(nd) -> int:
+    """Area of the staircase under the boundary's inner lattice points,
+    by the shoelace of its ring; the reference for
+    ``StaircaseDecomposition.staircase_squares``."""
+    g = nd.gamma_lattice
+    n = len(g) - 1
+    if n < 2:
+        return 0
+    ring = [LatticePoint(0, 0), LatticePoint(g[n - 1].i, 0)]
+    for k in range(n - 1, 0, -1):
+        ring.append(LatticePoint(g[k].i, g[k].j))
+        ring.append(LatticePoint(g[k - 1].i, g[k].j))
+    return LatticePolygon(ring).area2 // 2
 
 
 def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:

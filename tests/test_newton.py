@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropnewton.corpus import SplitMix64, staircase_support
 from tropnewton.errors import (
     NotConvenientError,
     NotSingularAtOriginError,
@@ -24,6 +25,8 @@ from tropnewton.newton import (
     milnor_number,
 )
 from tropnewton.parsing import parse_germ
+
+from oracles import on_gamma_by_cross, staircase_squares_by_shoelace
 
 QUINTIC = parse_germ("x^5+x^2*y^2+y^5").points
 CUSP = parse_germ("x^2+y^3").points
@@ -101,6 +104,15 @@ def test_on_gamma():
         nd.on_gamma((Fraction(5, 2), Fraction(5, 2)))
 
 
+def test_on_gamma_matches_the_cross_product_on_the_bbox():
+    for text in ["x^5+x^2*y^2+y^5", "x^2+y^3", "x^2+y^2", "x^30+x^10*y^5+y^29",
+                 "x^12+x^4*y^2+y^9", "x^6+y^4"]:
+        nd = analyze_support(parse_germ(text).points)
+        for i in range(nd.p + 2):
+            for j in range(nd.q + 2):
+                assert nd.on_gamma((i, j)) == on_gamma_by_cross(nd, (i, j)), (text, i, j)
+
+
 def test_non_lattice_support_is_rejected():
     # (5/2, 0) used to be truncated onto (2, 0), reporting p = 2
     with pytest.raises(SchemaError, match="is not a lattice point"):
@@ -114,7 +126,7 @@ def test_quintic_decomposition():
     assert dec.staircase_squares == 4
     assert dec.square_count == 6
     assert dec.touching_count == 1
-    assert dec.staircase.area2 == 8
+    assert dec.staircase_squares == staircase_squares_by_shoelace(analyze_support(QUINTIC))
     corners = {t[0] for t in dec.triangles}
     assert corners == {(0, 2), (2, 0)}
 
@@ -122,7 +134,7 @@ def test_quintic_decomposition():
 def test_cusp_decomposition():
     dec = decompose_diagram(analyze_support(CUSP))
     assert dec.square_count == 1
-    assert dec.staircase is None
+    assert dec.staircase_squares == 0
     assert dec.touching_count == 0
 
 
@@ -197,3 +209,14 @@ def test_support_points_strictly_inside_region_are_allowed():
     assert nd.gamma_vertices == ((0, 3), (1, 1), (2, 0))
     nd2 = analyze_support([(0, 5), (2, 2), (5, 0), (2, 1)])
     assert nd2.gamma_vertices == ((0, 5), (2, 1), (5, 0))
+
+
+def test_staircase_squares_match_the_shoelace_of_the_ring():
+    for seed in (1, 2, 3):
+        rng = SplitMix64(seed)
+        for _ in range(200):
+            nd = analyze_support(staircase_support(rng, 12, 12))
+            assert decompose_diagram(nd).staircase_squares == staircase_squares_by_shoelace(nd)
+    for n in range(2, 41):
+        nd = analyze_support([(n, 0), (0, n + 1)])
+        assert decompose_diagram(nd).staircase_squares == staircase_squares_by_shoelace(nd)

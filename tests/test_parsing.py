@@ -169,6 +169,28 @@ def test_zero_denominator_rejected():
         parse_puiseux_poly("t^1/0z")
 
 
+def test_lifted_minus_sign_is_an_error_at_the_sign():
+    # a '-' used to be dropped, so "1-tz-t^2w" read as "1+tz+t^2w"
+    for text, pos in [("-tz+w", 0), (" - tz", 1), ("1-tz-t^2w", 1), ("1+tz -t^2w", 5)]:
+        with pytest.raises(ParseError, match="coefficients are implicitly 1") as e:
+            parse_puiseux_poly(text)
+        assert e.value.pos == pos, text
+    assert parse_puiseux_poly("+1+tz") == parse_puiseux_poly("1+tz")
+
+
+def test_lifted_syntax_errors_carry_positions():
+    for text, message, pos in [
+        ("", "empty expression", 0),
+        ("   ", "empty expression", 3),
+        ("tz t", "expected '+' or '-', found 't'", 3),
+        ("zw*", "expected '+' or '-', found '*'", 2),
+        ("1+tz*w^2 & z", "expected '+' or '-', found '&'", 9),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(message)) as e:
+            parse_puiseux_poly(text)
+        assert e.value.pos == pos, text
+
+
 # --- JSON -------------------------------------------------------------------
 
 def test_json_plain_support():
@@ -275,6 +297,20 @@ def test_hand_built_support_set_is_checked_like_from_points():
     assert s == SupportSet.from_points([(5, 0), (0, 5), (2, 2)],
                                        {(5, 0): -2, (2, 2): 3})
     assert parse_json_obj(json.loads(serialize_json(s))) == s
+
+
+def test_support_coefficients_are_ints_or_pairs_of_ints():
+    # an int coefficient used to be kept bare, and serialize_json and
+    # germ_text then raised TypeError on it
+    s = SupportSet(terms=(((5, 0), 7), ((0, 5), (1, 0))))
+    assert s.terms == ((LatticePoint(0, 5), (1, 0)), (LatticePoint(5, 0), (7, 0)))
+    assert parse_json_obj(json.loads(serialize_json(s))) == s
+    assert parse_germ(germ_text(s)) == s
+    for bad in [1.5, (1.5, 0), True, (True, 0), "7", ("1", 0), (1, 0, 0)]:
+        with pytest.raises(SchemaError, match=re.escape("support point (5, 0)")):
+            SupportSet(terms=(((5, 0), bad), ((0, 5), (1, 0))))
+        with pytest.raises(SchemaError, match=re.escape("support point (5, 0)")):
+            SupportSet.from_points([(5, 0), (0, 5)], {(5, 0): bad})
 
 
 def test_lifted_mapping_rejects_a_repeated_point():

@@ -36,7 +36,7 @@ def test_quintic_polynomial_support_is_region_lattice():
     pp = build_patchwork(nd)
     assert len(pp.support) == 17
     assert set(pp.support) == set(nd.gamma_minus_lattice)
-    assert sorted(map(tuple, pp.hull.vertices)) == [(0, 0), (0, 5), (5, 0)]
+    assert sorted(map(tuple, convex_hull(pp.support).vertices)) == [(0, 0), (0, 5), (5, 0)]
 
 
 def test_node_polynomial_includes_boundary_midpoint():
@@ -58,15 +58,14 @@ def test_emit_node_text_is_byte_exact():
 
 def test_emit_single_point():
     pp = PatchworkPolynomial((LatticePoint(0, 0),),
-                             {LatticePoint(0, 0): Fraction(0)}, None)
+                             {LatticePoint(0, 0): Fraction(0)})
     assert emit_polynomial_text(pp) == "1"
 
 
 def test_emit_fractional_exponent():
     pp = PatchworkPolynomial(
         (LatticePoint(0, 0), LatticePoint(1, 0)),
-        {LatticePoint(0, 0): Fraction(0), LatticePoint(1, 0): Fraction(3, 2)},
-        None)
+        {LatticePoint(0, 0): Fraction(0), LatticePoint(1, 0): Fraction(3, 2)})
     assert emit_polynomial_text(pp) == "1+t^3/2z"
 
 
@@ -146,4 +145,4 @@ def test_verdicts_hold_on_random_corpus():
         sdd = subdivide_diagram(nd)
         assert rep.lifting == sdd.lifting.entries
         pp = build_patchwork(nd)
-        assert pp.hull == convex_hull(pp.support) == sdd.subdivision.domain
+        assert convex_hull(pp.support) == sdd.subdivision.domain
