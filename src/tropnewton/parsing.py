@@ -291,7 +291,8 @@ def parse_puiseux_poly(text: str) -> LiftedSupport:
     """Parse ``t``-lifted terms in z, w like ``1+tz+t^3z^2+t^2zw``.
 
     Coefficients are implicitly one, so a '-' sign is a ParseError;
-    factors appear in t, z, w order; a repeated (i, j) monomial is a
+    factors appear in t, z, w order, and a '*' may join two of them but
+    must be followed by one; a repeated (i, j) monomial is a
     DuplicateMonomialError.
     """
     return LiftedSupport(_signed_terms(text, _parse_lifted_term))
@@ -305,8 +306,7 @@ def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Frac
     if sc.peek().isdigit():
         if sc.integer() != 1:
             sc.error("coefficients are implicitly 1", pos=start)
-        if sc.peek() == "*":
-            sc.take()
+        _take_star(sc)
     powers = {"t": 0, "z": 0, "w": 0}
     for var in "tzw":
         sc.skip_ws()
@@ -317,11 +317,22 @@ def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Frac
         if sc.peek() == "^":
             sc.take()
             powers[var] = _rational_exponent(sc) if var == "t" else sc.natural_exponent()
-        if var != "w" and sc.peek() == "*":  # '*' may follow each factor but the last
-            sc.take()
+        if var != "w":  # '*' may follow each factor but the last
+            _take_star(sc)
     if sc.pos == start:
         sc.error("expected a term (t, z, w or 1)")
     return LatticePoint(powers["z"], powers["w"]), Fraction(powers["t"])
+
+
+def _take_star(sc: _Scanner) -> None:
+    """Take a '*' only when a factor t, z or w follows it: a dangling '*'
+    ends the term, and the term loop reports it."""
+    if sc.peek() == "*":
+        after = sc.pos + 1
+        while after < len(sc.text) and sc.text[after].isspace():
+            after += 1
+        if sc.text[after:after + 1] in ("t", "z", "w"):
+            sc.take()
 
 
 # --- JSON route -------------------------------------------------------------

@@ -11,8 +11,11 @@ vertical segment, so it is no hull corner.  First a fan
 prefilter drops the lifted points that lie strictly above the fan from
 the lowest lifted point to the domain corners: they lie strictly above
 the hull.  Then, over the kept points, one flat scan per facet picks
-it, and one pass checks that its plane supports every kept point and
-so, by the fan, every lifted point (see ``lower_hull_subdivision``).
+it and collects its tight points.  After the wrap, one local
+certificate proves that the cells are the lower hull's: they tile the
+domain, every interior edge folds strictly upward, and every point
+tight in no cell lies strictly above every cell's plane (see
+``lower_hull_subdivision``).
 The split of the cells' edges into rim and interior edges is on
 integers too, so there is no tolerance anywhere and no ``Fraction``
 until a cell's plane is built.  The wrap never finds a facet twice, so
@@ -154,39 +157,51 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
     dropped point is strictly above the fan, so strictly above every
     such plane: it is never the pick and never tight, nor on the lower
     chain along a domain edge that gives the first wrap edge.  So the
-    wrap below, run over the kept points only, finds the same cells,
-    and its per-facet check still proves that each plane supports every
-    lifted point.  On diagram liftings every point is a hull vertex and
-    nothing is dropped; on random liftings about half the points are.
+    wrap below, run over the kept points only, finds the same cells.
+    On diagram liftings every point is a hull vertex and nothing is
+    dropped; on random liftings about half the points are.
 
     From an unclaimed directed edge ab, one scan over the kept points
-    picks the next facet: among the points strictly left of ab, the
-    first point below the plane through a, b and the current pick
-    replaces it.  The test is n.c < 0 for the pick's normal n = ab x u
-    and the point's offset c from a, which is det(ab, u, c) < 0.  One
-    pass then checks that every kept point lies on or above the picked
-    plane and collects the tight points.  The scan runs in sorted point
-    order, so the tight points come out sorted and distinct and the
-    cell polygon is their monotone chain with no re-sort.
+    picks the next facet and collects its tight points.  The planes
+    through ab form a pencil.  The scan starts from the vertical one,
+    with normal n = (dy, -dx, 0), and a point strictly left of ab that
+    lies strictly below the current plane becomes the pick: the plane
+    through a, b and that point replaces the current one.  The test is
+    n.c < 0 for the point's offset c from a; the first left point always
+    passes it.  A left point with n.c = 0 is tied with the pick, and the
+    tie list restarts at each new pick.  Why the last list holds every
+    left point on the final plane: two planes through ab cross along
+    it, so each new plane lies strictly below the old one on the open
+    left side.  A point scanned before the last replacement lay on or
+    above an older plane, so it lies strictly above the final one.  A
+    point on the line of ab is tight when its lifted point lies on the
+    lifted line through a and b, which every plane of the pencil
+    contains.  The scan runs in sorted point order, so both lists come
+    out sorted, their merge is the cell's sorted and distinct tight
+    points, all on its plane, and the cell polygon is their monotone
+    chain with no re-sort.
 
     No facet is found twice, so cells go into a plain list.  The facet
     found from ab lies left of ab, so ab is one of its counterclockwise
     edges (checked), and a directed edge has only one cell on its left.
     All of the facet's edges are claimed when it is found, and a
-    claimed edge is never wrapped from again.  A duplicate cell would
-    also break the area sum that ``_assemble`` checks.
+    claimed edge is never wrapped from again.
 
     A rim edge uv, one whose ends lie on the line of one domain edge, is
     never wrapped from in reverse: its cell lies left of uv, so the
     domain does too, and by convexity no support point lies strictly
     right of uv.  Every other edge has domain interior on both sides,
     so its reverse always finds a facet.
+
+    The wrap checks no plane against every point: ``_certify`` proves
+    the whole result once, after it.
     """
     if not isinstance(lifting, LiftedSupport):
         lifting = LiftedSupport.from_mapping(lifting)
-    domain, cells, rim_lines = _wrap(lifting)
-    # the wrap's points and claimed edges are freed before assembling
-    return _assemble(lifting, domain, cells, rim_lines)
+    domain, pts3, cells, planes, rim_lines = _wrap(lifting)
+    _certify(pts3, cells, planes, rim_lines)
+    cells.sort(key=lambda c: c.polygon.vertices)
+    return _assemble(lifting, domain, tuple(cells), rim_lines)
 
 
 def _under_fan(pts3: dict, corners) -> dict:
@@ -230,7 +245,10 @@ def _column_extremes(heights) -> list[LatticePoint]:
 
 
 def _wrap(lifting: LiftedSupport):
-    """The domain, the sorted cells and each corner's rim-line bitmask."""
+    """The domain, the kept lifted points, the cells in the order found
+    with their integer planes (n0, n1, n2, level), and each corner's
+    rim-line bitmask.  A lifted point (x, y, z) lies strictly above a
+    cell's plane when n0*x + n1*y + n2*z > level; n2 > 0."""
     heights = lifting.entries  # sorted and distinct, see LiftedSupport
     if len(heights) < 3:
         raise DegenerateInputError("need at least 3 support points")
@@ -243,13 +261,14 @@ def _wrap(lifting: LiftedSupport):
     scale = lcm(*[d for _, d in ratios])
     pts3 = _under_fan({pt: (pt.i, pt.j, n * (scale // d))
                        for (pt, _), (n, d) in zip(heights, ratios)}, domain.vertices)
-    lifted = list(pts3.values())
+    kept = [(pt, x, y, z) for pt, (x, y, z) in pts3.items()]
     # bit k of a corner's mask: the corner lies on the line nx*i + ny*j = c
     # of domain edge k
     rim = _edge_lines(domain)
     lines: dict[LatticePoint, int] = {}
 
     cells: list[Cell] = []
+    planes: list[tuple[int, int, int, int]] = []
     claimed: set[tuple[LatticePoint, LatticePoint]] = set()
     queue = [_lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1])]
 
@@ -259,28 +278,39 @@ def _wrap(lifting: LiftedSupport):
             continue
         ax, ay, az = pts3[a]
         dx, dy, dz = pts3[b][0] - ax, pts3[b][1] - ay, pts3[b][2] - az
-        # c = (cx, cy, cz) is a point's offset from a, left of ab when
-        # dx*cy - dy*cx > 0; n = ab x u is the pick's normal, with n2 > 0
-        # (it points up) once a pick is made, because the pick is left of ab
-        n2 = 0
-        for x, y, z in lifted:
-            cx, cy = x - ax, y - ay
-            left = dx * cy - dy * cx
+        # for a point's offset c = (cx, cy, cz) from a, left = dx*cy - dy*cx
+        # is positive when the point is left of ab; n = ab x c for the pick
+        # is the current plane's normal and level = n.a, so side = n.c.
+        # The vertical plane comes first; n2 > 0 (n points up) once a pick
+        # is made, because the pick is left of ab
+        n0, n1, n2 = dy, -dx, 0
+        level = base = dy * ax - dx * ay
+        tied: list[LatticePoint] = []
+        on_line: list[LatticePoint] = []
+        for pt, x, y, z in kept:
+            left = dx * y - dy * x + base
             if left > 0:
-                cz = z - az
-                if not n2 or n0 * cx + n1 * cy + n2 * cz < 0:
+                side = n0 * x + n1 * y + n2 * z - level
+                if side < 0:
+                    cx, cy, cz = x - ax, y - ay, z - az
                     n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left
+                    level = n0 * ax + n1 * ay + n2 * az
+                    tied = [pt]
+                elif not side:
+                    tied.append(pt)
+            elif not left:
+                cx, cz = x - ax, z - az
+                if dx * cz == dz * cx and dy * cz == dz * (y - ay):
+                    on_line.append(pt)
         check(n2 > 0, "wrap edge has no support point on its left")
-        level = n0 * ax + n1 * ay + n2 * az
-        values = [n0 * x + n1 * y + n2 * z for x, y, z in lifted]
-        check(min(values) >= level, "wrap produced a non-supporting plane")
-        tight = [pt for pt, value in zip(pts3, values) if value == level]
+        tight = sorted(tied + on_line)
         den = n2 * scale
         plane = (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den))
         cell = Cell(convex_hull_of_sorted(tight), plane, tuple(tight))
         edge_list = list(cell.polygon.edges())
         check((a, b) in edge_list, "wrap edge is not a facet edge")
         cells.append(cell)
+        planes.append((n0, n1, n2, level))
         for v in cell.polygon.vertices:
             if v not in lines:
                 i, j = v
@@ -291,8 +321,71 @@ def _wrap(lifting: LiftedSupport):
             if not lines[u] & lines[v] and (v, u) not in claimed:
                 queue.append((v, u))
 
-    cells.sort(key=lambda c: c.polygon.vertices)
-    return domain, tuple(cells), lines
+    return domain, pts3, cells, planes, lines
+
+
+def _certify(pts3, cells, planes, lines) -> None:
+    """Prove that the cells and their tight points are exactly the lower
+    hull's, in O(points + edges) when few points are tight in no cell.
+
+    The input is what ``_wrap`` returns: ``pts3`` the kept lifted
+    points, each cell's tight points on its integer plane in ``planes``,
+    the cell polygon their hull, and ``lines`` the rim-line bitmasks.
+    It checks that
+
+    * each directed edge lies on the boundary of one cell only, with
+      the cell on its left;
+    * every edge off the rim has a cell on each side, and ``_assemble``
+      checks that the cells' areas sum to the domain's;
+    * every interior edge folds strictly upward: a corner of the cell
+      on its right, off the edge, lies strictly above the plane of the
+      cell on its left (one test per edge);
+    * every kept point that is tight in no cell lies strictly above
+      every cell's plane.
+
+    Why this is a proof.  Crossing an edge off the rim enters one cell
+    and leaves one, so the number of cells over a point is the same on
+    both sides of every such edge, so constant on the domain, and the
+    area sum makes it one: the cells tile the domain.  Two cells that
+    share an edge share its lifted ends, so their planes glue to a
+    continuous piecewise-affine F on the convex domain.  F is strictly
+    convex across every interior edge, so convex along every line that
+    avoids the corners, hence convex, and F is the max of the cell
+    planes (De Loera, Rambau, Santos, Triangulations, 2010, the local
+    convexity lemma).  So the loose points lie strictly above F, and the
+    points the fan dropped lie strictly above the fan, which is at least
+    F: its corners are kept points, on or above F, and F is convex.
+    Every lifted point is on or above F, the cells' corners are on it,
+    so F is the lower hull.  The strict folds make the cells its facets,
+    and a point on a cell's plane lies on F inside that cell, so it is
+    a left point of the cell's wrap edge on the plane, or on its lifted
+    line: the scan collected it.  Hence the cells and their tight sets
+    are exactly the lower hull's.
+    """
+    # each directed edge's cell, and the corner that follows the edge
+    owner: dict[tuple[LatticePoint, LatticePoint], tuple[int, LatticePoint]] = {}
+    for k, cell in enumerate(cells):
+        v = cell.polygon.vertices
+        for u, w, after in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+            if (u, w) in owner:
+                raise InternalCheckError(f"edge {u}-{w} claimed by two cells")
+            owner[u, w] = k, after
+    for (u, w), (k, _) in owner.items():
+        if lines[u] & lines[w]:
+            continue
+        if (w, u) not in owner:
+            raise InternalCheckError(f"inner edge {u}-{w} has a cell on one side only")
+        if u < w:
+            n0, n1, n2, level = planes[k]
+            x, y, z = pts3[owner[w, u][1]]
+            if not n0 * x + n1 * y + n2 * z > level:
+                raise InternalCheckError(f"inner edge {u}-{w} does not fold upward")
+    tight = {pt for cell in cells for pt in cell.tight}
+    loose = [p for pt, p in pts3.items() if pt not in tight]
+    for n0, n1, n2, level in planes:
+        for x, y, z in loose:
+            if not n0 * x + n1 * y + n2 * z > level:
+                raise InternalCheckError("wrap produced a non-supporting plane")
 
 
 def _assemble(lifting, domain, cells, lines) -> RegularSubdivision:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NonRegularInputError, NotCellUnionError, NotConnectedError
 from .lattice import lattice_length
@@ -29,15 +30,13 @@ from .subdivision import RegularSubdivision, SubdivisionEdge, classify_cells_by_
 Coords = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class TropicalVertex:
+class TropicalVertex(NamedTuple):
     coords: Coords
     dual_cell: int
     valence: int
 
 
-@dataclass(frozen=True)
-class TropicalEdge:
+class TropicalEdge(NamedTuple):
     kind: str  # "segment" or "ray"
     endpoints: tuple[int, ...]  # two vertex ids, or one for a ray
     direction: tuple[int, int] | None  # outward primitive vector, rays only

@@ -191,6 +191,19 @@ def test_lifted_syntax_errors_carry_positions():
         assert e.value.pos == pos, text
 
 
+def test_lifted_dangling_star_is_an_error_at_the_star():
+    # a '*' must be followed by a factor; "1*", "t*" and "tz*" used to
+    # parse, as the constant term, t and tz
+    for text, pos in [("1*", 1), ("t*", 1), ("tz*", 2), ("w*", 1), ("zw*", 2),
+                      ("t^2* ", 3), ("1*+tz", 1)]:
+        with pytest.raises(ParseError, match=re.escape("expected '+' or '-', found '*'")) as e:
+            parse_puiseux_poly(text)
+        assert e.value.pos == pos, text
+    assert parse_puiseux_poly("t*z") == parse_puiseux_poly("tz")
+    assert parse_puiseux_poly("1*tz") == parse_puiseux_poly("tz")
+    assert parse_puiseux_poly("1* t^2* w") == parse_puiseux_poly("t^2w")
+
+
 # --- JSON -------------------------------------------------------------------
 
 def test_json_plain_support():

@@ -20,7 +20,7 @@ from tropnewton.errors import (
     RegularityCertificationError,
     SchemaError,
 )
-from tropnewton.lattice import LatticePoint, convex_hull, cross
+from tropnewton.lattice import LatticePoint, convex_hull, convex_hull_of_sorted, cross
 from tropnewton.newton import analyze_support, decompose_diagram
 from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly
 from tropnewton import subdivision
@@ -209,6 +209,42 @@ def test_hull_oracle_on_ties_large_scales_and_late_winners():
     assert sd.cells[0].polygon.vertices == ((0, 0), (2, 0), (2, 2))
 
 
+def tie_heavy_liftings(rng):
+    """Liftings where the wrap's scan meets ties: affine grids, grids
+    folded along lines through lattice points (lifted points inside the
+    seed edge and inside interior edges), small-height grids with several
+    points tied for the pick, and the late-winner support plus affine
+    functions."""
+    late = {(0, 0): 0, (2, 0): 0, (2, 2): 0, (0, 2): 1, (1, 1): 1}
+    for _ in range(12):
+        w, h = rng.randrange(2, 6), rng.randrange(2, 6)
+        a, b, d = rng.randrange(-4, 5), rng.randrange(-4, 5), rng.randrange(1, 4)
+        yield {(i, j): Fraction(a * i + b * j, d) for i in range(w) for j in range(h)}
+        # a fold along a row, a column or a diagonal, over an affine base
+        fold = rng.choice([lambda i, j: max(0, j - 1), lambda i, j: abs(i - 2),
+                           lambda i, j: max(0, i - j), lambda i, j: max(i, j)])
+        k = rng.randrange(1, 4)
+        yield {(i, j): a * i + b * j + k * fold(i, j) for i in range(5) for j in range(4)}
+        # heights 0 to 2 on a small grid: many coplanar points
+        n = rng.randrange(3, 5)
+        yield {(i, j): rng.choice([0, 0, 1, 2]) for i in range(n) for j in range(n)}
+        yield {p: z + a * p[0] + b * p[1] for p, z in late.items()}
+
+
+def test_hull_oracle_on_tie_heavy_liftings():
+    rng = random.Random(20261019)
+    inside_rim_edge = inside_cell_edge = shared = 0
+    for heights in tie_heavy_liftings(rng):
+        sd = assert_matches_oracle(heights)
+        tight = [p for c in sd.cells for p in c.tight if p not in c.polygon.vertices]
+        inside_cell_edge += bool(tight)
+        inside_rim_edge += any(sd.domain.locate(p) == "boundary" for p in tight)
+        shared += len(tight) > len(set(tight))
+    # points inside rim edges and inside interior edges (tight in both
+    # cells) must be reached
+    assert min(inside_rim_edge, inside_cell_edge, shared) > 0
+
+
 def test_hull_on_lifted_text_input():
     ls = parse_puiseux_poly("1+tz+tw+t^3z^2+t^2zw+t^3w^2+t^6w^3")
     sd = lower_hull_subdivision(ls)
@@ -331,6 +367,47 @@ def test_wrap_checks_each_plane_supports_the_kept_points(monkeypatch):
     heights = {(0, 0): 0, (1, 0): -5, (2, 0): 0, (2, 2): 0, (0, 2): 0}
     with pytest.raises(InternalCheckError, match="wrap produced a non-supporting plane"):
         lower_hull_subdivision(heights)
+
+
+def wrapped(heights):
+    """The wrap's output for a lifting, as ``_certify`` takes it; the
+    untampered output passes."""
+    _, pts3, cells, planes, lines = subdivision._wrap(LiftedSupport.from_mapping(heights))
+    subdivision._certify(pts3, cells, planes, lines)
+    return pts3, cells, planes, lines
+
+
+def test_certificate_fails_on_a_flat_fold():
+    # the affine 4x4 grid is one cell; cut along its diagonal, the two
+    # halves share one plane, so the diagonal does not fold
+    pts3, (cell,), (plane,), lines = wrapped(
+        {(i, j): 3 * i - 2 * j for i in range(4) for j in range(4)})
+    halves = [tuple(p for p in cell.tight if side(p)) for side in
+              (lambda p: p.i >= p.j, lambda p: p.j >= p.i)]
+    cells = [subdivision.Cell(convex_hull_of_sorted(t), cell.plane, t) for t in halves]
+    with pytest.raises(InternalCheckError,
+                       match=r"inner edge \(0,0\)-\(3,3\) does not fold upward"):
+        subdivision._certify(pts3, cells, [plane, plane], lines)
+
+
+def test_certificate_fails_on_a_loose_point_on_a_plane():
+    # (2,2) lies on the fan, so it is kept, and 4 above both cells
+    pts3, cells, planes, lines = wrapped(
+        {(0, 0): 0, (4, 0): 0, (4, 4): 8, (0, 4): 0, (2, 2): 4})
+    assert (2, 2) not in {p for c in cells for p in c.tight}
+    pts3[LatticePoint(2, 2)] = (2, 2, 0)
+    with pytest.raises(InternalCheckError, match="wrap produced a non-supporting plane"):
+        subdivision._certify(pts3, cells, planes, lines)
+
+
+def test_certificate_fails_on_an_edge_claimed_twice_or_once():
+    # the dent at (1, 1) makes three cells around it
+    pts3, cells, planes, lines = wrapped({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
+    assert len(cells) == 3
+    with pytest.raises(InternalCheckError, match="claimed by two cells"):
+        subdivision._certify(pts3, cells + cells[:1], planes + planes[:1], lines)
+    with pytest.raises(InternalCheckError, match="has a cell on one side only"):
+        subdivision._certify(pts3, cells[1:], planes[1:], lines)
 
 
 def test_hull_of_seeded_liftings_is_pinned():

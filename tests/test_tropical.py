@@ -131,16 +131,16 @@ def test_tampered_quintic_curve_reports_each_violation():
         return rep.violations, (rep.complement_components, rep.bounded_components,
                                 rep.unbounded_components)
 
-    heavier = dataclasses.replace(edges[0], weight=2)
+    heavier = edges[0]._replace(weight=2)
     assert report(edges=(heavier,) + edges[1:]) == ((
         "edge 0: weight differs from dual lattice length",
         "vertex 0: balancing sum (0, 1)",
         "vertex 1: balancing sum (0, -1)"), (17, 6, 11))
-    inward = dataclasses.replace(edges[20], direction=(1, 0))
+    inward = edges[20]._replace(direction=(1, 0))
     assert report(edges=edges[:20] + (inward,) + edges[21:]) == ((
         "edge 20: ray points into the polygon",
         "vertex 0: balancing sum (2, 0)"), (17, 6, 11))
-    moved = dataclasses.replace(v0, coords=(v0.coords[0] + Fraction(1, 3), v0.coords[1]))
+    moved = v0._replace(coords=(v0.coords[0] + Fraction(1, 3), v0.coords[1]))
     assert report(vertices=(moved,) + tc.vertices[1:]) == ((
         "edge 0: not orthogonal to dual edge",
         "vertex 0: balancing sum (-1, 2)",
@@ -159,7 +159,7 @@ def test_tampered_quintic_curve_reports_each_violation():
         "coincident rays share direction and line"), (17, 6, 11))
     # vertex 0 onto its neighbour across edge 0: that segment has no length,
     # and vertex 0's ray (-1, 0) now runs along vertex 1's
-    onto = dataclasses.replace(v0, coords=tc.vertices[1].coords)
+    onto = v0._replace(coords=tc.vertices[1].coords)
     assert report(vertices=(onto,) + tc.vertices[1:]) == ((
         "edge 0: zero length segment",
         "edge 6: not orthogonal to dual edge",

@@ -5,8 +5,10 @@ checkout, so that two checkouts can be compared line by line.
     python3 tools/equivalence.py --quick    # seed 1, first 50 items per family
 
 Run it in the parent checkout and in the changed one and diff the two
-outputs: a change that keeps every answer prints the same lines.  The
-families are
+outputs: a change that keeps every answer prints the same lines.
+``tools/equivalence_quick.txt`` holds the ``--quick`` lines of the
+current outputs, and CI diffs against it; a change that means to change
+an output updates that file and says why.  The families are
 
   * liftings.{subdivision,curve,duality}: ``repr`` of the lower hull
     subdivision, its dual curve and the duality report on 500
