@@ -98,14 +98,14 @@ class LiftedSupport:
         A key that is not a pair of integral numbers is a SchemaError; a
         point named by two entries is a DuplicateMonomialError.  Keys
         become LatticePoints and heights Fractions, so the hull code can
-        trust both.
+        trust both; a height that is a Fraction already is kept as it is.
         """
         heights: dict[LatticePoint, Fraction] = {}
         for p, v in self.entries:
             point = lattice_key(p, "lifted support key")
             if point in heights:
                 raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
-            heights[point] = Fraction(v)
+            heights[point] = v if type(v) is Fraction else Fraction(v)
         if not heights:
             raise EmptySupportError("lifted support must be nonempty")
         object.__setattr__(self, "entries", tuple(sorted(heights.items())))
@@ -325,8 +325,10 @@ def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Frac
 
 
 def _take_star(sc: _Scanner) -> None:
-    """Take a '*' only when a factor t, z or w follows it: a dangling '*'
-    ends the term, and the term loop reports it."""
+    """Take a '*', with any whitespace around it, only when a factor t, z
+    or w follows it: a dangling '*' ends the term, and the term loop
+    reports it."""
+    sc.skip_ws()
     if sc.peek() == "*":
         after = sc.pos + 1
         while after < len(sc.text) and sc.text[after].isspace():

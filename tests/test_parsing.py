@@ -204,6 +204,25 @@ def test_lifted_dangling_star_is_an_error_at_the_star():
     assert parse_puiseux_poly("1* t^2* w") == parse_puiseux_poly("t^2w")
 
 
+def test_lifted_star_takes_whitespace_on_both_sides():
+    # "t *z+1+w" and "1 *t+z+w" used to stop at the star; germ text
+    # always took whitespace before a '*'
+    for spaced, plain in [("t *z+1+w", "tz+1+w"), ("1 *t+z+w", "t+z+w"),
+                          ("t* z+1+w", "tz+1+w"), ("t^2 * z * w+1", "t^2zw+1"),
+                          ("1 * t^(1/2)  *z+w+1", "t^(1/2)z+w+1")]:
+        assert parse_puiseux_poly(spaced) == parse_puiseux_poly(plain), spaced
+    assert parse_germ("x *y+y^3+x^2") == parse_germ("x*y+y^3+x^2")
+    assert parse_germ("2 *x^2+y^3") == parse_germ("2*x^2+y^3")
+    # a dangling star still ends the term, and the error is at the star;
+    # a factor out of order after a taken star is reported at the factor
+    for text, found, pos in [("t *", "*", 2), ("1 *", "*", 2), ("t * +z", "*", 2),
+                             ("w *t+1", "*", 2), ("t^3 *tz^2", "t", 5),
+                             ("z * w *t", "*", 6)]:
+        with pytest.raises(ParseError, match=re.escape(f"expected '+' or '-', found {found!r}")) as e:
+            parse_puiseux_poly(text)
+        assert e.value.pos == pos, text
+
+
 # --- JSON -------------------------------------------------------------------
 
 def test_json_plain_support():

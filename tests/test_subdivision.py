@@ -4,13 +4,14 @@ independent all-triples oracle."""
 import dataclasses
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 
-from tropnewton.corpus import SplitMix64, random_lifted_support
+from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_support
 from tropnewton.errors import (
     BadSequenceError,
     DegenerateHullError,
@@ -55,6 +56,15 @@ def test_default_lifting_is_triangular_numbers():
     lift = separable_lifting(CUSP)
     assert lift.as_dict() == parse_puiseux_poly(
         "1+tz+tw+t^3z^2+t^2zw+t^3w^2+t^6w^3").as_dict()
+
+
+def test_separable_lifting_keeps_one_object_per_height():
+    # the heights of x^40 + y^41 take 336 values over 862 points, and a
+    # Fraction height passes into LiftedSupport as it is
+    heights = [h for _, h in separable_lifting(analyze_support([(40, 0), (0, 41)])).entries]
+    assert len(heights) == 862 and len(set(heights)) == len({id(h) for h in heights}) == 336
+    half = Fraction(1, 2)
+    assert LiftedSupport.from_mapping({(0, 0): half, (1, 0): 1}).entries[0][1] is half
 
 
 def test_separable_lifting_custom_and_errors():
@@ -426,6 +436,89 @@ def test_hull_of_seeded_liftings_is_pinned():
         "0091bc38e8dabf48ac08bd58bd3c1ae93b4b3296aef1fb215222b21f4d39ef20",
         "d68ad5928c594b57d9782d6477cc89afb4518aa522c82cd0e8b4848d575e6577",
         "149a71636b8e6d7228c5fcfcb9d54783d578aba4473004855f9822f706cc0a82"]
+
+
+# --- squares by proof, the wrap over the pocket ---------------------------------
+
+def square_hull(lifting):
+    """The separable fast path, as ``_land`` runs it."""
+    return subdivision._proved(lifting, *subdivision._square_wrap(lifting))
+
+
+def increments(rng, count):
+    """``count`` strictly increasing increments, some of them fractional."""
+    out, v = [], Fraction(rng.between(-5, 5))
+    for _ in range(count):
+        out.append(v)
+        v += Fraction(rng.between(1, 6), rng.between(1, 3))
+    return out
+
+
+def test_full_squares_are_cells_of_the_oracle():
+    # the squares lemma: under a separable lifting with strictly
+    # increasing increments, every unit square with its four corners in
+    # the point set is a cell, and no other square is
+    rng = SplitMix64(14)
+    supports = [analyze_support(staircase_support(rng, 9, 9)).gamma_minus_lattice
+                for _ in range(30)]
+    for _ in range(10):
+        w, h = rng.between(2, 7), rng.between(2, 7)
+        supports.append([LatticePoint(i, j) for i in range(w) for j in range(h)])
+    for pts in supports:
+        lifting = separable_lifting(pts, increments(rng, max(p.i for p in pts) + 1),
+                                    increments(rng, max(p.j for p in pts) + 1))
+        full = {p for p in pts if {(p.i + 1, p.j), (p.i, p.j + 1), (p.i + 1, p.j + 1)} <= set(pts)}
+        squares = {c.polygon.vertices[0] for c in lower_hull_subdivision(lifting).cells
+                   if c.kind == "square"}
+        assert full and squares == full, pts
+
+
+def test_square_wrap_matches_the_oracle():
+    rng = SplitMix64(1)
+    supports = [staircase_support(rng, 12, 12) for _ in range(40)]
+    supports += [[(n, 0), (0, n + 1)] for n in range(2, 21)]
+    for support in supports:
+        nd = analyze_support(support)
+        for lifting in (separable_lifting(nd),
+                        subdivision._kinked_lifting(nd, (nd.p + nd.q) ** 2)):
+            assert repr(square_hull(lifting)) == repr(lower_hull_subdivision(lifting)), support
+
+
+def test_square_wrap_certificate_catches_a_raised_interior_height():
+    # the four squares at (2,2) are full, so the fast path builds them as
+    # cells; raised by 1, (2,2) leaves the hull (the oracle covers it with
+    # a quad), and the folds across the row and column through it fail
+    nd = analyze_support([(6, 0), (0, 7)])
+    heights = separable_lifting(nd).as_dict()
+    heights[LatticePoint(2, 2)] += 1
+    tampered = LiftedSupport.from_mapping(heights)
+    assert not any(LatticePoint(2, 2) in c.tight
+                   for c in lower_hull_subdivision(tampered).cells)
+    with pytest.raises(InternalCheckError,
+                       match=re.escape("inner edge (2,2)-(2,3) does not fold upward")):
+        square_hull(tampered)
+
+
+def test_square_wrap_scans_only_the_pocket(monkeypatch):
+    # x^n + y^(n+1): the pocket is the rim and the points under the
+    # hypotenuse, 2(p + q) - 3 points, and the wrap finds the p + q - 1
+    # triangles there, each with one scan over the pocket
+    scans = []
+    real = subdivision._wrap_over
+
+    def spy(points, *args):
+        cells, planes = real(points, *args)
+        scans.append((len(points), len(cells)))
+        return cells, planes
+
+    monkeypatch.setattr(subdivision, "_wrap_over", spy)
+    for n in (40, 80):
+        nd = analyze_support([(n, 0), (0, n + 1)])
+        scans.clear()
+        sd = square_hull(separable_lifting(nd))
+        pq = nd.p + nd.q
+        assert scans == [(2 * pq - 3, pq - 1)]
+        assert len(sd.cells) == len(nd.gamma_minus_lattice) - 2
 
 
 # --- the domain and its boundary vertices --------------------------------------

@@ -7,8 +7,9 @@ checkout, so that two checkouts can be compared line by line.
 Run it in the parent checkout and in the changed one and diff the two
 outputs: a change that keeps every answer prints the same lines.
 ``tools/equivalence_quick.txt`` holds the ``--quick`` lines of the
-current outputs, and CI diffs against it; a change that means to change
-an output updates that file and says why.  The families are
+current outputs and ``tools/equivalence_full.txt`` the full ones (about
+40 s), and CI diffs against both; a change that means to change an
+output updates those files and says why.  The families are
 
   * liftings.{subdivision,curve,duality}: ``repr`` of the lower hull
     subdivision, its dual curve and the duality report on 500
@@ -17,7 +18,11 @@ an output updates that file and says why.  The families are
   * {corpus,ladder}.{chosen,default}: ``repr(RegularSubdivision)`` under
     the lifting ``subdivide_diagram`` chooses and under the default
     separable lifting, on 200 ``staircase_support(SplitMix64(s), 12, 12)``
-    per seed and on the ladder x^n + y^(n+1), n = 2..40;
+    per seed and on the ladder x^n + y^(n+1), n = 2..40.  ``chosen``
+    digests the separable fast path (full squares by proof, the wrap
+    over the pocket) and ``default`` the general gift-wrap,
+    ``lower_hull_subdivision``, its oracle: the two agree exactly where
+    ``subdivide_diagram`` keeps the default lifting;
   * {corpus,ladder}.{json,emit-poly}: ``analyze(...).to_json()`` and the
     ``emit-poly`` text on the same germs;
   * svg: ``render_svg`` bytes of the quintic and the cusp, both regions.
