@@ -273,6 +273,7 @@ def _rational_exponent(sc: _Scanner) -> Fraction:
         neg = True
     num = sc.integer()
     den = 1
+    sc.skip_ws()
     if sc.peek() == "/":
         sc.take()
         den_pos = sc.pos
@@ -314,6 +315,7 @@ def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Frac
             continue
         sc.take()
         powers[var] = 1
+        sc.skip_ws()
         if sc.peek() == "^":
             sc.take()
             powers[var] = _rational_exponent(sc) if var == "t" else sc.natural_exponent()

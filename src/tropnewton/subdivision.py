@@ -12,10 +12,10 @@ prefilter drops the lifted points that lie strictly above the fan from
 the lowest lifted point to the domain corners: they lie strictly above
 the hull.  Then, over the kept points, one flat scan per facet picks
 it and collects its tight points.  After the wrap, one local
-certificate proves that the cells are the lower hull's: they tile the
-domain, every interior edge folds strictly upward, and every point
-tight in no cell lies strictly above every cell's plane (see
-``lower_hull_subdivision``).
+certificate, ``_certify``, proves that the cells are the lower hull's
+and builds the subdivision: they tile the domain, every interior edge
+folds strictly upward, every tight point lies on its cell's plane, and
+every point tight in no cell lies strictly above every cell's plane.
 The split of the cells' edges into rim and interior edges is on
 integers too, so there is no tolerance anywhere and no ``Fraction``
 until a cell's plane is built.  The wrap never finds a facet twice, so
@@ -48,8 +48,10 @@ minimum of the pencil through a wrap edge over the pocket points is the
 true facet: the true facet's plane holds a pocket point left of the
 edge, and every point lies on or above it.
 
-``_certify`` proves these results once, as it proves the general
-wrap's, and a cell census checks that they are the special tiling.
+Neither lemma is taken on trust: ``_certify`` proves these results
+as it proves the general wrap's, each square's fourth corner on its
+plane included, and a cell census checks that they are the special
+tiling.
 """
 
 from __future__ import annotations
@@ -221,14 +223,7 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
     """
     if not isinstance(lifting, LiftedSupport):
         lifting = LiftedSupport.from_mapping(lifting)
-    return _proved(lifting, *_wrap(lifting))
-
-
-def _proved(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
-    """The subdivision of a wrap's output, once ``_certify`` proves it."""
-    _certify(pts3, cells, planes, lines)
-    cells.sort(key=lambda c: c.polygon.vertices)
-    return _assemble(lifting, domain, tuple(cells), lines)
+    return _certify(lifting, *_wrap(lifting))
 
 
 def _under_fan(pts3: dict, corners) -> dict:
@@ -303,31 +298,16 @@ def _wrap(lifting: LiftedSupport):
 def _square_wrap(lifting: LiftedSupport):
     """``_wrap``'s output for a lifting that is separable with strictly
     increasing increments: the squares by proof, the scan only over the
-    pocket.
+    pocket (the squares and pocket lemmas, module docstring).
 
-    Squares lemma: for nu = A(i) + B(j) with A and B strictly convex and
-    L the affine interpolation of nu on a unit square, nu - L =
-    (A - A_lin) + (B - B_lin) >= 0 at every point, with equality exactly
-    at the square's four corners.  So every unit square whose four
-    corners are support points (a full square) is a cell, with the plane
-    through its corners, and its edges are claimed up front.
-
-    Pocket lemma: a point whose four incident squares are all full lies
-    only in square cells.  So every corner and every tight point of a
-    non-square cell is in the pocket, the points with at least one
-    incident square that is not full, and the minimum of the pencil over
-    the pocket points is the true facet.  The wrap therefore picks and
-    collects over the pocket only.  It starts from the squares' frontier
-    edges, the reverses of square edges that are off the rim and have no
-    square on their other side, or from the lower chain edge when there
-    is no square (then every point is in the pocket).
-
-    There is no fan prefilter: every lifted point lies on a strictly
-    convex surface, so the fan would drop none.  That a square's fourth
-    corner lies on the plane through the other three rests on
-    separability, which ``separable_lifting`` guarantees and nothing
-    here re-checks; ``_certify`` proves everything else, the pocket
-    cells included.
+    Every full square, one whose four corners are support points, is a
+    cell with the plane through three of its corners (``_certify``
+    checks the fourth), and its edges are claimed up front.  The wrap then picks and collects over the pocket only.
+    It starts from the squares' frontier edges, the reverses of square
+    edges that are off the rim and have no square on their other side,
+    or from the lower chain edge when there is no square (then every
+    point is in the pocket).  There is no fan prefilter: every lifted
+    point lies on a strictly convex surface, so the fan would drop none.
     """
     domain, scale, pts3 = _lifted(lifting)
     rim = _edge_lines(domain)
@@ -427,47 +407,66 @@ def _wrap_over(points: dict, scale: int, rim, lines: dict, claimed: set, queue: 
     return cells, planes
 
 
-def _certify(pts3, cells, planes, lines) -> None:
-    """Prove that the cells and their tight points are exactly the lower
-    hull's, in O(points + edges) when few points are tight in no cell.
+def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
+    """The subdivision of a wrap's output, once proved to be exactly the
+    lower hull's, in O(points + edges) when few points are tight in no
+    cell.
 
-    The input is what ``_wrap`` or ``_square_wrap`` returns: ``pts3``
-    the kept lifted points, each cell's tight points on its integer
-    plane in ``planes``, the cell polygon their hull, and ``lines`` the
-    rim-line bitmasks.  That the tight points lie on the planes is taken
-    as given: the scan puts them there by construction, and a square's
-    fourth corner lies on the plane through the other three by
-    separability (module docstring).  It checks that
+    The input is what ``_wrap`` or ``_square_wrap`` returns: the domain,
+    ``pts3`` the kept lifted points, the cells (each polygon the hull of
+    its tight points) with their integer planes in ``planes``, and
+    ``lines`` the rim-line bitmasks.  The cells, and their planes with
+    them, are sorted into vertex order first; that order fixes the cell
+    ids.  It checks that
 
-    * each directed edge lies on the boundary of one cell only, with
-      the cell on its left;
-    * every edge off the rim has a cell on each side, and ``_assemble``
-      checks that the cells' areas sum to the domain's;
-    * every interior edge folds strictly upward: a corner of the cell
-      on its right, off the edge, lies strictly above the plane of the
-      cell on its left (one test per edge);
-    * every kept point that is tight in no cell lies strictly above
-      every cell's plane.
+    1. each directed edge lies on the boundary of one cell only, with
+       the cell on its left;
+    2. every edge off the rim has a cell on each side;
+    3. every interior edge folds strictly upward: the corner after the
+       edge in the cell on its right lies strictly above the plane of
+       the cell on its left (one test per edge);
+    4. every cell's tight points lie on its plane (one test per tight
+       point);
+    5. every kept point that is tight in no cell lies strictly above
+       every cell's plane;
+    6. the cells' areas sum to the domain's.
+
+    The edge split.  Every cell corner lies on the inner side of every
+    domain edge, so an edge lies on the rim exactly when both its ends
+    lie on the line of one domain edge: when their ``lines`` bitmasks
+    share a bit.  One map from each directed edge to its cell gives
+    both lists, each edge as (min, max), sorted.  A rim edge has one
+    cell: a cell lies left of each of its counterclockwise edges and
+    inside the domain, so only the direction with the domain on its
+    left can bound a cell, and by 1 only one cell.  An edge off the rim
+    has two, by 1 and 2, and they differ, because a polygon of positive
+    area has no edge in both directions; its cell ids come ascending.
 
     Why this is a proof.  Crossing an edge off the rim enters one cell
     and leaves one, so the number of cells over a point is the same on
     both sides of every such edge, so constant on the domain, and the
     area sum makes it one: the cells tile the domain.  Two cells that
-    share an edge share its lifted ends, so their planes glue to a
-    continuous piecewise-affine F on the convex domain.  F is strictly
-    convex across every interior edge, so convex along every line that
-    avoids the corners, hence convex, and F is the max of the cell
-    planes (De Loera, Rambau, Santos, Triangulations, 2010, the local
-    convexity lemma).  So the loose points lie strictly above F, and the
-    points the fan dropped lie strictly above the fan, which is at least
-    F: its corners are kept points, on or above F, and F is convex.
-    Every lifted point is on or above F, the cells' corners are on it,
-    so F is the lower hull.  The strict folds make the cells its facets,
-    and a point on a cell's plane lies on F inside that cell, so it is
-    a left point of the cell's wrap edge on the plane, or on its lifted
-    line: the scan collected it.  Hence the cells and their tight sets
-    are exactly the lower hull's.
+    share an edge share its lifted ends, which by 4 lie on both planes,
+    so the planes glue to a continuous piecewise-affine F on the convex
+    domain.  F is strictly convex across every interior edge, so convex
+    along every line that avoids the corners, hence convex, and F is the
+    max of the cell planes (De Loera, Rambau, Santos, Triangulations,
+    2010, the local convexity lemma).  So the loose points lie strictly
+    above F, and the points the fan dropped lie strictly above the fan,
+    which is at least F: its corners are kept points, on or above F, and
+    F is convex.  Every lifted point is on or above F, the cells'
+    corners are on it, so F is the lower hull.  The strict folds make
+    the cells its facets, and a point on a cell's plane lies on F inside
+    that cell.  If the cell is a full square, the point is one of its
+    four corners.  Otherwise, it is in the pocket when the squares were
+    taken first (the full squares are cells, so the pocket lemma holds),
+    and it is a left point of the cell's wrap edge on the plane, or on
+    its lifted line: the scan collected it.  Hence the cells and their
+    tight sets are exactly the lower hull's.
     """
+    pairs = sorted(zip(cells, planes), key=lambda pair: pair[0].polygon.vertices)
+    cells = tuple(cell for cell, _ in pairs)
+    planes = [plane for _, plane in pairs]
     # each directed edge's cell, and the corner that follows the edge
     owner: dict[tuple[LatticePoint, LatticePoint], tuple[int, LatticePoint]] = {}
     for k, cell in enumerate(cells):
@@ -476,50 +475,36 @@ def _certify(pts3, cells, planes, lines) -> None:
             if (u, w) in owner:
                 raise InternalCheckError(f"edge {u}-{w} claimed by two cells")
             owner[u, w] = k, after
+    interior: list[SubdivisionEdge] = []
+    boundary: list[SubdivisionEdge] = []
     for (u, w), (k, _) in owner.items():
         if lines[u] & lines[w]:
-            continue
-        if (w, u) not in owner:
+            boundary.append(SubdivisionEdge(u, w, (k,)) if u < w else SubdivisionEdge(w, u, (k,)))
+        elif (w, u) not in owner:
             raise InternalCheckError(f"inner edge {u}-{w} has a cell on one side only")
-        if u < w:
+        elif u < w:
+            right, after = owner[w, u]
             n0, n1, n2, level = planes[k]
-            x, y, z = pts3[owner[w, u][1]]
+            x, y, z = pts3[after]
             if not n0 * x + n1 * y + n2 * z > level:
                 raise InternalCheckError(f"inner edge {u}-{w} does not fold upward")
-    tight = {pt for cell in cells for pt in cell.tight}
+            interior.append(SubdivisionEdge(u, w, (k, right) if k < right else (right, k)))
+    tight = set()
+    for cell, (n0, n1, n2, level) in zip(cells, planes):
+        for pt in cell.tight:
+            x, y, z = pts3[pt]
+            if n0 * x + n1 * y + n2 * z != level:
+                raise InternalCheckError(f"tight point {pt} is off its cell's plane")
+        tight.update(cell.tight)
     loose = [p for pt, p in pts3.items() if pt not in tight]
     for n0, n1, n2, level in planes:
         for x, y, z in loose:
             if not n0 * x + n1 * y + n2 * z > level:
                 raise InternalCheckError("wrap produced a non-supporting plane")
-
-
-def _assemble(lifting, domain, cells, lines) -> RegularSubdivision:
-    """Split the cells' edges into rim and interior edges.
-
-    Every cell corner lies on the inner side of every domain edge, so an
-    edge lies on the rim exactly when both its ends lie on the line of
-    one domain edge: when their ``lines`` bitmasks share a bit.
-    """
     check(sum(c.polygon.area2 for c in cells) == domain.area2,
           "cells do not tile the support hull")
-    # each edge's cell ids come in ascending order
-    incidence: dict[tuple[LatticePoint, LatticePoint], list[int]] = {}
-    for cid, cell in enumerate(cells):
-        for a, b in cell.polygon.edges():
-            key = (a, b) if a < b else (b, a)
-            incidence.setdefault(key, []).append(cid)
-    interior = []
-    boundary = []
-    for (a, b), ids in sorted(incidence.items()):
-        if lines[a] & lines[b]:
-            if len(ids) != 1:
-                raise InternalCheckError(f"rim edge {a}-{b} shared by {len(ids)} cells")
-            boundary.append(SubdivisionEdge(a, b, tuple(ids)))
-        else:
-            if len(ids) != 2:
-                raise InternalCheckError(f"inner edge {a}-{b} met {len(ids)} times")
-            interior.append(SubdivisionEdge(a, b, tuple(ids)))
+    interior.sort()
+    boundary.sort()
     return RegularSubdivision(lifting, domain, cells, tuple(interior),
                               tuple(boundary), tuple(sorted(lines)))
 
@@ -677,7 +662,7 @@ def _land(nd: NewtonDiagram, dec: StaircaseDecomposition, lifting: LiftedSupport
     each is a unit square or a half-square triangle, and the squares
     agree with the decomposition's square and touching counts.
     """
-    sd = _proved(lifting, *_square_wrap(lifting))
+    sd = _certify(lifting, *_square_wrap(lifting))
     inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
     result = SubdividedDiagram(nd, dec, sd, inside, used_fallback)
     if (clean and set(result.inside_kinds()) <= {"square", "half_triangle"}

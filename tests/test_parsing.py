@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_support
 from tropnewton.errors import (
     DuplicateMonomialError,
     EmptySupportError,
     NegativeExponentError,
     ParseError,
     SchemaError,
+    TropnewtonError,
 )
 from tropnewton.lattice import LatticePoint
 from tropnewton.parsing import (
@@ -221,6 +223,133 @@ def test_lifted_star_takes_whitespace_on_both_sides():
         with pytest.raises(ParseError, match=re.escape(f"expected '+' or '-', found {found!r}")) as e:
             parse_puiseux_poly(text)
         assert e.value.pos == pos, text
+
+
+def test_lifted_whitespace_before_caret_and_slash():
+    # "t ^2z", "t^(1 /2)z" and "t^1 /2z" used to stop at the '^' or the
+    # '/'; germ text always took whitespace before a '^'
+    for spaced, plain in [("t ^2z+1+w", "t^2z+1+w"), ("z ^2+1+w", "z^2+1+w"),
+                          ("t^(1 /2)z+1+w", "t^(1/2)z+1+w"), ("t^1 /2z+1+w", "t^1/2z+1+w"),
+                          ("t^(1/ 2)z+1+w", "t^(1/2)z+1+w")]:
+        assert parse_puiseux_poly(spaced) == parse_puiseux_poly(plain), spaced
+    assert parse_germ("x ^ 2 + y ^ 3") == parse_germ("x^2+y^3")
+
+
+_TOKEN = re.compile(r"\d+|[a-z]|[-+*^/()]")
+
+
+def lifted_tokens(rng, lifting):
+    """Tokens of a lifted text of ``lifting``: t exponents with and
+    without parentheses, factors joined by '*' or juxtaposed."""
+    tokens = []
+    for p, h in lifting.entries:
+        factors = []
+        if h == 1:
+            factors.append(["t"])
+        elif h:
+            num, den = str(h.numerator), str(h.denominator)
+            if den == "1":
+                factors.append(["t", "^", num])
+            elif rng.below(2):
+                factors.append(["t", "^", "(", num, "/", den, ")"])
+            else:
+                factors.append(["t", "^", num, "/", den])
+        for var, e in (("z", p.i), ("w", p.j)):
+            if e:
+                factors.append([var] if e == 1 else [var, "^", str(e)])
+        term = factors[0] if factors else ["1"]
+        for f in factors[1:]:
+            term = term + (["*"] if rng.below(2) else []) + f
+        tokens += (["+"] if tokens else []) + term
+    return tokens
+
+
+def spaced_variants(rng, tokens):
+    """A space at every token boundary, and one space at a drawn one
+    (the ends included)."""
+    k = rng.below(len(tokens) + 1)
+    return [" ".join(tokens), "".join(tokens[:k]) + " " + "".join(tokens[k:])]
+
+
+def test_one_space_at_any_token_boundary_changes_nothing():
+    rng = SplitMix64(15)
+    for _ in range(150):
+        support = SupportSet.from_points(staircase_support(rng))
+        tokens = _TOKEN.findall(germ_text(support))
+        assert "".join(tokens) == germ_text(support)
+        for text in spaced_variants(rng, tokens):
+            assert parse_germ(text) == support, text
+        lifting = random_lifted_support(rng)
+        shift = rng.below(3)
+        lifting = LiftedSupport(tuple((p, h - shift) for p, h in lifting.entries))
+        for text in spaced_variants(rng, lifted_tokens(rng, lifting)):
+            assert parse_puiseux_poly(text) == lifting, text
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+def fuzz_string(rng, alphabet):
+    return "".join(alphabet[rng.below(len(alphabet))] for _ in range(rng.below(13)))
+
+
+_JSON_SCALARS = [None, True, False, 0, 1, 2, -1, 10 ** 30, 1.5, "", "1", "3/2", "-1/2",
+                 "1/0", "x", "1/2/3", " 2"]
+_JSON_KEYS = ["i", "j", "t", "coeff", "monomials", "x"]
+
+
+def json_value(rng, depth=0):
+    """A random decoded JSON value: scalars, lists and objects."""
+    kind = rng.below(4 if depth < 3 else 1)
+    if kind == 1:
+        return [json_value(rng, depth + 1) for _ in range(rng.below(4))]
+    if kind == 2:
+        return {_JSON_KEYS[rng.below(len(_JSON_KEYS))]: json_value(rng, depth + 1)
+                for _ in range(rng.below(4))}
+    return _JSON_SCALARS[rng.below(len(_JSON_SCALARS))]
+
+
+def json_monomial(rng):
+    """Mostly well-formed entries with, now and then, a bad or extra field."""
+    if not rng.below(10):
+        return json_value(rng)
+    entry = {}
+    fields = {"i": lambda: rng.below(4), "j": lambda: rng.below(4),
+              "t": lambda: f"{rng.between(-3, 3)}/{rng.between(1, 3)}",
+              "coeff": lambda: rng.between(-2, 2)}
+    for key, good in fields.items():
+        if rng.below(4):
+            entry[key] = good() if rng.below(5) else json_value(rng)
+    if not rng.below(10):
+        entry[_JSON_KEYS[rng.below(len(_JSON_KEYS))]] = json_value(rng)
+    return entry
+
+
+def json_object(rng):
+    """Mostly a "monomials" list, now and then with an extra key; else
+    any JSON value."""
+    if not rng.below(10):
+        return json_value(rng)
+    obj = {"monomials": [json_monomial(rng) for _ in range(rng.below(6))]}
+    if not rng.below(10):
+        obj[_JSON_KEYS[rng.below(len(_JSON_KEYS))]] = json_value(rng)
+    return obj
+
+
+def test_parsers_raise_only_their_own_errors():
+    # every input parses or raises a TropnewtonError, never another exception
+    rng = SplitMix64(10)
+    for parse, draw, count in [
+            (parse_germ, lambda: fuzz_string(rng, "xxyyi0123456789+-*^  "), 5000),
+            (parse_puiseux_poly, lambda: fuzz_string(rng, "ttzzww01123456789+-*^/()  "), 5000),
+            (parse_json_obj, lambda: json_object(rng), 3000)]:
+        parsed = 0
+        for _ in range(count):
+            try:
+                parse(draw())
+                parsed += 1
+            except TropnewtonError:
+                pass
+        assert 0 < parsed < count, parse
 
 
 # --- JSON -------------------------------------------------------------------

@@ -382,8 +382,9 @@ def test_wrap_checks_each_plane_supports_the_kept_points(monkeypatch):
 def wrapped(heights):
     """The wrap's output for a lifting, as ``_certify`` takes it; the
     untampered output passes."""
-    _, pts3, cells, planes, lines = subdivision._wrap(LiftedSupport.from_mapping(heights))
-    subdivision._certify(pts3, cells, planes, lines)
+    lifting = LiftedSupport.from_mapping(heights)
+    domain, pts3, cells, planes, lines = subdivision._wrap(lifting)
+    subdivision._certify(lifting, domain, pts3, cells, planes, lines)
     return pts3, cells, planes, lines
 
 
@@ -397,7 +398,7 @@ def test_certificate_fails_on_a_flat_fold():
     cells = [subdivision.Cell(convex_hull_of_sorted(t), cell.plane, t) for t in halves]
     with pytest.raises(InternalCheckError,
                        match=r"inner edge \(0,0\)-\(3,3\) does not fold upward"):
-        subdivision._certify(pts3, cells, [plane, plane], lines)
+        subdivision._certify(None, None, pts3, cells, [plane, plane], lines)
 
 
 def test_certificate_fails_on_a_loose_point_on_a_plane():
@@ -407,7 +408,7 @@ def test_certificate_fails_on_a_loose_point_on_a_plane():
     assert (2, 2) not in {p for c in cells for p in c.tight}
     pts3[LatticePoint(2, 2)] = (2, 2, 0)
     with pytest.raises(InternalCheckError, match="wrap produced a non-supporting plane"):
-        subdivision._certify(pts3, cells, planes, lines)
+        subdivision._certify(None, None, pts3, cells, planes, lines)
 
 
 def test_certificate_fails_on_an_edge_claimed_twice_or_once():
@@ -415,9 +416,47 @@ def test_certificate_fails_on_an_edge_claimed_twice_or_once():
     pts3, cells, planes, lines = wrapped({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
     assert len(cells) == 3
     with pytest.raises(InternalCheckError, match="claimed by two cells"):
-        subdivision._certify(pts3, cells + cells[:1], planes + planes[:1], lines)
+        subdivision._certify(None, None, pts3, cells + cells[:1], planes + planes[:1], lines)
     with pytest.raises(InternalCheckError, match="has a cell on one side only"):
-        subdivision._certify(pts3, cells[1:], planes[1:], lines)
+        subdivision._certify(None, None, pts3, cells[1:], planes[1:], lines)
+
+
+def test_certificate_fails_on_a_tight_point_off_its_plane():
+    # one cell, with (2,2) tight inside it; lifted off the plane after the
+    # wrap, it breaks no fold, so only the tight-point check sees it
+    lifting = LiftedSupport.from_mapping({(0, 0): 0, (4, 0): 4, (4, 4): 8, (0, 4): 4,
+                                          (2, 2): 4, (2, 0): 2, (1, 3): 5})
+    domain, pts3, cells, planes, lines = subdivision._wrap(lifting)
+    assert [LatticePoint(2, 2) in c.tight for c in cells] == [True]
+    pts3[LatticePoint(2, 2)] = (2, 2, 5)
+    with pytest.raises(InternalCheckError,
+                       match=re.escape("tight point (2,2) is off its cell's plane")):
+        subdivision._certify(lifting, domain, pts3, cells, planes, lines)
+
+
+def test_certificate_fails_when_the_cells_do_not_tile():
+    lifting = LiftedSupport.from_mapping({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
+    domain, pts3, _, _, lines = subdivision._wrap(lifting)
+    with pytest.raises(InternalCheckError, match="cells do not tile the support hull"):
+        subdivision._certify(lifting, domain, pts3, [], [], lines)
+
+
+def test_wrap_fails_on_an_edge_with_no_point_on_its_left(monkeypatch):
+    # the first edge reversed has the outside of the domain on its left
+    real = subdivision._lower_chain_edge
+    monkeypatch.setattr(subdivision, "_lower_chain_edge",
+                        lambda pts3, a, b: real(pts3, a, b)[::-1])
+    with pytest.raises(InternalCheckError,
+                       match="wrap edge has no support point on its left"):
+        lower_hull_subdivision({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
+
+
+def test_wrap_fails_on_an_edge_that_is_not_a_facet_edge(monkeypatch):
+    # (1,0) lifts onto the line from (0,0) to (2,0), so the facet found
+    # from (0,0)->(1,0) has the edge (0,0)->(2,0) instead
+    monkeypatch.setattr(subdivision, "_lower_chain_edge", lambda pts3, a, b: ((0, 0), (1, 0)))
+    with pytest.raises(InternalCheckError, match="wrap edge is not a facet edge"):
+        lower_hull_subdivision({(0, 0): 0, (1, 0): 1, (2, 0): 2, (2, 2): 0, (0, 2): 5})
 
 
 def test_hull_of_seeded_liftings_is_pinned():
@@ -442,7 +481,7 @@ def test_hull_of_seeded_liftings_is_pinned():
 
 def square_hull(lifting):
     """The separable fast path, as ``_land`` runs it."""
-    return subdivision._proved(lifting, *subdivision._square_wrap(lifting))
+    return subdivision._certify(lifting, *subdivision._square_wrap(lifting))
 
 
 def increments(rng, count):
@@ -496,6 +535,21 @@ def test_square_wrap_certificate_catches_a_raised_interior_height():
                    for c in lower_hull_subdivision(tampered).cells)
     with pytest.raises(InternalCheckError,
                        match=re.escape("inner edge (2,2)-(2,3) does not fold upward")):
+        square_hull(tampered)
+
+
+def test_square_wrap_certificate_checks_each_fourth_corner():
+    # raised by 1/3, (2,2) breaks its four squares (the oracle has 31
+    # cells, the untampered lifting 27), yet every fold of the fast path's
+    # 27 cells still goes upward; the square at (1,1) takes its plane from
+    # its other three corners, and its fourth corner (2,2) is off it
+    nd = analyze_support([(6, 0), (0, 7)])
+    heights = separable_lifting(nd).as_dict()
+    heights[LatticePoint(2, 2)] += Fraction(1, 3)
+    tampered = LiftedSupport.from_mapping(heights)
+    assert len(lower_hull_subdivision(tampered).cells) == 31
+    with pytest.raises(InternalCheckError,
+                       match=re.escape("tight point (2,2) is off its cell's plane")):
         square_hull(tampered)
 
 
