@@ -216,6 +216,7 @@ def _parse_germ_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, tuple[
     coeff_pos = sc.pos
     if sc.peek().isdigit():
         n = sc.integer()
+        sc.skip_ws()  # "2 i" is 2i, as "2 x" is 2x
         if sc.peek() == "i":
             sc.take()
             coeff = (0, n)

@@ -28,7 +28,8 @@ convex partial sums achieves this for straight boundaries and many bent
 ones; for the rest, the same lifting kinked along the rows and columns
 of the boundary corners does (see ``subdivide_diagram``).  Both are
 separable with strictly increasing increments, so their hull is built
-by ``_square_wrap`` and most of it needs no search, by two lemmas.
+by ``_square_wrap``: most of it needs no search, and the rest only a
+short one along lines, by three lemmas.
 
 Squares lemma.  Take a separable nu = A(i) + B(j) with A and B
 strictly convex, and let L be the affine interpolation of nu on a unit
@@ -48,16 +49,37 @@ minimum of the pencil through a wrap edge over the pocket points is the
 true facet: the true facet's plane holds a pocket point left of the
 edge, and every point lies on or above it.
 
-Neither lemma is taken on trust: ``_certify`` proves these results
-as it proves the general wrap's, each square's fourth corner on its
-plane included, and a cell census checks that they are the special
+Line lemma.  The pocket pick need not scan the pocket either.  For a
+wrap edge ab, every plane through the lifted a and b is z = l + s*left,
+with l one affine function through them and left the affine function
+that vanishes on the line of ab and is positive on its left; the pick
+is a left point c with the least s(c) = (z_c - l(c)) / left(c), and
+the ties at that least value are the tight points left of ab.  Along
+any lattice line, z is strictly convex (A or B is, and the other term
+is constant or convex), so z - l - t*left is too, for every t: it is
+at most 0 on an interval of the line, and 0 at two points at most.  At
+a left point, s <= t exactly where it is at most 0.  So over the left
+points of one line, in order, s strictly falls, then strictly rises,
+with at most two points tied at its least value, next to each other:
+a gallop and a bisection find them (``_first_least``).  Along one
+line, left is affine, so the line's left points are a prefix or a
+suffix of it, or all of it or none when the line is parallel to ab.
+By the same convexity, a and b are the only points of the line of ab
+on the lifted line through them, so no other point of that line is
+tight.
+
+None of the lemmas is taken on trust: ``_certify`` proves these
+results as it proves the general wrap's, each square's fourth corner
+on its plane included, and ``_land`` checks that they are the special
 tiling.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, groupby
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -291,18 +313,21 @@ def _wrap(lifting: LiftedSupport):
     pts3 = _under_fan(pts3, domain.vertices)
     lines: dict[LatticePoint, int] = {}
     first = _lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1])
-    cells, planes = _wrap_over(pts3, scale, _edge_lines(domain), lines, set(), [first])
+    cells, planes = _wrap_over(pts3, scale, _edge_lines(domain), lines, set(), [first],
+                               _scan_pick(pts3))
     return domain, pts3, cells, planes, lines
 
 
 def _square_wrap(lifting: LiftedSupport):
     """``_wrap``'s output for a lifting that is separable with strictly
-    increasing increments: the squares by proof, the scan only over the
-    pocket (the squares and pocket lemmas, module docstring).
+    increasing increments: the squares by proof, the pick by a search
+    along the lines of the pocket (the squares, pocket and line lemmas,
+    module docstring).
 
     Every full square, one whose four corners are support points, is a
     cell with the plane through three of its corners (``_certify``
-    checks the fourth), and its edges are claimed up front.  The wrap then picks and collects over the pocket only.
+    checks the fourth), and its edges are claimed up front.  The wrap
+    then picks and collects over the pocket only, with ``_line_pick``.
     It starts from the squares' frontier edges, the reverses of square
     edges that are off the rim and have no square on their other side,
     or from the lower chain edge when there is no square (then every
@@ -317,13 +342,20 @@ def _square_wrap(lifting: LiftedSupport):
     planes: list[tuple[int, int, int, int]] = []
     full = set()
     key = {pt: pt for pt in pts3}.get  # the support's own point objects
+    # a square's slopes are the increments of its column and its row, so
+    # squares share them: one Fraction per slope
+    slope: dict[int, Fraction] = {}
     for ll, (i, j, z) in pts3.items():
         lr, ul, ur = key((i + 1, j)), key((i, j + 1)), key((i + 1, j + 1))
         if lr and ul and ur:
             # z rises by z(lr) - z along i and by z(ul) - z along j
             n0, n1 = z - pts3[lr][2], z - pts3[ul][2]
             level = n0 * i + n1 * j + z
-            plane = (Fraction(-n0, scale), Fraction(-n1, scale), Fraction(level, scale))
+            if n0 not in slope:
+                slope[n0] = Fraction(-n0, scale)
+            if n1 not in slope:
+                slope[n1] = Fraction(-n1, scale)
+            plane = (slope[n0], slope[n1], Fraction(level, scale))
             # a unit square, counterclockwise from its smallest corner
             square = ConvexPolygon._trusted((ll, lr, ur, ul))
             cells.append(Cell(square, plane, (ll, ul, lr, ur)))
@@ -337,7 +369,8 @@ def _square_wrap(lifting: LiftedSupport):
         queue.append(_lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1]))
     pocket = {pt: p for pt, p in pts3.items()
               if not {pt, (pt.i - 1, pt.j), (pt.i, pt.j - 1), (pt.i - 1, pt.j - 1)} <= full}
-    more_cells, more_planes = _wrap_over(pocket, scale, rim, lines, claimed, queue)
+    more_cells, more_planes = _wrap_over(pocket, scale, rim, lines, claimed, queue,
+                                         _line_pick(pocket))
     return domain, pts3, cells + more_cells, planes + more_planes, lines
 
 
@@ -351,19 +384,45 @@ def _mark_rim(lines: dict, rim, vertices) -> None:
                             if nx * i + ny * j == c])
 
 
-def _wrap_over(points: dict, scale: int, rim, lines: dict, claimed: set, queue: list):
-    """The gift-wrap from the edges in ``queue``, one scan over
-    ``points`` per facet (see ``lower_hull_subdivision``): the cells in
-    the order found and their integer planes.  ``claimed`` holds the
+def _wrap_over(points: dict, scale: int, rim, lines: dict, claimed: set, queue: list, pick):
+    """The gift-wrap from the edges in ``queue``, one ``pick`` over
+    ``points`` per facet: the cells in the order found and their
+    integer planes.  ``pick(a, b)`` gives the normal (n0, n1, n2) and
+    level of the least plane through the lifted a and b on which a
+    point left of ab lies, with n2 > 0 unless there is no such point,
+    and the facet's tight points, sorted.  ``claimed`` holds the
     directed edges that already have a cell on their left, and
     ``lines`` the rim-line masks; both grow with each cell."""
     cells: list[Cell] = []
     planes: list[tuple[int, int, int, int]] = []
-    kept = [(pt, x, y, z) for pt, (x, y, z) in points.items()]
     while queue:
         a, b = queue.pop()
         if (a, b) in claimed:
             continue
+        n0, n1, n2, level, tight = pick(a, b)
+        check(n2 > 0, "wrap edge has no support point on its left")
+        den = n2 * scale
+        plane = (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den))
+        cell = Cell(convex_hull_of_sorted(tight), plane, tuple(tight))
+        edge_list = list(cell.polygon.edges())
+        check((a, b) in edge_list, "wrap edge is not a facet edge")
+        cells.append(cell)
+        planes.append((n0, n1, n2, level))
+        _mark_rim(lines, rim, cell.polygon.vertices)
+        for u, v in edge_list:
+            claimed.add((u, v))
+            if not lines[u] & lines[v] and (v, u) not in claimed:
+                queue.append((v, u))
+    return cells, planes
+
+
+def _scan_pick(points: dict):
+    """The general pick: one flat scan over ``points`` per wrap edge
+    picks the facet and collects its tight points (see
+    ``lower_hull_subdivision``)."""
+    kept = [(pt, x, y, z) for pt, (x, y, z) in points.items()]
+
+    def pick(a, b):
         ax, ay, az = points[a]
         dx, dy, dz = points[b][0] - ax, points[b][1] - ay, points[b][2] - az
         # for a point's offset c = (cx, cy, cz) from a, left = dx*cy - dy*cx
@@ -390,21 +449,143 @@ def _wrap_over(points: dict, scale: int, rim, lines: dict, claimed: set, queue: 
                 cx, cz = x - ax, z - az
                 if dx * cz == dz * cx and dy * cz == dz * (y - ay):
                     on_line.append(pt)
-        check(n2 > 0, "wrap edge has no support point on its left")
-        tight = sorted(tied + on_line)
-        den = n2 * scale
-        plane = (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den))
-        cell = Cell(convex_hull_of_sorted(tight), plane, tuple(tight))
-        edge_list = list(cell.polygon.edges())
-        check((a, b) in edge_list, "wrap edge is not a facet edge")
-        cells.append(cell)
-        planes.append((n0, n1, n2, level))
-        _mark_rim(lines, rim, cell.polygon.vertices)
-        for u, v in edge_list:
-            claimed.add((u, v))
-            if not lines[u] & lines[v] and (v, u) not in claimed:
-                queue.append((v, u))
-    return cells, planes
+        return n0, n1, n2, level, sorted(tied + on_line)
+
+    return pick
+
+
+# a line with more pocket points than this is searched, the rest are
+# scanned: on a shorter line, a search's fixed cost (a call, a bisect and
+# a few tests) is about that of the scan
+_SEARCHED = 16
+
+
+def _line_pick(points: dict):
+    """The pocket pick of ``_square_wrap``, by the line lemma (module
+    docstring): the pocket's items, each a point and its lifted point,
+    are split along whichever axis has fewer lines, columns or rows,
+    each sorted along itself.
+
+    For a wrap edge ab, ``bisect`` finds the left points of each long
+    line, and ``_first_least``, starting where the line crosses the
+    line of ab, the first of them with the least pencil parameter s;
+    the point after it is its only possible tie partner.  Those two points of
+    each long line and every point of the short lines then go through
+    one scan, as in ``lower_hull_subdivision``: the first left point
+    becomes the pick, a point strictly below the current plane replaces
+    it, and a point on it is tied with it.  So the tie list ends as
+    every pocket point left of ab on the least plane, and with a and b,
+    the only tight points on the line of ab, it is the facet's tight
+    set.
+    """
+    items = list(points.items())  # in point order: by column, then by row
+    axis = 0 if len({pt.i for pt in points}) <= len({pt.j for pt in points}) else 1
+    by_col = not axis
+
+    def across(item):
+        return item[0][axis]
+
+    if axis:
+        items.sort(key=across)  # stable, so each row stays sorted
+    scanned: list = []
+    searched = []
+    for c, run in groupby(items, across):
+        line = list(run)
+        if len(line) > _SEARCHED:
+            searched.append((c, [pt[1 - axis] for pt, _ in line], line))
+        else:
+            scanned += line
+
+    def pick(a, b):
+        ax, ay, az = points[a]
+        bx, by, bz = points[b]
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        base = dy * ax - dx * ay  # left = dx*y - dy*x + base
+        # along a line, with t its running coordinate, left = sl*t + ol
+        sl = dx if by_col else -dy
+        kept: list = []
+        for c, ts, line in searched:
+            ol = base - dy * c if by_col else base + dx * c
+            # the left points, and where the line crosses the line of ab
+            if sl > 0:
+                lo, hi = bisect_right(ts, -ol // sl), len(ts)
+                k = lo
+            elif sl < 0:
+                lo, hi = 0, bisect_left(ts, -(ol // sl))
+                k = hi - 1
+            elif ol > 0:
+                lo, hi = 0, len(ts)
+                k = min(bisect_left(ts, ay if by_col else ax), hi - 1)
+            else:
+                continue
+            if lo < hi:
+                first = _first_least(line, lo, hi, k, ax, ay, az, dx, dy, dz)
+                kept += line[first:first + 2]
+        # the vertical plane first, then as in ``_scan_pick``
+        n0, n1, n2 = dy, -dx, 0
+        level = base
+        tied: list[LatticePoint] = []
+        for pt, (x, y, z) in chain(scanned, kept):
+            left = dx * y - dy * x + base
+            if left > 0:
+                side = n0 * x + n1 * y + n2 * z - level
+                if side < 0:
+                    cx, cy, cz = x - ax, y - ay, z - az
+                    n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left
+                    level = n0 * ax + n1 * ay + n2 * az
+                    tied = [pt]
+                elif not side:
+                    tied.append(pt)
+        tied += (a, b)
+        tied.sort()
+        return n0, n1, n2, level, tied
+
+    return pick
+
+
+def _first_least(line: list, lo: int, hi: int, k: int, ax, ay, az, dx, dy, dz) -> int:
+    """The first index of the least pencil parameter s over the left
+    points ``line[lo:hi]`` of a wrap edge from a = (ax, ay, az) along
+    d = (dx, dy, dz), by a gallop from index k and a bisection.
+
+    s falls from m - 1 to m, that is det(d, u - a, v - a) < 0 for the
+    lifted points u of line[m - 1] and v of line[m], exactly for
+    lo < m <= that index (line lemma, module docstring).  The search
+    keeps the index in [first, last), and the gallop doubles its step
+    away from k until the test turns, so an index d places from k costs
+    O(log d) tests.
+    """
+
+    def falls(m):
+        _, (ux, uy, uz) = line[m - 1]
+        _, (vx, vy, vz) = line[m]
+        ux, uy, uz, vx, vy, vz = ux - ax, uy - ay, uz - az, vx - ax, vy - ay, vz - az
+        return dx * (uy * vz - uz * vy) - dy * (ux * vz - uz * vx) + dz * (ux * vy - uy * vx) < 0
+
+    first, last, step = lo, hi, 1
+    if k > lo and not falls(k):
+        last = k
+        while last - step > first:
+            if falls(last - step):
+                first = last - step
+                break
+            last -= step
+            step *= 2
+    else:
+        first = k
+        while first + step < last:
+            if not falls(first + step):
+                last = first + step
+                break
+            first += step
+            step *= 2
+    while last - first > 1:
+        m = (first + last) // 2
+        if falls(m):
+            first = m
+        else:
+            last = m
+    return first
 
 
 def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
@@ -571,23 +752,23 @@ def classify_cells_by_region(sd: RegularSubdivision, region) -> tuple[tuple[int,
     The region may be non-convex.  It is clean when every unit lattice
     step of its boundary lies on a subdivision edge, interior or
     boundary, and the inside cells' areas sum to the region's area.
-    Why the first half suffices for the cell list: the cells have
-    disjoint interiors and tile the convex domain, so a boundary on
-    their 1-skeleton lies in the domain; each cell's interior is
-    connected and misses that boundary, so it lies wholly inside or
-    wholly outside the region, as its interior point does.  The area
-    sum is the second, independent half of the certificate.  When the
-    region is not clean the list still names the cells whose interior
-    point is inside, but they need not tile it.
+    The steps are tested first: when one misses the skeleton, the region
+    is not clean, no cell is located and the list is empty.  Why the
+    steps suffice for the cell list: the cells have disjoint interiors
+    and tile the convex domain, so a boundary on their 1-skeleton lies
+    in the domain; each cell's interior is connected and misses that
+    boundary, so it lies wholly inside or wholly outside the region, as
+    its interior point does.  The area sum is the second, independent
+    half of the certificate.
     """
     steps = {s for e in sd.interior_edges + sd.boundary_edges
              for s in _unit_steps(e.a, e.b)}
-    on_skeleton = all(s in steps for a, b in region.edges()
-                      for s in _unit_steps(a, b))
+    if not all(s in steps for a, b in region.edges() for s in _unit_steps(a, b)):
+        return (), False
     inside = tuple(cid for cid, cell in enumerate(sd.cells)
                    if region.locate(cell.polygon.interior_point()) == "inside")
     area = sum(sd.cells[c].polygon.area2 for c in inside)
-    return inside, on_skeleton and area == region.area2
+    return inside, area == region.area2
 
 
 # --- square counting lemmas ------------------------------------------------
@@ -656,18 +837,33 @@ class SubdividedDiagram:
 def _land(nd: NewtonDiagram, dec: StaircaseDecomposition, lifting: LiftedSupport,
           used_fallback: bool) -> SubdividedDiagram | None:
     """The subdivided diagram if the lifting, separable with strictly
-    increasing increments, lands on the special tiling.
+    increasing increments, lands on the special tiling: the cells under
+    the boundary tile the region exactly, and each is a unit square or
+    a half-square triangle.  ``classify_cells_by_region`` tests the
+    boundary's unit steps against the skeleton before it locates any
+    cell, so a lifting that misses one costs no point location.
 
-    Landing means: the cells under the boundary tile the region exactly,
-    each is a unit square or a half-square triangle, and the squares
-    agree with the decomposition's square and touching counts.
+    The decomposition's counts then hold with no test.  Let R be the
+    region; the support is every lattice point of R.  The inside squares
+    are the unit squares in R: a unit square in R has its four corners
+    in the support, so it is a cell by the squares lemma (module
+    docstring), and inside; an inside cell lies in R, since the cells
+    tile it.  A unit square in R lies in one piece of the decomposition,
+    whose cuts run along lattice lines and the boundary; a staircase
+    rectangle holds its area of them, and a corner triangle with coprime
+    legs p and q holds (p - 1)(q - 1)/2, so there are
+    ``dec.square_count``.  The boundary falls strictly, so a unit square
+    in R meets it only in its upper right corner, whose coordinates are
+    positive: an inner lattice point of the boundary.  Each inner
+    lattice point g is the upper right corner of the unit square below
+    and left of it, which lies in R, since R holds every point below and
+    left of one of its points.  So ``touching_square_count`` is
+    ``dec.touching_count``, one square per inner lattice point.
     """
     sd = _certify(lifting, *_square_wrap(lifting))
     inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
     result = SubdividedDiagram(nd, dec, sd, inside, used_fallback)
-    if (clean and set(result.inside_kinds()) <= {"square", "half_triangle"}
-            and len(result.square_cell_ids) == dec.square_count
-            and result.touching_square_count == dec.touching_count):
+    if clean and set(result.inside_kinds()) <= {"square", "half_triangle"}:
         return result
     return None
 
@@ -703,9 +899,9 @@ def subdivide_diagram(nd: NewtonDiagram) -> SubdividedDiagram:
     ``_land`` builds each hull with ``_square_wrap``: the full unit
     squares by the squares lemma, the gift-wrap only over the pocket
     (module docstring), and one ``_certify`` proof of the whole result.
-    The cell census then checks that the result is the special tiling;
-    a miss of the kinked lifting raises RegularityCertificationError
-    rather than passing silently.
+    ``_land`` then checks that the result is the special tiling; a miss
+    of the kinked lifting raises RegularityCertificationError rather
+    than passing silently.
     """
     dec = decompose_diagram(nd)
     result = _land(nd, dec, separable_lifting(nd), False)

@@ -286,6 +286,22 @@ def test_one_space_at_any_token_boundary_changes_nothing():
             assert parse_puiseux_poly(text) == lifting, text
 
 
+def test_space_before_i_changes_nothing():
+    # juxtaposition is a product, so "2 i" reads as 2i, as "2 x" reads as 2x
+    rng = SplitMix64(16)
+    for _ in range(300):
+        terms = {}
+        for k, cell in enumerate(rng.sample(0, 35, rng.between(1, 6))):
+            c = rng.between(1, 4) * (1 if rng.below(2) else -1)
+            terms[divmod(cell, 6)] = (0, c) if not k or rng.below(2) else (c, 0)
+        support = SupportSet.from_points(terms.keys(), terms)
+        text = germ_text(support)
+        assert "i" in text
+        assert parse_germ(text.replace("i", " i")) == support, text
+    assert parse_germ("2 i*x^2+y^3") == parse_germ("2i*x^2+y^3")
+    assert parse_germ("x^2+2 \ti") == parse_germ("x^2+2i")
+
+
 # --- fuzzing ----------------------------------------------------------------
 
 def fuzz_string(rng, alphabet):

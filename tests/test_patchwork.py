@@ -83,6 +83,22 @@ def test_report_golden_values():
             assert not dataclasses.replace(rep, **{field: False}).verdicts_hold
 
 
+def test_simple_singularity_table():
+    # A_k = x^2 + y^(k+1) and its transpose have mu = k, two branches when
+    # k is odd and one when it is even, and delta = (mu + branches - 1)/2;
+    # E_6 = x^3 + y^4 and E_8 = x^3 + y^5 have mu 6 and 8 and one branch
+    table = []
+    for k in range(1, 61):
+        branches = 2 if k % 2 else 1
+        want = (k, branches, (k + branches - 1) // 2)
+        table += [(f"x^2+y^{k + 1}", want), (f"x^{k + 1}+y^2", want)]
+    table += [("x^3+y^4", (6, 1, 3)), ("x^3+y^5", (8, 1, 4))]
+    for text, want in table:
+        rep = analyze(parse_germ(text))
+        assert (rep.mu, rep.branches, rep.delta) == want, text
+        assert rep.verdicts_hold, text
+
+
 def test_report_preconditions_propagate():
     with pytest.raises(NotSingularAtOriginError):
         analyze([(1, 0), (0, 2)])

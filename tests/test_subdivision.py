@@ -513,13 +513,19 @@ def test_full_squares_are_cells_of_the_oracle():
 
 
 def test_square_wrap_matches_the_oracle():
+    # thin diagrams and the higher rungs have lines long enough to be
+    # searched, along columns or along rows; drawn increments bend them
     rng = SplitMix64(1)
     supports = [staircase_support(rng, 12, 12) for _ in range(40)]
     supports += [[(n, 0), (0, n + 1)] for n in range(2, 21)]
+    supports += [[(2, 0), (0, 41)], [(3, 0), (0, 29)], [(37, 0), (0, 2)], [(25, 0), (0, 3)],
+                 [(2, 0), (1, 5), (0, 41)], [(33, 0), (4, 1), (0, 2)]]
     for support in supports:
         nd = analyze_support(support)
         for lifting in (separable_lifting(nd),
-                        subdivision._kinked_lifting(nd, (nd.p + nd.q) ** 2)):
+                        subdivision._kinked_lifting(nd, (nd.p + nd.q) ** 2),
+                        separable_lifting(nd, increments(rng, nd.p + 1),
+                                          increments(rng, nd.q + 1))):
             assert repr(square_hull(lifting)) == repr(lower_hull_subdivision(lifting)), support
 
 
@@ -573,6 +579,114 @@ def test_square_wrap_scans_only_the_pocket(monkeypatch):
         pq = nd.p + nd.q
         assert scans == [(2 * pq - 3, pq - 1)]
         assert len(sd.cells) == len(nd.gamma_minus_lattice) - 2
+
+
+def test_line_pick_equals_the_flat_scan_on_any_edge(monkeypatch):
+    # the line lemma holds for any two pocket points a and b, not only for
+    # the edges the wrap pops: from a vertical unit edge of a full square,
+    # the square's other side ties on one line, and an edge parallel to the
+    # searched lines can have a long line on its left
+    pockets = []
+    real = subdivision._wrap_over
+
+    def spy(points, *args):
+        pockets.append(points)
+        return real(points, *args)
+
+    monkeypatch.setattr(subdivision, "_wrap_over", spy)
+    rng = SplitMix64(16)
+    for support in ([(2, 0), (0, 41)], [(37, 0), (0, 2)], [(3, 0), (1, 6), (0, 35)],
+                    [(30, 0), (0, 20)]):
+        nd = analyze_support(support)
+        for lifting in (subdivision._kinked_lifting(nd, (nd.p + nd.q) ** 2),
+                        separable_lifting(nd, increments(rng, nd.p + 1),
+                                          increments(rng, nd.q + 1))):
+            pockets.clear()
+            square_hull(lifting)
+            [pocket] = pockets
+            by_lines, flat = subdivision._line_pick(pocket), subdivision._scan_pick(pocket)
+            points = list(pocket)
+            pairs = [(a, b) for a in points for b in points
+                     if abs(a.i - b.i) + abs(a.j - b.j) == 1]
+            for _ in range(500):
+                a, b = (points[k] for k in rng.sample(0, len(points) - 1, 2))
+                pairs.append((a, b) if rng.below(2) else (b, a))
+            for a, b in pairs:
+                got, want = by_lines(a, b), flat(a, b)
+                assert got[4] == want[4], (support, a, b)
+                assert got[2] == want[2] == 0 or all(
+                    Fraction(u, got[2]) == Fraction(v, want[2])
+                    for u, v in zip(got[:2] + got[3:4], want[:2] + want[3:4])), (support, a, b)
+
+
+class Counted(tuple):
+    """A lifted point that counts its reads, each unpacking of it."""
+
+    reads = 0
+
+    def __iter__(self):
+        Counted.reads += 1
+        return super().__iter__()
+
+
+def test_pocket_pick_searches_the_lines_of_a_thin_diagram(monkeypatch):
+    # x^2 + y^1001: all 1504 points are in the pocket and 1002 facets are
+    # wrapped from it, so a flat scan reads 1002 * 1504 = 1507008 points;
+    # the pick reads a and b, the first least point of each long column
+    # and its neighbour, the tests on the way there, and the short column
+    real_lifted, real_wrap = subdivision._lifted, subdivision._wrap_over
+
+    def lifted(lifting):
+        domain, scale, pts3 = real_lifted(lifting)
+        return domain, scale, {pt: Counted(p) for pt, p in pts3.items()}
+
+    monkeypatch.setattr(subdivision, "_lifted", lifted)
+    wraps = []
+
+    def spy(points, *args):
+        Counted.reads = 0
+        cells, planes = real_wrap(points, *args)
+        wraps.append((len(points), len(cells), Counted.reads))
+        return cells, planes
+
+    monkeypatch.setattr(subdivision, "_wrap_over", spy)
+    nd = analyze_support([(2, 0), (0, 1001)])
+    sd = square_hull(separable_lifting(nd))
+    [(pocket, facets, reads)] = wraps
+    assert (pocket, facets) == (1504, 1002)
+    assert reads == 23388
+    assert reads <= 0.02 * pocket * facets
+    assert sum(cell.kind == "half_triangle" for cell in sd.cells) == facets
+
+
+def test_a_missed_landing_locates_no_cell(monkeypatch):
+    # the default lifting's skeleton misses the boundary, which is decided
+    # before any point location; the kinked lifting then lands, with one
+    # location per cell, on the subdivision it landed on before
+    nd = analyze_support(parse_germ("x^11+x^7*y^3+x^5*y^4+x^3*y^5+x*y^7+y^8").points)
+    region = type(nd.gamma_minus)
+    real_locate, real_land = region.locate, subdivision._land
+    located = []
+
+    def locate(self, p):
+        located.append(p)
+        return real_locate(self, p)
+
+    monkeypatch.setattr(region, "locate", locate)
+    attempts = []
+
+    def land(*args):
+        located.clear()
+        out = real_land(*args)
+        attempts.append((out is not None, len(located)))
+        return out
+
+    monkeypatch.setattr(subdivision, "_land", land)
+    sdd = subdivide_diagram(nd)
+    assert sdd.used_fallback
+    assert attempts == [(False, 0), (True, len(sdd.subdivision.cells))]
+    assert hashlib.sha256(repr((sdd.subdivision, sdd.inside_cells)).encode()).hexdigest() \
+        == "c8aab1b94a94ea4b2a8c6bb425931dbf9cfc299872868b1553cb5bca095fc502"
 
 
 # --- the domain and its boundary vertices --------------------------------------

@@ -25,7 +25,11 @@ output updates those files and says why.  The families are
     ``subdivide_diagram`` keeps the default lifting;
   * {corpus,ladder}.{json,emit-poly}: ``analyze(...).to_json()`` and the
     ``emit-poly`` text on the same germs;
-  * svg: ``render_svg`` bytes of the quintic and the cusp, both regions.
+  * svg: ``render_svg`` bytes of the quintic and the cusp, both regions;
+  * thin.{chosen,default,json}: as for the corpus, on thin diagrams, for
+    k = 2, 4, 8, ... up to 256 (128 with ``--quick``): x^2 + y^(k+1) and
+    x^(k+1) + y^2, x^3 + y^k and x^k + y^3 (k >= 4), and the bent
+    x^2 + x*y^(k/8) + y^(k+1) (k >= 8), which takes the kinked lifting.
 
 Standard library only; the package is imported from this checkout's
 ``src``.
@@ -54,6 +58,7 @@ from tropnewton.tropical import dual_tropical_curve, verify_duality  # noqa: E40
 LIFTINGS = 500
 GERMS = 200
 LADDER = range(2, 41)
+THIN = 8
 FIGURES = {"quintic": [(5, 0), (2, 2), (0, 5)], "cusp": [(2, 0), (0, 3)]}
 
 
@@ -81,6 +86,19 @@ def _germ_family(supports) -> dict[str, list[str]]:
     return out
 
 
+def thin_supports(top: int) -> list[list[tuple[int, int]]]:
+    """The thin diagrams for k = 2, 4, ..., 2^top (module docstring)."""
+    out = []
+    for m in range(1, top + 1):
+        k = 2 ** m
+        out += [[(2, 0), (0, k + 1)], [(k + 1, 0), (0, 2)]]
+        if m >= 2:
+            out += [[(3, 0), (0, k)], [(k, 0), (0, 3)]]
+        if m >= 3:
+            out.append([(2, 0), (1, k // 8), (0, k + 1)])
+    return out
+
+
 def families(quick: bool):
     """(name, texts) for every family, in a fixed order."""
     seeds = (1,) if quick else (1, 2, 3)
@@ -98,6 +116,10 @@ def families(quick: bool):
         yield f"ladder.{name} n={LADDER[0]}..{LADDER[0] + len(ladder) - 1}", texts
     yield "svg", [render_svg(points, region=region)
                   for points in FIGURES.values() for region in REGIONS]
+    top = THIN - 1 if quick else THIN
+    for name, texts in _germ_family(thin_supports(top)).items():
+        if name != "emit-poly":
+            yield f"thin.{name} k<={2 ** top}", texts
 
 
 def main(argv=None) -> int:
