@@ -49,7 +49,11 @@ class LatticePoint(NamedTuple):
 
 def lattice_key(p, what: str = "point") -> LatticePoint:
     """``p`` as a LatticePoint: a SchemaError unless it is a pair of
-    integral numbers, so no coordinate is ever truncated."""
+    integral numbers, so no coordinate is ever truncated.  A LatticePoint
+    with ``int`` coordinates is returned as it is, so keys already checked
+    are not copied."""
+    if type(p) is LatticePoint and type(p[0]) is int and type(p[1]) is int:
+        return p
     try:
         i, j = p
         lattice = int(i) == i and int(j) == j
@@ -292,6 +296,12 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
     the points are not all collinear, the vertices are distinct,
     strictly convex and counterclockwise.  With three points the turn
     sign orders them from pts[0] directly.
+
+    Each half skips a point that comes right after another point of its
+    column in the half's order, unless it ends the half: it lies
+    straight above that point (below, in the upper half), so the first
+    point of the next column would pop it and leave the chain as it
+    was.
     """
     if len(pts) < 3:
         raise DegenerateHullError(f"{len(pts)} distinct points")
@@ -303,10 +313,16 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
             raise DegenerateHullError("all points collinear")
         return ConvexPolygon._trusted((p, q, r) if turn > 0 else (p, r, q))
 
+    last = len(pts) - 1
+
     def half(seq):
         chain: list[LatticePoint] = []
-        for p in seq:
+        column = None
+        for k, p in enumerate(seq):
             px, py = p
+            if px == column and k < last:
+                continue
+            column = px
             while len(chain) >= 2:
                 (ox, oy), (ax, ay) = chain[-2], chain[-1]
                 if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:

@@ -5,9 +5,9 @@ The central construction lifts each support point (i, j) to height
 nu(i, j) and takes the lower convex hull; facets project to the cells
 of a regular subdivision.  The hull is a gift-wrap over integer triples
 (heights are scaled by their common denominator).  The domain is the
-hull of the lowest and highest point of each column: a point with
-another point of its column above it and one below lies inside a
-vertical segment, so it is no hull corner.  First a fan
+hull of the support, whose monotone chain skips every point but the
+lowest and the highest of its column (``convex_hull_of_sorted``).
+First a fan
 prefilter drops the lifted points that lie strictly above the fan from
 the lowest lifted point to the domain corners: they lie strictly above
 the hull.  Then, over the kept points, one flat scan per facet picks
@@ -81,6 +81,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -106,12 +107,12 @@ from .parsing import LiftedSupport
 Plane = tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One facet of the lower hull, projected to the plane.
 
     ``tight`` holds every support point on the facet, including points
-    interior to edges; ``polygon`` keeps only the corners.
+    interior to edges; ``polygon`` keeps only the corners.  A named
+    tuple, like ``SubdivisionEdge``: one is built per facet.
     """
 
     polygon: ConvexPolygon
@@ -152,10 +153,15 @@ class RegularSubdivision:
     def boundary_vertex_count(self) -> int:
         """Vertices on the domain's boundary: those on the inner side of
         every domain edge line nx*i + ny*j = c and on one of them, so the
-        least nx*i + ny*j - c is zero (``ConvexPolygon.locate``'s test)."""
-        lines = _edge_lines(self.domain)
-        return sum(1 for v in self.vertices
-                   if min(nx * v.i + ny * v.j - c for nx, ny, c in lines) == 0)
+        least nx*i + ny*j - c is zero (``ConvexPolygon.locate``'s test).
+        One pass per line collects the vertices on it and those outside."""
+        on, outside = set(), set()
+        for nx, ny, c in _edge_lines(self.domain):
+            for v in self.vertices:
+                s = nx * v[0] + ny * v[1]
+                if s <= c:
+                    (on if s == c else outside).add(v)
+        return len(on - outside)
 
 
 def _edge_lines(polygon: ConvexPolygon) -> list[tuple[int, int, int]]:
@@ -172,9 +178,10 @@ def _lower_chain_edge(pts3, a, b):
     where it runs, keeps both corners, so the chain holds at least a
     and b.
     """
-    dx, dy = b.i - a.i, b.j - a.j
+    ai, aj = a
+    dx, dy = b.i - ai, b.j - aj
     on_line = [(x * dx + y * dy, z, pt) for pt, (x, y, z) in pts3.items()
-               if dx * (y - a.j) == dy * (x - a.i)]
+               if dx * (y - aj) == dy * (x - ai)]
     on_line.sort()
     chain: list = []
     for t, z, pt in on_line:
@@ -251,10 +258,13 @@ def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSub
 def _under_fan(pts3: dict, corners) -> dict:
     """The lifted points on or below the fan from the lowest one, m (see
     ``lower_hull_subdivision``).  Each point is located in the cone at m
-    of its fan triangle and dropped only when it lies strictly above
-    that triangle's plane.
+    of a fan triangle that holds it and dropped only when it lies
+    strictly above that triangle's plane.  The cones are tried largest
+    triangle first, so most points are located in few tests.  A point on
+    the ray shared by two cones lies in both, and both planes hold m and
+    the lifted corner on that ray, so they agree along it.
     """
-    mx, my, mz = min(pts3.values(), key=lambda p: p[2])
+    mx, my, mz = min(pts3.values(), key=itemgetter(2))
     lifted = [pts3[c] for c in corners]
     fans = []
     for (ux, uy, uz), (vx, vy, vz) in zip(lifted[-1:] + lifted[:-1], lifted):
@@ -263,6 +273,7 @@ def _under_fan(pts3: dict, corners) -> dict:
         if n2 > 0:
             # the normal (u x v) points up, so n.c > 0 is strictly above
             fans.append((ux, uy, vx, vy, uy * vz - uz * vy, uz * vx - ux * vz, n2))
+    fans.sort(key=itemgetter(6), reverse=True)  # n2 is twice the triangle's area
     kept = {}
     for pt, p in pts3.items():
         cx, cy, cz = p[0] - mx, p[1] - my, p[2] - mz
@@ -276,18 +287,6 @@ def _under_fan(pts3: dict, corners) -> dict:
     return kept
 
 
-def _column_extremes(heights) -> list[LatticePoint]:
-    """The lowest and the highest point of each column, in point order:
-    the only possible hull corners (see the module docstring), so their
-    hull is the hull of all the points."""
-    out: list[LatticePoint] = []
-    for (pt, _), (nxt, _) in zip(heights, heights[1:]):
-        if not out or out[-1].i != pt.i or nxt.i != pt.i:
-            out.append(pt)
-    out.append(heights[-1][0])
-    return out
-
-
 def _lifted(lifting: LiftedSupport):
     """The domain, the height scale, and each point's integer lifted
     point (i, j, scale * height), in point order."""
@@ -295,26 +294,26 @@ def _lifted(lifting: LiftedSupport):
     if len(heights) < 3:
         raise DegenerateInputError("need at least 3 support points")
     try:
-        domain = convex_hull_of_sorted(_column_extremes(heights))
+        domain = convex_hull_of_sorted([pt for pt, _ in heights])
     except DegenerateHullError:
         raise DegenerateInputError("support points are collinear") from None
     ratios = [h.as_integer_ratio() for _, h in heights]
-    scale = lcm(*[d for _, d in ratios])
-    return domain, scale, {pt: (pt.i, pt.j, n * (scale // d))
+    scale = lcm(*{d for _, d in ratios})
+    # a LatticePoint plus a 1-tuple is the plain triple (i, j, z)
+    return domain, scale, {pt: pt + (n * (scale // d),)
                            for (pt, _), (n, d) in zip(heights, ratios)}
 
 
 def _wrap(lifting: LiftedSupport):
     """The domain, the kept lifted points, the cells in the order found
-    with their integer planes (n0, n1, n2, level), and each corner's
+    with their integer planes (n0, n1, n2, level), and each kept point's
     rim-line bitmask.  A lifted point (x, y, z) lies strictly above a
     cell's plane when n0*x + n1*y + n2*z > level; n2 > 0."""
     domain, scale, pts3 = _lifted(lifting)
     pts3 = _under_fan(pts3, domain.vertices)
-    lines: dict[LatticePoint, int] = {}
+    lines = _rim_masks(pts3, _edge_lines(domain))
     first = _lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1])
-    cells, planes = _wrap_over(pts3, scale, _edge_lines(domain), lines, set(), [first],
-                               _scan_pick(pts3))
+    cells, planes = _wrap_over(pts3, scale, lines, set(), [first], _scan_pick(pts3))
     return domain, pts3, cells, planes, lines
 
 
@@ -335,8 +334,7 @@ def _square_wrap(lifting: LiftedSupport):
     point lies on a strictly convex surface, so the fan would drop none.
     """
     domain, scale, pts3 = _lifted(lifting)
-    rim = _edge_lines(domain)
-    lines: dict[LatticePoint, int] = {}
+    lines = _rim_masks(pts3, _edge_lines(domain))
     claimed: set[tuple[LatticePoint, LatticePoint]] = set()
     cells: list[Cell] = []
     planes: list[tuple[int, int, int, int]] = []
@@ -361,7 +359,6 @@ def _square_wrap(lifting: LiftedSupport):
             cells.append(Cell(square, plane, (ll, ul, lr, ur)))
             planes.append((n0, n1, 1, level))
             claimed.update(((ll, lr), (lr, ur), (ur, ul), (ul, ll)))
-            _mark_rim(lines, rim, (ll, lr, ur, ul))
             full.add(ll)
     # the frontier: square edges off the rim with no square on their right
     queue = [(v, u) for u, v in claimed if (v, u) not in claimed and not lines[u] & lines[v]]
@@ -369,30 +366,31 @@ def _square_wrap(lifting: LiftedSupport):
         queue.append(_lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1]))
     pocket = {pt: p for pt, p in pts3.items()
               if not {pt, (pt.i - 1, pt.j), (pt.i, pt.j - 1), (pt.i - 1, pt.j - 1)} <= full}
-    more_cells, more_planes = _wrap_over(pocket, scale, rim, lines, claimed, queue,
+    more_cells, more_planes = _wrap_over(pocket, scale, lines, claimed, queue,
                                          _line_pick(pocket))
     return domain, pts3, cells + more_cells, planes + more_planes, lines
 
 
-def _mark_rim(lines: dict, rim, vertices) -> None:
-    """Bit k of a corner's mask: the corner lies on the line
-    nx*i + ny*j = c of domain edge k."""
-    for v in vertices:
-        if v not in lines:
-            i, j = v
-            lines[v] = sum([1 << k for k, (nx, ny, c) in enumerate(rim)
-                            if nx * i + ny * j == c])
+def _rim_masks(points: dict, rim) -> dict[LatticePoint, int]:
+    """Each point's rim-line bitmask: bit k is set when the point lies on
+    the line nx*i + ny*j = c of domain edge k.  One pass per line."""
+    masks = dict.fromkeys(points, 0)
+    for k, (nx, ny, c) in enumerate(rim):
+        for pt, (x, y, _) in points.items():
+            if nx * x + ny * y == c:
+                masks[pt] |= 1 << k
+    return masks
 
 
-def _wrap_over(points: dict, scale: int, rim, lines: dict, claimed: set, queue: list, pick):
+def _wrap_over(points: dict, scale: int, lines: dict, claimed: set, queue: list, pick):
     """The gift-wrap from the edges in ``queue``, one ``pick`` over
     ``points`` per facet: the cells in the order found and their
     integer planes.  ``pick(a, b)`` gives the normal (n0, n1, n2) and
     level of the least plane through the lifted a and b on which a
     point left of ab lies, with n2 > 0 unless there is no such point,
     and the facet's tight points, sorted.  ``claimed`` holds the
-    directed edges that already have a cell on their left, and
-    ``lines`` the rim-line masks; both grow with each cell."""
+    directed edges that already have a cell on their left, and grows
+    with each cell; ``lines`` holds every point's rim-line mask."""
     cells: list[Cell] = []
     planes: list[tuple[int, int, int, int]] = []
     while queue:
@@ -400,19 +398,22 @@ def _wrap_over(points: dict, scale: int, rim, lines: dict, claimed: set, queue: 
         if (a, b) in claimed:
             continue
         n0, n1, n2, level, tight = pick(a, b)
-        check(n2 > 0, "wrap edge has no support point on its left")
+        if n2 <= 0:
+            raise InternalCheckError("wrap edge has no support point on its left")
+        polygon = convex_hull_of_sorted(tight)
+        v = polygon.vertices
+        edges = list(zip(v, v[1:] + v[:1]))
+        if (a, b) not in edges:
+            raise InternalCheckError("wrap edge is not a facet edge")
         den = n2 * scale
-        plane = (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den))
-        cell = Cell(convex_hull_of_sorted(tight), plane, tuple(tight))
-        edge_list = list(cell.polygon.edges())
-        check((a, b) in edge_list, "wrap edge is not a facet edge")
-        cells.append(cell)
+        cells.append(Cell(polygon, (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den)),
+                          tuple(tight)))
         planes.append((n0, n1, n2, level))
-        _mark_rim(lines, rim, cell.polygon.vertices)
-        for u, v in edge_list:
-            claimed.add((u, v))
-            if not lines[u] & lines[v] and (v, u) not in claimed:
-                queue.append((v, u))
+        claimed.update(edges)
+        # no edge of one polygon is the reverse of another of its edges
+        for u, w in edges:
+            if not lines[u] & lines[w] and (w, u) not in claimed:
+                queue.append((w, u))
     return cells, planes
 
 
@@ -424,28 +425,31 @@ def _scan_pick(points: dict):
 
     def pick(a, b):
         ax, ay, az = points[a]
-        dx, dy, dz = points[b][0] - ax, points[b][1] - ay, points[b][2] - az
-        # for a point's offset c = (cx, cy, cz) from a, left = dx*cy - dy*cx
-        # is positive when the point is left of ab; n = ab x c for the pick
-        # is the current plane's normal and level = n.a, so side = n.c.
-        # The vertical plane comes first; n2 > 0 (n points up) once a pick
-        # is made, because the pick is left of ab
+        bx, by, bz = points[b]
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        # for a point's offset c = (cx, cy, cz) from a, dx*cy - dy*cx is
+        # positive when the point is left of ab, that is when dx*y - dy*x
+        # exceeds ``rest``; n = ab x c for the pick is the current plane's
+        # normal and level = n.a, so the point is below the plane when
+        # n.p < level.  The vertical plane comes first; n2 > 0 (n points
+        # up) once a pick is made, because the pick is left of ab
+        rest = dx * ay - dy * ax
         n0, n1, n2 = dy, -dx, 0
-        level = base = dy * ax - dx * ay
+        level = -rest
         tied: list[LatticePoint] = []
         on_line: list[LatticePoint] = []
         for pt, x, y, z in kept:
-            left = dx * y - dy * x + base
-            if left > 0:
-                side = n0 * x + n1 * y + n2 * z - level
-                if side < 0:
+            left = dx * y - dy * x
+            if left > rest:
+                side = n0 * x + n1 * y + n2 * z
+                if side < level:
                     cx, cy, cz = x - ax, y - ay, z - az
-                    n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left
+                    n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left - rest
                     level = n0 * ax + n1 * ay + n2 * az
                     tied = [pt]
-                elif not side:
+                elif side == level:
                     tied.append(pt)
-            elif not left:
+            elif left == rest:
                 cx, cz = x - ax, z - az
                 if dx * cz == dz * cx and dy * cz == dz * (y - ay):
                     on_line.append(pt)
@@ -523,18 +527,18 @@ def _line_pick(points: dict):
                 kept += line[first:first + 2]
         # the vertical plane first, then as in ``_scan_pick``
         n0, n1, n2 = dy, -dx, 0
-        level = base
+        level, rest = base, -base
         tied: list[LatticePoint] = []
         for pt, (x, y, z) in chain(scanned, kept):
-            left = dx * y - dy * x + base
-            if left > 0:
-                side = n0 * x + n1 * y + n2 * z - level
-                if side < 0:
+            left = dx * y - dy * x
+            if left > rest:
+                side = n0 * x + n1 * y + n2 * z
+                if side < level:
                     cx, cy, cz = x - ax, y - ay, z - az
-                    n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left
+                    n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left - rest
                     level = n0 * ax + n1 * ay + n2 * az
                     tied = [pt]
-                elif not side:
+                elif side == level:
                     tied.append(pt)
         tied += (a, b)
         tied.sort()
@@ -596,9 +600,9 @@ def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
     The input is what ``_wrap`` or ``_square_wrap`` returns: the domain,
     ``pts3`` the kept lifted points, the cells (each polygon the hull of
     its tight points) with their integer planes in ``planes``, and
-    ``lines`` the rim-line bitmasks.  The cells, and their planes with
-    them, are sorted into vertex order first; that order fixes the cell
-    ids.  It checks that
+    ``lines`` the kept points' rim-line bitmasks.  The cells, and their
+    planes with them, are sorted into vertex order first; that order
+    fixes the cell ids.  It checks that
 
     1. each directed edge lies on the boundary of one cell only, with
        the cell on its left;
@@ -648,23 +652,32 @@ def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
     pairs = sorted(zip(cells, planes), key=lambda pair: pair[0].polygon.vertices)
     cells = tuple(cell for cell, _ in pairs)
     planes = [plane for _, plane in pairs]
-    # each directed edge's cell, and the corner that follows the edge
+    # each directed edge's cell, and the corner that follows the edge; the
+    # corners and the cells' shoelace sums on the way
     owner: dict[tuple[LatticePoint, LatticePoint], tuple[int, LatticePoint]] = {}
+    corners: set[LatticePoint] = set()
+    area2 = 0
     for k, cell in enumerate(cells):
         v = cell.polygon.vertices
-        for u, w, after in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+        corners.update(v)
+        u, w = v[-2], v[-1]
+        for after in v:
             if (u, w) in owner:
                 raise InternalCheckError(f"edge {u}-{w} claimed by two cells")
             owner[u, w] = k, after
+            area2 += u[0] * w[1] - w[0] * u[1]
+            u, w = w, after
     interior: list[SubdivisionEdge] = []
     boundary: list[SubdivisionEdge] = []
     for (u, w), (k, _) in owner.items():
         if lines[u] & lines[w]:
             boundary.append(SubdivisionEdge(u, w, (k,)) if u < w else SubdivisionEdge(w, u, (k,)))
-        elif (w, u) not in owner:
+            continue
+        across = owner.get((w, u))
+        if across is None:
             raise InternalCheckError(f"inner edge {u}-{w} has a cell on one side only")
-        elif u < w:
-            right, after = owner[w, u]
+        if u < w:
+            right, after = across
             n0, n1, n2, level = planes[k]
             x, y, z = pts3[after]
             if not n0 * x + n1 * y + n2 * z > level:
@@ -682,12 +695,11 @@ def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
         for x, y, z in loose:
             if not n0 * x + n1 * y + n2 * z > level:
                 raise InternalCheckError("wrap produced a non-supporting plane")
-    check(sum(c.polygon.area2 for c in cells) == domain.area2,
-          "cells do not tile the support hull")
+    check(area2 == domain.area2, "cells do not tile the support hull")
     interior.sort()
     boundary.sort()
     return RegularSubdivision(lifting, domain, cells, tuple(interior),
-                              tuple(boundary), tuple(sorted(lines)))
+                              tuple(boundary), tuple(sorted(corners)))
 
 
 # --- liftings ---------------------------------------------------------------

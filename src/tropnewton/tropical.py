@@ -24,7 +24,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import NonRegularInputError, NotCellUnionError, NotConnectedError
-from .lattice import lattice_length
 from .subdivision import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
 
 Coords = tuple[Fraction, Fraction]
@@ -60,8 +59,11 @@ class TropicalCurve:
 
 
 def _vertex_sums(polygon) -> tuple[int, int, int]:
-    v = polygon.vertices
-    return len(v), sum(p.i for p in v), sum(p.j for p in v)
+    sx = sy = 0
+    for i, j in polygon.vertices:
+        sx += i
+        sy += j
+    return len(polygon.vertices), sx, sy
 
 
 def _outward(dx, dy, e: SubdivisionEdge, sums: tuple[int, int, int]) -> int:
@@ -85,10 +87,13 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
     lifting does not fold there; that input is rejected.
     """
     cells = sd.cells
-    vertices = tuple(
-        TropicalVertex(cell.gradient, cid, len(cell.polygon.vertices))
-        for cid, cell in enumerate(cells))
+    vertices = tuple([TropicalVertex(cell.gradient, cid, len(cell.polygon.vertices))
+                      for cid, cell in enumerate(cells)])
 
+    # each weight is the gcd of its dual edge's vector, the edge's lattice
+    # length; an edge of no length, which only a hand-built subdivision
+    # has, gets weight 0 (and a ray no direction) for verify_duality to
+    # report
     sums: dict[int, tuple[int, int, int]] = {}  # once per ray cell
     edges: list[TropicalEdge] = []
     for e in sd.interior_edges:
@@ -98,18 +103,18 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
             raise NonRegularInputError(
                 f"cells {c1} and {c2} share the gradient {g1}; "
                 "the dual edge would collapse")
-        edges.append(TropicalEdge("segment", (c1, c2), None,
-                                  lattice_length(e.a, e.b), e))
+        (ai, aj), (bi, bj) = e.a, e.b
+        edges.append(TropicalEdge("segment", (c1, c2), None, gcd(bi - ai, bj - aj), e))
     for e in sd.boundary_edges:
         cid = e.cell_ids[0]
         if cid not in sums:
             sums[cid] = _vertex_sums(cells[cid].polygon)
-        nx, ny = e.a.j - e.b.j, e.b.i - e.a.i
+        (ai, aj), (bi, bj) = e.a, e.b
+        nx, ny = aj - bj, bi - ai
         if _outward(nx, ny, e, sums[cid]) < 0:
             nx, ny = -nx, -ny
-        # the normal's gcd is the edge's lattice length
-        w = lattice_length(e.a, e.b)
-        edges.append(TropicalEdge("ray", (cid,), (nx // w, ny // w), w, e))
+        w = gcd(nx, ny)
+        edges.append(TropicalEdge("ray", (cid,), (nx // w, ny // w) if w else (0, 0), w, e))
     return TropicalCurve(sd, vertices, tuple(edges))
 
 
@@ -131,19 +136,21 @@ class DualityReport:
 
 
 def _component_count(n: int, links: list[tuple[int, int]]) -> int:
+    """Components of the graph on n nodes: n less one per link that joins
+    two of them (union-find with path halving)."""
     parent = list(range(n))
-
-    def find(a):
+    count = n
+    for a, b in links:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
-        return a
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(k) for k in range(n)})
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
 
 
 def _triple(coords: Coords) -> tuple[int, int, int]:
@@ -197,9 +204,13 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
     violations: list[str] = []
 
     for k, e in enumerate(tc.edges):
-        a, b = e.dual_edge.a, e.dual_edge.b
-        d = (b[0] - a[0], b[1] - a[1])
-        if e.weight != lattice_length(a, b):
+        dual, w = e.dual_edge, e.weight
+        (ai, aj), (bi, bj) = dual.a, dual.b
+        di, dj = bi - ai, bj - aj
+        length = gcd(di, dj)  # the dual edge's lattice length
+        if not length:
+            violations.append(f"edge {k}: zero length dual edge")
+        elif w != length:
             violations.append(f"edge {k}: weight differs from dual lattice length")
         if e.kind == "segment":
             v1, v2 = e.endpoints
@@ -210,22 +221,23 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
             if not (px or py):
                 violations.append(f"edge {k}: zero length segment")
                 continue
-            if px * d[0] + py * d[1] != 0:
+            if px * di + py * dj != 0:
                 violations.append(f"edge {k}: not orthogonal to dual edge")
-            bx[v1] += e.weight * px
-            by[v1] += e.weight * py
-            bx[v2] -= e.weight * px
-            by[v2] -= e.weight * py
+            px, py = w * px, w * py
+            bx[v1] += px
+            by[v1] += py
+            bx[v2] -= px
+            by[v2] -= py
         else:
             v = e.endpoints[0]
             dx, dy = e.direction
-            if dx * d[0] + dy * d[1] != 0:
+            if dx * di + dy * dj != 0:
                 violations.append(f"edge {k}: ray not orthogonal to dual edge")
-            if _outward(dx, dy, e.dual_edge, domain_sums) <= 0:
+            if _outward(dx, dy, dual, domain_sums) <= 0:
                 violations.append(f"edge {k}: ray points into the polygon")
             germs[v] += 1
-            bx[v] += e.weight * dx
-            by[v] += e.weight * dy
+            bx[v] += w * dx
+            by[v] += w * dy
             ray_lines.append(_ray_line(dx, dy, triples[v]))
 
     for cid, vertex in enumerate(tc.vertices):

@@ -437,10 +437,10 @@ def test_lifted_mapping_rejects_non_lattice_keys():
     # (3/2, 1/2) used to be truncated onto (1, 0), and the later key won
     for bad in [{(Fraction(3, 2), Fraction(1, 2)): 5, (1, 0): 7},
                 {(1, Fraction(1, 2)): 5, (0, 0): 1},
-                {(1, 2, 3): 1}, {"ab": 1}]:
+                {(1, 2, 3): 1}, {"ab": 1}, {LatticePoint(Fraction(3, 2), 0): 1}]:
         with pytest.raises(SchemaError, match="is not a lattice point"):
             LiftedSupport.from_mapping(bad)
-    ls = LiftedSupport.from_mapping({(Fraction(2), 1): "3/2", (0, 0.0): 0})
+    ls = LiftedSupport.from_mapping({(Fraction(2), 1): "3/2", LatticePoint(0, 0.0): 0})
     assert ls.entries == (((0, 0), 0), ((2, 1), Fraction(3, 2)))
     assert all(type(c) is int for p in ls.points for c in p)
 

@@ -67,6 +67,14 @@ def test_separable_lifting_keeps_one_object_per_height():
     assert LiftedSupport.from_mapping({(0, 0): half, (1, 0): 1}).entries[0][1] is half
 
 
+def test_separable_lifting_shares_the_diagram_points():
+    nd = analyze_support([(5, 0), (0, 6)])
+    points = {id(p) for p in nd.gamma_minus_lattice}
+    entries = separable_lifting(nd).entries
+    assert len(entries) == len(points) == 22
+    assert all(id(p) in points for p, _ in entries)
+
+
 def test_separable_lifting_custom_and_errors():
     lift = separable_lifting([(0, 0), (1, 0), (0, 1)], a=[0, 2], b=[1, 5])
     assert lift.value((0, 0)) == 1
@@ -713,16 +721,29 @@ def column_supports():
         yield set(random_lifted_support(rng, 20, 120).points)
 
 
+def chain_hull(pts):
+    """Hull corners, counterclockwise from the smallest point, by a
+    monotone chain that visits every point."""
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    pts = sorted(pts)
+    return tuple(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
 def test_domain_from_column_extremes_matches_the_full_hull():
+    # the hull's chains visit only the lowest and the highest point of
+    # each column; a chain over every point gives the same corners
     for pts in column_supports():
         heights = {p: (p[0] * 7 + p[1] * 3) % 5 for p in pts}
         sd = lower_hull_subdivision(heights)
         assert sd.domain == convex_hull(pts)
-        columns = {}
-        for i, j in pts:
-            columns.setdefault(i, []).append(j)
-        extremes = sorted({(i, j) for i, js in columns.items() for j in (min(js), max(js))})
-        assert subdivision._column_extremes(sd.lifting.entries) == extremes
+        assert sd.domain.vertices == chain_hull(pts)
 
 
 def test_one_column_is_collinear():
@@ -744,6 +765,22 @@ def test_boundary_vertex_count_matches_locate():
     rng = SplitMix64(3)
     for _ in range(100):
         sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
+        assert sd.boundary_vertex_count() == locate_boundary_vertex_count(sd)
+
+
+def test_boundary_vertex_count_matches_locate_on_diagrams():
+    # diagram subdivisions have long axis edges full of vertices, which
+    # random liftings rarely have: the ladder rungs x^n + y^(n+1) and the
+    # germs of the default corpus (seed 1) that take the kinked lifting
+    sds = [subdivide_diagram(analyze_support([(n, 0), (0, n + 1)])).subdivision
+           for n in range(2, 13)]
+    rng = SplitMix64(1)
+    for _ in range(80):
+        sdd = subdivide_diagram(analyze_support(staircase_support(rng, 12, 12)))
+        if sdd.used_fallback:
+            sds.append(sdd.subdivision)
+    assert len(sds) > 11
+    for sd in sds:
         assert sd.boundary_vertex_count() == locate_boundary_vertex_count(sd)
 
 

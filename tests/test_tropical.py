@@ -136,6 +136,12 @@ def test_tampered_quintic_curve_reports_each_violation():
         "edge 0: weight differs from dual lattice length",
         "vertex 0: balancing sum (0, 1)",
         "vertex 1: balancing sum (0, -1)"), (17, 6, 11))
+    # edge 0's dual edge collapsed onto its end (0,1): a violation of that
+    # edge, not a ZeroSegmentError
+    collapsed = edges[0]._replace(dual_edge=edges[0].dual_edge._replace(b=LatticePoint(0, 1)))
+    assert edges[0].dual_edge.a == (0, 1)
+    assert report(edges=(collapsed,) + edges[1:]) == ((
+        "edge 0: zero length dual edge",), (17, 6, 11))
     inward = edges[20]._replace(direction=(1, 0))
     assert report(edges=edges[:20] + (inward,) + edges[21:]) == ((
         "edge 20: ray points into the polygon",
@@ -170,6 +176,29 @@ def test_tampered_quintic_curve_reports_each_violation():
         "complement count 16 differs from 17 subdivision vertices",
         "complement split (6, 10) differs from subdivision vertex split (6, 11)"),
         (16, 6, 10))
+
+
+def test_collapsed_subdivision_edge_is_reported_not_raised():
+    # a hand-built subdivision whose first interior or boundary edge has
+    # collapsed onto its first end: the curve gives that edge weight 0
+    # (a ray, no direction), and the report names it
+    nd, sdd, tc = curve_for(QUINTIC)
+    sd = tc.subdivision
+    inner, rim = sd.interior_edges[0], sd.boundary_edges[0]
+    collapsed = dataclasses.replace(sd, interior_edges=(inner._replace(b=inner.a),)
+                                    + sd.interior_edges[1:])
+    assert verify_duality(dual_tropical_curve(collapsed)).violations == (
+        "edge 0: zero length dual edge",
+        "vertex 0: balancing sum (0, -1)",
+        "vertex 1: balancing sum (0, 1)")
+    collapsed = dataclasses.replace(sd, boundary_edges=(rim._replace(b=rim.a),)
+                                    + sd.boundary_edges[1:])
+    tc = dual_tropical_curve(collapsed)
+    assert (tc.edges[20].direction, tc.edges[20].weight) == ((0, 0), 0)
+    assert verify_duality(tc).violations == (
+        "edge 20: zero length dual edge",
+        "edge 20: ray points into the polygon",
+        "vertex 0: balancing sum (1, 0)")
 
 
 def test_edges_orthogonal_to_duals_with_lattice_length_weights():
