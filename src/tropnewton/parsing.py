@@ -20,6 +20,7 @@ forgotten.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -156,13 +157,18 @@ class _Scanner:
         return self.pos >= len(self.text)
 
     def integer(self) -> int:
+        """A run of decimal digits; ``isdigit`` would also take digits
+        like '²' that ``int`` refuses."""
         self.skip_ws()
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than the int conversion limit
+            self.error(_over_digit_limit(self.pos - start), pos=start)
 
     def natural_exponent(self) -> int:
         """Integer after '^' where negatives are a distinct error."""
@@ -214,7 +220,7 @@ def _parse_germ_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, tuple[
     sc.skip_ws()
     coeff: tuple[int, int] | None = None
     coeff_pos = sc.pos
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         n = sc.integer()
         sc.skip_ws()  # "2 i" is 2i, as "2 x" is 2x
         if sc.peek() == "i":
@@ -305,7 +311,7 @@ def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Frac
         sc.error("coefficients are implicitly 1", pos=sc.pos - 1)
     sc.skip_ws()
     start = sc.pos
-    if sc.peek().isdigit():
+    if sc.peek().isdecimal():
         if sc.integer() != 1:
             sc.error("coefficients are implicitly 1", pos=start)
         _take_star(sc)
@@ -342,9 +348,36 @@ def _take_star(sc: _Scanner) -> None:
 
 # --- JSON route -------------------------------------------------------------
 
-def _require_nonneg_int(value, pointer: str) -> int:
+def _over_digit_limit(digits: int) -> str:
+    return (f"an integer of {digits} digits is over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for int conversion")
+
+
+class _LongLiteral:
+    """A JSON integer literal that ``int`` refuses for its length, kept
+    until ``parse_json_obj`` can name the entry it sits in."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongLiteral(len(text.lstrip("-")))
+
+
+def _require_int(value, pointer: str, message: str) -> int:
+    if isinstance(value, _LongLiteral):
+        raise SchemaError(_over_digit_limit(value.digits), pointer)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError("must be an integer", pointer)
+        raise SchemaError(message, pointer)
+    return value
+
+
+def _require_nonneg_int(value, pointer: str) -> int:
+    value = _require_int(value, pointer, "must be an integer")
     if value < 0:
         raise SchemaError("must be non-negative", pointer)
     return value
@@ -394,9 +427,8 @@ def parse_json_obj(obj) -> Union[SupportSet, LiftedSupport]:
             lifted = has_t
         elif lifted != has_t:
             raise SchemaError("either every monomial carries t or none does", f"{ptr}/t")
-        coeff = entry.get("coeff", 1)
-        if isinstance(coeff, bool) or not isinstance(coeff, int):
-            raise SchemaError("coeff must be an integer", f"{ptr}/coeff")
+        coeff = _require_int(entry.get("coeff", 1), f"{ptr}/coeff",
+                             "coeff must be an integer")
         if coeff == 0:
             raise SchemaError("coeff must be nonzero", f"{ptr}/coeff")
         point = LatticePoint(i, j)
@@ -416,12 +448,20 @@ def parse_json_obj(obj) -> Union[SupportSet, LiftedSupport]:
 
 
 def load_json(path) -> Union[SupportSet, LiftedSupport]:
-    """Read and validate a support file.  IO errors propagate to the caller."""
-    raw = Path(path).read_text()
+    """Read and validate a support file, UTF-8 as JSON requires.  IO
+    errors propagate to the caller; bytes that are not UTF-8, bad or too
+    deeply nested JSON and integers too long for ``int`` are
+    SchemaErrors."""
+    raw = Path(path).read_bytes()
     try:
-        obj = json.loads(raw)
+        obj = json.loads(raw.decode("utf-8"), parse_int=_json_int)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid JSON: not UTF-8 ({exc.reason} at byte "
+                          f"{exc.start})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     return parse_json_obj(obj)
 
 

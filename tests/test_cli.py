@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from tropnewton import cli
 from tropnewton.cli import _build_parser, main
 from tropnewton.corpus import SplitMix64
-from tropnewton.errors import SchemaError
-from tropnewton.parsing import LiftedSupport, parse_germ, serialize_json
+from tropnewton.errors import InternalCheckError, ParseError, SchemaError
+from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly, serialize_json
 from tropnewton.svg import _fmt, render_svg
 
 QUINTIC = "x^5+x^2*y^2+y^5"
@@ -224,9 +225,14 @@ def test_fmt_matches_fraction_rounding():
     cases += [Fraction(-1, 20000), Fraction(-1, 30000), Fraction(-3, 10**9)]
     cases += [Fraction(rng.between(-10**12, 10**12), rng.between(1, 10**9))
               for _ in range(2000)]
-    for x in cases:
-        assert _fmt(x) == oracle(x), x
-    assert _fmt(Fraction(-1, 30000)) == "0"
+    pairs = [(x.numerator, x.denominator) for x in map(Fraction, cases)]
+    # the same values as unreduced pairs (n k, d k): ties, negatives, all
+    pairs += [(n * k, d * k) for n, d in pairs[::3]
+              for k in (2, 3, 10000, rng.between(2, 10**9))]
+    pairs += [(-3, 60000), (3, 60000), (-6, 40000), (15, 20000 * 5), (-45, 60000)]
+    for n, d in pairs:
+        assert _fmt(n, d) == oracle(Fraction(n, d)), (n, d)
+    assert _fmt(-1, 30000) == _fmt(-2, 60000) == "0"
 
 
 def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
@@ -249,3 +255,159 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
     assert out == ("mu = v + r: PASS (2 vs 1 + 1)\n"
                    "delta = v:  PASS (1 vs 1)\n"
                    "duality:    PASS\n")
+
+
+# --- fuzzing the command line ----------------------------------------------
+
+_NOT_DIGITS = "xyi+-*^ /()&\t"
+
+
+def _pick(rng, options):
+    return options[rng.below(len(options))]
+
+
+def _germ(rng) -> str:
+    """Mostly x^p + y^q with p, q < 7 and up to two mixed terms, and
+    now and then mutated by inserting or replacing a non-digit or by
+    cutting it short; no mutation joins two digits, so every exponent
+    stays below 7."""
+    terms = [f"x^{rng.between(2, 6)}", f"y^{rng.between(2, 6)}"]
+    for _ in range(rng.below(3)):
+        coeff = _pick(rng, ["", "2", "3i*", "i"])
+        terms.insert(1, f"{coeff}x^{rng.between(0, 4)}*y^{rng.between(0, 4)}")
+    text = terms[0] + "".join(_pick(rng, "+-") + term for term in terms[1:])
+    for _ in range(_pick(rng, [0, 0, 0, 1, 2])):
+        pos = rng.below(len(text) + 1)
+        ch = _pick(rng, _NOT_DIGITS)
+        text = _pick(rng, [text[:pos] + ch + text[pos:],
+                           text[:pos] + ch + text[pos + 1:], text[:pos]])
+    return text
+
+
+def _long(rng, limit: int) -> str:
+    return "1" + "0" * (limit + rng.below(1000))
+
+
+def _file_bytes(rng, limit: int) -> bytes:
+    """Contents for --file: supports, lifted supports, schema misfits,
+    truncated or deep JSON, random bytes, other encodings, long digits."""
+    good = serialize_json(parse_germ(_pick(rng, ["x^2+y^3", "x^5+x^2*y^2+y^5",
+                                                 "3x^3-x*y+y^4"])))
+    kind = rng.below(8)
+    if kind == 0:
+        return bytes(rng.below(256) for _ in range(rng.below(40)))
+    if kind == 1:
+        return good[:rng.below(len(good))].encode()
+    if kind == 2:
+        depth = _pick(rng, [10, 900, 3000, 20000])
+        return (_pick(rng, ["", '{"monomials": ']) + "[" * depth).encode()
+    if kind == 3:
+        return _pick(rng, [b"\xff", b"\xc3", b""]) + good.encode(
+            _pick(rng, ["utf-8", "utf-16", "latin-1"]))
+    if kind == 4:  # exponents stay small or go past the limit, coefficients anything
+        digits = _pick(rng, ["", "-"]) + _long(rng, limit)
+        field = _pick(rng, ["i", "j", "coeff"])
+        if field == "coeff":
+            digits = _pick(rng, [digits, "9" * rng.between(1, 40)])
+        entry = {"i": 2, "j": 0, field: "DIGITS"}
+        return json.dumps({"monomials": [entry, {"i": 0, "j": 3}]}).replace(
+            '"DIGITS"', digits).encode()
+    if kind == 5:
+        return serialize_json(LiftedSupport.from_mapping({(2, 0): 1, (0, 3): 0})).encode()
+    if kind == 6:
+        return _pick(rng, [b"{}", b"[]", b"null", b'{"monomials": 1}',
+                           b'{"monomials": [{"i": 1}]}', b'{"monomials": [], "x": 1}',
+                           b'{"monomials": [{"i": 2, "j": 0, "t": "1e9"}]}'])
+    return good.encode()
+
+
+def _cli_argv(rng, tmp_path, n: int, limit: int) -> list[str]:
+    """argv over every subcommand, flag and bad value; --file contents
+    and every output path live under tmp_path."""
+    cmd = _pick(rng, ["analyze", "certify", "emit-poly", "render", "lemma",
+                      "corpus", "nonsense"])
+    argv = [cmd]
+    if cmd in ("analyze", "certify", "emit-poly", "render"):
+        source = _pick(rng, ["text"] * 4 + ["file"] * 2 + ["both", "neither"])
+        if source in ("text", "both"):
+            argv.append(_germ(rng))
+        if source in ("file", "both"):
+            path = tmp_path / f"in{n}.json"
+            path.write_bytes(_file_bytes(rng, limit))
+            argv += ["--file", _pick(rng, [str(path), str(path), str(tmp_path),
+                                           str(tmp_path / "missing.json")])]
+    if cmd == "analyze" and rng.below(2):
+        argv += ["--json", _pick(rng, ["-", str(tmp_path / f"out{n}.json"),
+                                       str(tmp_path)])]
+    if cmd == "render":
+        argv += [flag for flag in ("--subdivision", "--curve") if rng.below(2)]
+        if rng.below(2):
+            argv += ["--region", _pick(rng, ["gamma-minus", "full", "gama-minus"])]
+        if rng.below(8):
+            argv += ["-o", _pick(rng, [str(tmp_path / f"fig{n}.svg"), str(tmp_path),
+                                       str(tmp_path / "no-dir" / "fig.svg")])]
+    small = ["-1", "0", "1", "2", "3", "4", "5", "x", "2.5", _long(rng, limit)]
+    if cmd == "lemma":
+        argv += [_pick(rng, small) for _ in range(rng.between(1, 3))]
+    if cmd == "corpus":  # --count always, as 100 germs take a second
+        argv += ["--count", _pick(rng, small[:5])]
+        for flag in ("--seed", "--pmax", "--qmax"):
+            if rng.below(2):
+                argv += [flag, _pick(rng, small if flag == "--seed" else small[:7])]
+    if not rng.below(8):
+        argv.insert(rng.between(1, len(argv)),
+                    _pick(rng, ["--file", "--json", "--subdivision", "--region",
+                                "-o", "--seed", "--count", "--bogus"]))
+    return argv
+
+
+def test_cli_fuzz_ends_in_a_documented_exit(tmp_path, capsys, monkeypatch):
+    # every argv and --file ends in exit 0-4, argparse's exit 2 included;
+    # only an InternalCheckError, a defect, may escape.  A stray -o or
+    # --json can make a germ the output path, so run in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    limit = 4300
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        rng = SplitMix64(18)
+        seen = set()
+        for n in range(800):
+            argv = _cli_argv(rng, tmp_path, n, limit)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("argparse", exc.code)
+            except InternalCheckError:
+                code = "internal"
+            except Exception as exc:
+                pytest.fail(f"{argv!r} raised {exc!r}")
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3, 4, ("argparse", 2), "internal"), argv
+            seen.add(code)
+        assert {0, 2, 3, 4, ("argparse", 2)} <= seen
+
+        # pinned: bytes that are not UTF-8, deep nesting, digit runs past the limit
+        def file_code(data: bytes):
+            path = tmp_path / "pinned.json"
+            path.write_bytes(data)
+            return run(capsys, "certify", "--file", str(path))
+
+        code, _, err = file_code(b'\xff{"monomials": [{"i": 2, "j": 0}, {"i": 0, "j": 3}]}')
+        assert code == 2 and "not UTF-8" in err
+        code, _, err = file_code(b"[" * 3000)
+        assert code == 2 and err.startswith("error: invalid JSON: ")
+        code, _, err = file_code(b'{"monomials": [{"i": 2, "j": 0, "coeff": %s}, '
+                                 b'{"i": 0, "j": 3}]}' % (b"1" * 5000))
+        assert code == 2 and "/monomials/0/coeff" in err and f"{limit} digits" in err
+        for text, pos, message in [("1" * 5000 + "x^2+y^3", 0, f"{limit} digits"),
+                                   ("x^" + "1" * 5000 + "+y^3", 2, f"{limit} digits"),
+                                   ("x^²+y^3", 2, "expected an integer")]:
+            code, _, err = run(capsys, "certify", text)
+            assert code == 2 and message in err, text
+            assert err.endswith("\n" + " " * pos + "^\n"), text
+        with pytest.raises(ParseError) as exc:
+            parse_puiseux_poly("t^" + "1" * 5000 + "z+1+w")
+        assert exc.value.pos == 2 and f"{limit} digits" in str(exc.value)
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -8,7 +8,7 @@ Run it in the parent checkout and in the changed one and diff the two
 outputs: a change that keeps every answer prints the same lines.
 ``tools/equivalence_quick.txt`` holds the ``--quick`` lines of the
 current outputs and ``tools/equivalence_full.txt`` the full ones (about
-40 s), and CI diffs against both; a change that means to change an
+30 s), and CI diffs against both; a change that means to change an
 output updates those files and says why.  The families are
 
   * liftings.{subdivision,curve,duality}: ``repr`` of the lower hull
@@ -29,7 +29,12 @@ output updates those files and says why.  The families are
   * thin.{chosen,default,json}: as for the corpus, on thin diagrams, for
     k = 2, 4, 8, ... up to 256 (128 with ``--quick``): x^2 + y^(k+1) and
     x^(k+1) + y^2, x^3 + y^k and x^k + y^3 (k >= 4), and the bent
-    x^2 + x*y^(k/8) + y^(k+1) (k >= 8), which takes the kinked lifting.
+    x^2 + x*y^(k/8) + y^(k+1) (k >= 8), which takes the kinked lifting;
+  * svg.{corpus,ladder,thin,layers}: ``render_svg`` bytes, both regions,
+    of the first 200 corpus germs of seed 1 (50 with ``--quick``), the
+    ladder for n = 2..12 and the thin diagrams for k <= 8; and of the
+    quintic under the three layer choices of ``render`` (both layers,
+    the subdivision alone, the curve alone).
 
 Standard library only; the package is imported from this checkout's
 ``src``.
@@ -59,6 +64,9 @@ LIFTINGS = 500
 GERMS = 200
 LADDER = range(2, 41)
 THIN = 8
+SVG_LADDER = range(2, 13)
+SVG_THIN = 3
+LAYERS = ((True, True), (True, False), (False, True))
 FIGURES = {"quintic": [(5, 0), (2, 2), (0, 5)], "cusp": [(2, 0), (0, 3)]}
 
 
@@ -120,6 +128,25 @@ def families(quick: bool):
     for name, texts in _germ_family(thin_supports(top)).items():
         if name != "emit-poly":
             yield f"thin.{name} k<={2 ** top}", texts
+    yield from _svg_families(cap)
+
+
+def _figures(supports) -> list[str]:
+    return [render_svg(points, region=region)
+            for points in supports for region in REGIONS]
+
+
+def _svg_families(cap):
+    rng = SplitMix64(1)
+    corpus = [staircase_support(rng, 12, 12) for _ in range(GERMS)][:cap]
+    yield "svg.corpus seed=1", _figures(corpus)
+    ladder = [[(n, 0), (0, n + 1)] for n in SVG_LADDER]
+    yield f"svg.ladder n={SVG_LADDER[0]}..{SVG_LADDER[-1]}", _figures(ladder)
+    yield f"svg.thin k<={2 ** SVG_THIN}", _figures(thin_supports(SVG_THIN))
+    yield "svg.layers quintic", [
+        render_svg(FIGURES["quintic"], show_subdivision=sub, show_curve=curve,
+                   region=region)
+        for sub, curve in LAYERS for region in REGIONS]
 
 
 def main(argv=None) -> int:
