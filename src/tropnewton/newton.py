@@ -28,6 +28,7 @@ from .lattice import (
     pick_interior_boundary,
     segment_lattice_points,
 )
+from .parsing import SupportSet
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,11 @@ class NewtonDiagram:
 
 
 def analyze_support(points) -> NewtonDiagram:
-    """Build the Newton diagram, rejecting non-singular or non-convenient input."""
+    """Build the Newton diagram, rejecting non-singular or non-convenient
+    input.  ``points`` is an iterable of exponent points or a
+    ``SupportSet``, as ``parse_germ`` returns it."""
+    if isinstance(points, SupportSet):
+        points = points.points
     pts = sorted({lattice_key(p, "support point") for p in points})
     for bad in ((0, 0), (1, 0), (0, 1)):
         if LatticePoint(*bad) in pts:

@@ -383,13 +383,21 @@ def _require_nonneg_int(value, pointer: str) -> int:
     return value
 
 
+_ECHO = 40  # the longest "t" value a message repeats whole
+
+
 def _parse_t_string(value, pointer: str) -> Fraction:
+    """A longer bad value is named by its first characters and its
+    length: ``int``'s own message would repeat up to 200 of them."""
     if not isinstance(value, str):
         raise SchemaError("t must be a string rational like \"3/2\"", pointer)
     try:
         num, _, den = value.partition("/")
         return Fraction(int(num), int(den) if den else 1)
     except (ValueError, ZeroDivisionError) as exc:
+        if len(value) > _ECHO:
+            raise SchemaError(f"bad rational of {len(value)} characters, "
+                              f"{value[:20]!r}...", pointer) from None
         raise SchemaError(f"bad rational {value!r} ({exc})", pointer) from None
 
 

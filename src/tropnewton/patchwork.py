@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import check
 from .lattice import LatticePoint
 from .newton import NewtonDiagram, analyze_support, delta_invariant, milnor_number
-from .parsing import SupportSet
 from .subdivision import SubdividedDiagram, subdivide_diagram
 from .tropical import (
     count_bounded_regions,
@@ -122,15 +121,14 @@ def _json_int(n: int):
 
 
 def analyze(support) -> AnalysisReport:
-    """Full pipeline: diagram, subdivision, curve, counts, verdicts.
+    """Full pipeline: diagram, subdivision, curve, counts, verdicts, for
+    a support as ``analyze_support`` takes it.
 
     The two sides of each verdict are computed independently: mu and
     delta come from the staircase arithmetic of the diagram, v and r
     from the restricted dual curve.  A false verdict is reported, not
     raised, and flagged in the notes.
     """
-    if isinstance(support, SupportSet):
-        support = support.points
     nd = analyze_support(support)
     sdd = subdivide_diagram(nd)
     tc = dual_tropical_curve(sdd.subdivision)

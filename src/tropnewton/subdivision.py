@@ -785,31 +785,31 @@ def classify_cells_by_region(sd: RegularSubdivision, region) -> tuple[tuple[int,
 
 # --- square counting lemmas ------------------------------------------------
 
-def triangle_square_count(p: int, q: int) -> int:
-    """Unit grid squares contained in the triangle (0,0), (p,0), (0,q),
-    counted by direct containment tests."""
+def _check_legs(p: int, q: int) -> None:
     if p < 1 or q < 1 or lattice_length((0, 0), (p, q)) != 1:
         raise NotCoprimeError(f"legs must be positive and coprime, got ({p}, {q})")
-    count = 0
-    for a in range(p):
-        for bb in range(q):
-            if q * (a + 1) + p * (bb + 1) <= p * q:
-                count += 1
-    return count
+
+
+def triangle_square_count(p: int, q: int) -> int:
+    """Unit grid squares contained in the triangle (0,0), (p,0), (0,q).
+
+    The square [a, a+1] x [b, b+1] is in it when its far corner is,
+    q(a + 1) + p(b + 1) <= pq, so column a holds the rows b + 1 <=
+    q(p - a - 1)/p: one division per column."""
+    _check_legs(p, q)
+    return sum(q * (p - a - 1) // p for a in range(p))
 
 
 def crossed_square_count(p: int, q: int) -> int:
     """Unit grid squares whose interior meets the open segment from
-    (0, q) to (p, 0)."""
-    if p < 1 or q < 1 or lattice_length((0, 0), (p, q)) != 1:
-        raise NotCoprimeError(f"legs must be positive and coprime, got ({p}, {q})")
-    count = 0
-    for a in range(p):
-        for bb in range(q):
-            lo = q * a + p * bb
-            if lo < p * q < lo + p + q:
-                count += 1
-    return count
+    (0, q) to (p, 0).
+
+    With c = q(p - a), the square [a, a+1] x [b, b+1] is crossed when
+    its corners straddle the line, c - p - q < pb < c.  So column a
+    holds the rows from floor((c - q)/p), its count of contained
+    squares, to ceil(c/p) - 1 = floor((c - 1)/p)."""
+    _check_legs(p, q)
+    return sum((q * (p - a) - 1) // p - q * (p - a - 1) // p + 1 for a in range(p))
 
 
 # --- the special subdivision of a diagram -----------------------------------

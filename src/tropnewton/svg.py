@@ -19,7 +19,7 @@ import math
 from .errors import SchemaError
 from .newton import NewtonDiagram, analyze_support
 from .subdivision import subdivide_diagram
-from .tropical import _triple, dual_tropical_curve, restrict
+from .tropical import _sub_curve, _triple, dual_tropical_curve
 
 
 def _fmt(n: int, d: int) -> str:
@@ -186,15 +186,21 @@ REGIONS = ("gamma-minus", "full")
 
 def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
                region: str = "gamma-minus") -> str:
-    """Figure for a support set; ``region``, one of ``REGIONS``, picks the
-    curve restriction: the region under the boundary or the whole hull."""
+    """Figure for a support set, as ``analyze_support`` takes it;
+    ``region``, one of ``REGIONS``, picks the curve restriction: the
+    region under the boundary or the whole hull.
+
+    No cell is classified here.  ``subdivide_diagram`` has found the
+    cells under the boundary, ``inside_cells``, and proved that they tile
+    it; ``_certify`` has proved that all the cells tile the hull.  So
+    the sub-curve is cut from those ids, as ``restrict`` would cut it.
+    """
     if region not in REGIONS:
         raise SchemaError(f"region {region!r} is not one of {', '.join(REGIONS)}")
     nd = analyze_support(support)
     sdd = subdivide_diagram(nd)
-    tc = dual_tropical_curve(sdd.subdivision)
-    sc = restrict(tc, nd.gamma_minus if region == "gamma-minus"
-                  else sdd.subdivision.domain)
+    sd = sdd.subdivision
+    tc = dual_tropical_curve(sd)
 
     triples = [_triple(v.coords) for v in tc.vertices]
     scene = _Scene(_bounding_box(nd, triples))
@@ -204,11 +210,15 @@ def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
         scene.line(scene.point(a.i, a.j, 1), scene.point(b.i, b.j, 1), _BOUNDARY)
 
     if show_subdivision:
-        for cell in sdd.subdivision.cells:
+        for cell in sd.cells:
             scene.polygon(cell.polygon.vertices,
                           _SQUARE if cell.kind == "square" else _CELL)
 
     if show_curve:
+        if region == "gamma-minus":
+            sc = _sub_curve(tc, nd.gamma_minus, sdd.inside_cells)
+        else:
+            sc = _sub_curve(tc, sd.domain, tuple(range(len(sd.cells))))
         for k in sc.full_segments:
             e = tc.edges[k]
             v, w = e.endpoints

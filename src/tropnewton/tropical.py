@@ -296,10 +296,19 @@ def restrict(tc: TropicalCurve, region) -> TropicalSubCurve:
     kept vertex stay.  The kept cells must be connected through shared
     edges, vertex contact is not enough.
     """
-    sd = tc.subdivision
-    inside, clean = classify_cells_by_region(sd, region)
+    inside, clean = classify_cells_by_region(tc.subdivision, region)
     if not clean:
         raise NotCellUnionError("region is not a union of subdivision cells")
+    return _sub_curve(tc, region, inside)
+
+
+def _sub_curve(tc: TropicalCurve, region, inside: tuple[int, ...]) -> TropicalSubCurve:
+    """``restrict`` over cells already known to tile the region: the
+    ids, ascending, that ``classify_cells_by_region`` gave for it on a
+    clean region, or every cell id for the subdivision's domain, which
+    its cells tile.  The region must still hold a cell, and its cells
+    must still be edge-connected."""
+    sd = tc.subdivision
     if not inside:
         raise NotCellUnionError("region contains no cell")
     kept = set(inside)

@@ -92,6 +92,31 @@ def brute_force_lower_hull(heights):
             [e for e in edges if len(e[2]) == 1])
 
 
+def triangle_square_count_by_tests(p: int, q: int) -> int:
+    """Unit grid squares in the triangle (0,0), (p,0), (0,q), one
+    containment test per square; the reference for
+    ``triangle_square_count``."""
+    count = 0
+    for a in range(p):
+        for bb in range(q):
+            if q * (a + 1) + p * (bb + 1) <= p * q:
+                count += 1
+    return count
+
+
+def crossed_square_count_by_tests(p: int, q: int) -> int:
+    """Unit grid squares whose interior meets the open segment from
+    (0, q) to (p, 0), one test per square; the reference for
+    ``crossed_square_count``."""
+    count = 0
+    for a in range(p):
+        for bb in range(q):
+            lo = q * a + p * bb
+            if lo < p * q < lo + p + q:
+                count += 1
+    return count
+
+
 def locate_boundary_vertex_count(sd) -> int:
     """Subdivision vertices that ``ConvexPolygon.locate`` puts on the
     domain's boundary; the reference for ``boundary_vertex_count``."""

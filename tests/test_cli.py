@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropnewton import cli
+from tropnewton import analyze, cli
 from tropnewton.cli import _build_parser, main
 from tropnewton.corpus import SplitMix64
 from tropnewton.errors import InternalCheckError, ParseError, SchemaError
@@ -129,6 +129,33 @@ def test_lemma_command(capsys):
     assert run(capsys, "lemma", "4", "2")[0] == 3
 
 
+def test_a_long_bad_t_value_gets_a_short_message(capsys, tmp_path):
+    # digits past int's limit, or not digits at all: the message names
+    # the value by its first characters and its length
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        path = tmp_path / "long_t.json"
+        for t in ("1" * 5000, "1/" + "7" * 5000, "x" * 5000):
+            path.write_text(json.dumps({"monomials": [{"i": 0, "j": 0, "t": "0"},
+                                                      {"i": 2, "j": 0, "t": t}]}))
+            code, out, err = run(capsys, "certify", "--file", str(path))
+            assert (code, out) == (2, ""), t[:3]
+            assert len(err.encode()) < 300 and "/monomials/1/t" in err, t[:3]
+            assert f"{len(t)} characters" in err, t[:3]
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_lemma_on_legs_in_the_tens_of_thousands(capsys):
+    # one division per column: the square-by-square count would take
+    # minutes here
+    code, out, _ = run(capsys, "lemma", "30001", "29999")
+    assert (code, out) == (0, f"squares={30000 * 29998 // 2} I=59999 PASS\n")
+    code, out, _ = run(capsys, "lemma", "10000", "99999")
+    assert (code, out) == (0, f"squares={9999 * 99998 // 2} I=109998 PASS\n")
+
+
 def test_corpus_command_reports_and_repeats(capsys):
     code, out1, _ = run(capsys, "corpus", "--seed", "9", "--count", "15")
     assert code == 0
@@ -154,6 +181,17 @@ def test_render_writes_svg(tmp_path, capsys):
     assert svg.count('class="vertex"') == 5
     assert svg.count('class="ray"') == 6
     assert svg.count('class="seg"') == 5
+
+
+def test_render_and_analyze_take_parse_germs_output():
+    # a SupportSet or its points: the same figure and the same report
+    for germ in ("x^2+y^3", QUINTIC, "3x^3-x*y+y^4",
+                 "x^11+x^7*y^3+x^5*y^4+x^3*y^5+x*y^7+y^8"):
+        support = parse_germ(germ)
+        for region in ("gamma-minus", "full"):
+            assert render_svg(support, region=region) == \
+                render_svg(support.points, region=region), (germ, region)
+        assert analyze(support).to_json() == analyze(support.points).to_json(), germ
 
 
 def test_render_unwritable_path(capsys):

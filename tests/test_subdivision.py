@@ -35,7 +35,12 @@ from tropnewton.subdivision import (
 )
 from tropnewton.tropical import dual_tropical_curve, verify_duality
 
-from oracles import brute_force_lower_hull, locate_boundary_vertex_count
+from oracles import (
+    brute_force_lower_hull,
+    crossed_square_count_by_tests,
+    locate_boundary_vertex_count,
+    triangle_square_count_by_tests,
+)
 
 QUINTIC = analyze_support(parse_germ("x^5+x^2*y^2+y^5").points)
 CUSP = analyze_support(parse_germ("x^2+y^3").points)
@@ -809,6 +814,14 @@ def test_square_count_identities():
             assert 2 * below == (p - 1) * (q - 1)
             assert crossed == p + q - 1
             assert 2 * below + crossed == p * q
+
+
+def test_square_counts_by_column_match_the_square_by_square_tests():
+    for p in range(1, 41):
+        for q in range(1, 41):
+            if gcd(p, q) == 1:
+                assert triangle_square_count(p, q) == triangle_square_count_by_tests(p, q)
+                assert crossed_square_count(p, q) == crossed_square_count_by_tests(p, q)
 
 
 def test_non_coprime_rejected():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from tropnewton.errors import (
 )
 from tropnewton.lattice import ConvexPolygon, LatticePoint, LatticePolygon
 from tropnewton.newton import analyze_support, decompose_diagram, milnor_number
-from tropnewton.parsing import parse_puiseux_poly
+from tropnewton.parsing import parse_germ, parse_puiseux_poly
 from tropnewton.subdivision import (
     Cell,
     RegularSubdivision,
@@ -22,7 +23,8 @@ from tropnewton.subdivision import (
     lower_hull_subdivision,
     subdivide_diagram,
 )
-from tropnewton.corpus import SplitMix64, random_lifted_support
+from tropnewton import subdivision, svg, tropical
+from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_support
 from tropnewton.tropical import (
     _jump_direction,
     _ray_line,
@@ -352,8 +354,10 @@ def random_staircase(rng):
 
 
 def assert_keeps_everything(tc, domain):
-    """The full-region figure draws restrict(tc, domain): it must keep
-    every vertex, segment and ray, in edge order, and cut nothing."""
+    """restrict(tc, domain) keeps every vertex, segment and ray, in edge
+    order, and cuts nothing.  The full-region figure cuts its sub-curve
+    from every cell id without classifying a cell; this is the oracle
+    that says the domain's restriction is that sub-curve."""
     sc = restrict(tc, domain)
     assert sc.vprime == tuple(range(len(tc.vertices)))
     assert sc.full_segments == tuple(k for k, e in enumerate(tc.edges)
@@ -434,3 +438,70 @@ def test_integer_directions_and_ray_lines_match_the_fraction_forms():
                 offset = dx * ay - dy * ax
                 assert _ray_line(dx, dy, _triple((ax, ay))) == (
                     dx, dy, offset.numerator, offset.denominator)
+
+
+# --- the figure's sub-curve ----------------------------------------------------
+
+KINKED = "x^11+x^7*y^3+x^5*y^4+x^3*y^5+x*y^7+y^8"  # the default lifting misses
+
+
+def spy_on_classification(monkeypatch) -> list[str]:
+    """The name of the function behind each ``classify_cells_by_region``
+    call, wherever the package calls it."""
+    callers = []
+    real = subdivision.classify_cells_by_region
+
+    def classify(sd, region):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(sd, region)
+
+    monkeypatch.setattr(subdivision, "classify_cells_by_region", classify)
+    monkeypatch.setattr(tropical, "classify_cells_by_region", classify)
+    return callers
+
+
+def spy_on_figure_sub_curves(monkeypatch) -> list:
+    """Each sub-curve ``render_svg`` builds."""
+    built = []
+
+    def sub_curve(tc, region, inside):
+        built.append(tropical._sub_curve(tc, region, inside))
+        return built[-1]
+
+    monkeypatch.setattr(svg, "_sub_curve", sub_curve)
+    return built
+
+
+def test_render_classifies_cells_only_in_land(monkeypatch):
+    callers = spy_on_classification(monkeypatch)
+    built = spy_on_figure_sub_curves(monkeypatch)
+    for germ, lands in (("x^5+x^2*y^2+y^5", 1), (KINKED, 2)):
+        points = parse_germ(germ).points
+        assert subdivide_diagram(analyze_support(points)).used_fallback == (lands == 2)
+        for region in svg.REGIONS:
+            for show_curve in (True, False):
+                callers.clear()
+                built.clear()
+                svg.render_svg(points, show_curve=show_curve, region=region)
+                assert callers == ["_land"] * lands, (germ, region)
+                assert len(built) == show_curve, (germ, region)
+
+
+def test_figure_sub_curve_is_the_restriction(monkeypatch):
+    # corpus seeds 1-3 and the ladder x^n + y^(n+1), n = 2..20: the
+    # sub-curve drawn is the one ``restrict`` cuts over the same region
+    built = spy_on_figure_sub_curves(monkeypatch)
+    germs = [[(n, 0), (0, n + 1)] for n in range(2, 21)]
+    for seed in (1, 2, 3):
+        rng = SplitMix64(seed)
+        germs += [staircase_support(rng) for _ in range(40)]
+    for points in germs:
+        nd = analyze_support(points)
+        for region in svg.REGIONS:
+            built.clear()
+            svg.render_svg(points, region=region)
+            (sc,) = built
+            want = (nd.gamma_minus if region == "gamma-minus"
+                    else sc.curve.subdivision.domain)
+            assert sc.region == want, (points, region)
+            assert sc == restrict(sc.curve, sc.region), (points, region)
