@@ -37,15 +37,16 @@ EXIT_PRECONDITION = 3
 EXIT_IO = 4
 
 
-def _load_support(ns) -> tuple:
-    """Exponent points from the positional expression or --file."""
+def _load_support(ns) -> SupportSet:
+    """The support, with its coefficients, from the positional
+    expression or --file."""
     if ns.file:
         obj = load_json(ns.file)
         if isinstance(obj, LiftedSupport):
             raise SchemaError("heights (\"t\" entries) are not accepted here; "
                               "the tool computes its own lifting")
-        return obj.points
-    return parse_germ(ns.expression).points
+        return obj
+    return parse_germ(ns.expression)
 
 
 def _cmd_analyze(ns) -> int:

@@ -15,6 +15,9 @@ class TropnewtonError(Exception):
 
 # --- input / parsing -------------------------------------------------------
 
+_ECHO = 40  # characters of the text a parse error shows on each side of pos
+
+
 class ParseError(TropnewtonError):
     """Malformed expression text.
 
@@ -28,7 +31,13 @@ class ParseError(TropnewtonError):
         self.pos = pos
 
     def caret_block(self) -> str:
-        return f"{self.text}\n{' ' * self.pos}^"
+        """The text with a caret under ``pos``.  At most ``_ECHO``
+        characters on each side of ``pos`` are shown, and '...' marks
+        each cut, so a long input gets a short echo."""
+        lo, hi = max(0, self.pos - _ECHO), self.pos + _ECHO
+        head = "..." if lo else ""
+        tail = "..." if hi < len(self.text) else ""
+        return f"{head}{self.text[lo:hi]}{tail}\n{' ' * (len(head) + self.pos - lo)}^"
 
 
 class NegativeExponentError(ParseError):

@@ -17,9 +17,12 @@ and builds the subdivision: they tile the domain, every interior edge
 folds strictly upward, every tight point lies on its cell's plane, and
 every point tight in no cell lies strictly above every cell's plane.
 The split of the cells' edges into rim and interior edges is on
-integers too, so there is no tolerance anywhere and no ``Fraction``
-until a cell's plane is built.  The wrap never finds a facet twice, so
-the cells are a plain list with no lookup by plane.
+integers too, so there is no tolerance anywhere.  Both wraps hand
+``_certify`` plain facet records, each its corners, its tight points
+and its integer plane; ``_certify`` is the only place in the hull
+that makes a ``Fraction`` or a ``Cell``, once per cell after the
+proof.  The wrap never finds a facet twice, so the facets are a plain
+list with no lookup by plane.
 
 For a diagram the goal is a subdivision whose cells inside the region
 under the boundary are exactly unit squares and half-square triangles.
@@ -79,6 +82,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, groupby
 from math import lcm
 from operator import itemgetter
@@ -101,7 +105,7 @@ from .lattice import (
     lattice_length,
     segment_lattice_points,
 )
-from .newton import NewtonDiagram, StaircaseDecomposition, decompose_diagram
+from .newton import NewtonDiagram
 from .parsing import LiftedSupport
 
 Plane = tuple[Fraction, Fraction, Fraction]
@@ -151,17 +155,9 @@ class RegularSubdivision:
     vertices: tuple[LatticePoint, ...]
 
     def boundary_vertex_count(self) -> int:
-        """Vertices on the domain's boundary: those on the inner side of
-        every domain edge line nx*i + ny*j = c and on one of them, so the
-        least nx*i + ny*j - c is zero (``ConvexPolygon.locate``'s test).
-        One pass per line collects the vertices on it and those outside."""
-        on, outside = set(), set()
-        for nx, ny, c in _edge_lines(self.domain):
-            for v in self.vertices:
-                s = nx * v[0] + ny * v[1]
-                if s <= c:
-                    (on if s == c else outside).add(v)
-        return len(on - outside)
+        """Vertices that ``ConvexPolygon.locate`` puts on the domain's
+        boundary."""
+        return sum(self.domain.locate(v) == "boundary" for v in self.vertices)
 
 
 def _edge_lines(polygon: ConvexPolygon) -> list[tuple[int, int, int]]:
@@ -305,16 +301,18 @@ def _lifted(lifting: LiftedSupport):
 
 
 def _wrap(lifting: LiftedSupport):
-    """The domain, the kept lifted points, the cells in the order found
-    with their integer planes (n0, n1, n2, level), and each kept point's
-    rim-line bitmask.  A lifted point (x, y, z) lies strictly above a
-    cell's plane when n0*x + n1*y + n2*z > level; n2 > 0."""
+    """The domain, the kept lifted points, the height scale, the facets
+    in the order found, and each kept point's rim-line bitmask.  A facet
+    is a record (vertices, tight, (n0, n1, n2, level)): the cell's
+    polygon corners, counterclockwise from the smallest, its sorted tight
+    points, and its integer plane.  A lifted point (x, y, z) lies
+    strictly above that plane when n0*x + n1*y + n2*z > level; n2 > 0."""
     domain, scale, pts3 = _lifted(lifting)
     pts3 = _under_fan(pts3, domain.vertices)
     lines = _rim_masks(pts3, _edge_lines(domain))
     first = _lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1])
-    cells, planes = _wrap_over(pts3, scale, lines, set(), [first], _scan_pick(pts3))
-    return domain, pts3, cells, planes, lines
+    facets = _wrap_over(pts3, lines, set(), [first], _scan_pick(pts3))
+    return domain, pts3, scale, facets, lines
 
 
 def _square_wrap(lifting: LiftedSupport):
@@ -324,7 +322,7 @@ def _square_wrap(lifting: LiftedSupport):
     module docstring).
 
     Every full square, one whose four corners are support points, is a
-    cell with the plane through three of its corners (``_certify``
+    facet with the plane through three of its corners (``_certify``
     checks the fourth), and its edges are claimed up front.  The wrap
     then picks and collects over the pocket only, with ``_line_pick``.
     It starts from the squares' frontier edges, the reverses of square
@@ -336,39 +334,26 @@ def _square_wrap(lifting: LiftedSupport):
     domain, scale, pts3 = _lifted(lifting)
     lines = _rim_masks(pts3, _edge_lines(domain))
     claimed: set[tuple[LatticePoint, LatticePoint]] = set()
-    cells: list[Cell] = []
-    planes: list[tuple[int, int, int, int]] = []
+    facets = []
     full = set()
     key = {pt: pt for pt in pts3}.get  # the support's own point objects
-    # a square's slopes are the increments of its column and its row, so
-    # squares share them: one Fraction per slope
-    slope: dict[int, Fraction] = {}
     for ll, (i, j, z) in pts3.items():
         lr, ul, ur = key((i + 1, j)), key((i, j + 1)), key((i + 1, j + 1))
         if lr and ul and ur:
             # z rises by z(lr) - z along i and by z(ul) - z along j
             n0, n1 = z - pts3[lr][2], z - pts3[ul][2]
-            level = n0 * i + n1 * j + z
-            if n0 not in slope:
-                slope[n0] = Fraction(-n0, scale)
-            if n1 not in slope:
-                slope[n1] = Fraction(-n1, scale)
-            plane = (slope[n0], slope[n1], Fraction(level, scale))
             # a unit square, counterclockwise from its smallest corner
-            square = ConvexPolygon._trusted((ll, lr, ur, ul))
-            cells.append(Cell(square, plane, (ll, ul, lr, ur)))
-            planes.append((n0, n1, 1, level))
+            facets.append(((ll, lr, ur, ul), (ll, ul, lr, ur), (n0, n1, 1, n0 * i + n1 * j + z)))
             claimed.update(((ll, lr), (lr, ur), (ur, ul), (ul, ll)))
             full.add(ll)
     # the frontier: square edges off the rim with no square on their right
     queue = [(v, u) for u, v in claimed if (v, u) not in claimed and not lines[u] & lines[v]]
-    if not cells:
+    if not facets:
         queue.append(_lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1]))
     pocket = {pt: p for pt, p in pts3.items()
               if not {pt, (pt.i - 1, pt.j), (pt.i, pt.j - 1), (pt.i - 1, pt.j - 1)} <= full}
-    more_cells, more_planes = _wrap_over(pocket, scale, lines, claimed, queue,
-                                         _line_pick(pocket))
-    return domain, pts3, cells + more_cells, planes + more_planes, lines
+    facets += _wrap_over(pocket, lines, claimed, queue, _line_pick(pocket))
+    return domain, pts3, scale, facets, lines
 
 
 def _rim_masks(points: dict, rim) -> dict[LatticePoint, int]:
@@ -382,17 +367,16 @@ def _rim_masks(points: dict, rim) -> dict[LatticePoint, int]:
     return masks
 
 
-def _wrap_over(points: dict, scale: int, lines: dict, claimed: set, queue: list, pick):
+def _wrap_over(points: dict, lines: dict, claimed: set, queue: list, pick):
     """The gift-wrap from the edges in ``queue``, one ``pick`` over
-    ``points`` per facet: the cells in the order found and their
-    integer planes.  ``pick(a, b)`` gives the normal (n0, n1, n2) and
-    level of the least plane through the lifted a and b on which a
-    point left of ab lies, with n2 > 0 unless there is no such point,
-    and the facet's tight points, sorted.  ``claimed`` holds the
-    directed edges that already have a cell on their left, and grows
-    with each cell; ``lines`` holds every point's rim-line mask."""
-    cells: list[Cell] = []
-    planes: list[tuple[int, int, int, int]] = []
+    ``points`` per facet: the facet records (see ``_wrap``) in the order
+    found.  ``pick(a, b)`` gives the normal (n0, n1, n2) and level of
+    the least plane through the lifted a and b on which a point left of
+    ab lies, with n2 > 0 unless there is no such point, and the facet's
+    tight points, sorted.  ``claimed`` holds the directed edges that
+    already have a cell on their left, and grows with each facet;
+    ``lines`` holds every point's rim-line mask."""
+    facets = []
     while queue:
         a, b = queue.pop()
         if (a, b) in claimed:
@@ -400,21 +384,17 @@ def _wrap_over(points: dict, scale: int, lines: dict, claimed: set, queue: list,
         n0, n1, n2, level, tight = pick(a, b)
         if n2 <= 0:
             raise InternalCheckError("wrap edge has no support point on its left")
-        polygon = convex_hull_of_sorted(tight)
-        v = polygon.vertices
+        v = convex_hull_of_sorted(tight).vertices
         edges = list(zip(v, v[1:] + v[:1]))
         if (a, b) not in edges:
             raise InternalCheckError("wrap edge is not a facet edge")
-        den = n2 * scale
-        cells.append(Cell(polygon, (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den)),
-                          tuple(tight)))
-        planes.append((n0, n1, n2, level))
+        facets.append((v, tight, (n0, n1, n2, level)))
         claimed.update(edges)
         # no edge of one polygon is the reverse of another of its edges
         for u, w in edges:
             if not lines[u] & lines[w] and (w, u) not in claimed:
                 queue.append((w, u))
-    return cells, planes
+    return facets
 
 
 def _scan_pick(points: dict):
@@ -592,17 +572,17 @@ def _first_least(line: list, lo: int, hi: int, k: int, ax, ay, az, dx, dy, dz) -
     return first
 
 
-def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
+def _certify(lifting, domain, pts3, scale, facets, lines) -> RegularSubdivision:
     """The subdivision of a wrap's output, once proved to be exactly the
     lower hull's, in O(points + edges) when few points are tight in no
     cell.
 
     The input is what ``_wrap`` or ``_square_wrap`` returns: the domain,
-    ``pts3`` the kept lifted points, the cells (each polygon the hull of
-    its tight points) with their integer planes in ``planes``, and
-    ``lines`` the kept points' rim-line bitmasks.  The cells, and their
-    planes with them, are sorted into vertex order first; that order
-    fixes the cell ids.  It checks that
+    ``pts3`` the kept lifted points, the height scale, the facet records
+    (each polygon the hull of its tight points, with its integer plane),
+    and ``lines`` the kept points' rim-line bitmasks.  The facets are
+    sorted into vertex order first; that order fixes the cell ids.  It
+    checks that
 
     1. each directed edge lies on the boundary of one cell only, with
        the cell on its left;
@@ -648,17 +628,19 @@ def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
     and it is a left point of the cell's wrap edge on the plane, or on
     its lifted line: the scan collected it.  Hence the cells and their
     tight sets are exactly the lower hull's.
+
+    Only then is each cell built, its plane z = (level - n0*i - n1*j) /
+    (n2 * scale) in ``Fraction``s.  Squares share their slopes, and many
+    cells their levels, so one ``Fraction`` is made per distinct
+    integer pair (numerator, denominator).
     """
-    pairs = sorted(zip(cells, planes), key=lambda pair: pair[0].polygon.vertices)
-    cells = tuple(cell for cell, _ in pairs)
-    planes = [plane for _, plane in pairs]
+    facets = sorted(facets, key=itemgetter(0))
     # each directed edge's cell, and the corner that follows the edge; the
     # corners and the cells' shoelace sums on the way
     owner: dict[tuple[LatticePoint, LatticePoint], tuple[int, LatticePoint]] = {}
     corners: set[LatticePoint] = set()
     area2 = 0
-    for k, cell in enumerate(cells):
-        v = cell.polygon.vertices
+    for k, (v, _, _) in enumerate(facets):
         corners.update(v)
         u, w = v[-2], v[-1]
         for after in v:
@@ -678,27 +660,33 @@ def _certify(lifting, domain, pts3, cells, planes, lines) -> RegularSubdivision:
             raise InternalCheckError(f"inner edge {u}-{w} has a cell on one side only")
         if u < w:
             right, after = across
-            n0, n1, n2, level = planes[k]
+            n0, n1, n2, level = facets[k][2]
             x, y, z = pts3[after]
             if not n0 * x + n1 * y + n2 * z > level:
                 raise InternalCheckError(f"inner edge {u}-{w} does not fold upward")
             interior.append(SubdivisionEdge(u, w, (k, right) if k < right else (right, k)))
     tight = set()
-    for cell, (n0, n1, n2, level) in zip(cells, planes):
-        for pt in cell.tight:
+    for _, on, (n0, n1, n2, level) in facets:
+        for pt in on:
             x, y, z = pts3[pt]
             if n0 * x + n1 * y + n2 * z != level:
                 raise InternalCheckError(f"tight point {pt} is off its cell's plane")
-        tight.update(cell.tight)
+        tight.update(on)
     loose = [p for pt, p in pts3.items() if pt not in tight]
-    for n0, n1, n2, level in planes:
+    for _, _, (n0, n1, n2, level) in facets:
         for x, y, z in loose:
             if not n0 * x + n1 * y + n2 * z > level:
                 raise InternalCheckError("wrap produced a non-supporting plane")
     check(area2 == domain.area2, "cells do not tile the support hull")
     interior.sort()
     boundary.sort()
-    return RegularSubdivision(lifting, domain, cells, tuple(interior),
+    exact = cache(Fraction)
+    cells = []
+    for v, on, (n0, n1, n2, level) in facets:
+        den = n2 * scale
+        plane = (exact(-n0, den), exact(-n1, den), exact(level, den))
+        cells.append(Cell(ConvexPolygon._trusted(v), plane, tuple(on)))
+    return RegularSubdivision(lifting, domain, tuple(cells), tuple(interior),
                               tuple(boundary), tuple(sorted(corners)))
 
 
@@ -817,7 +805,6 @@ def crossed_square_count(p: int, q: int) -> int:
 @dataclass(frozen=True)
 class SubdividedDiagram:
     diagram: NewtonDiagram
-    decomposition: StaircaseDecomposition
     subdivision: RegularSubdivision
     inside_cells: tuple[int, ...]
     used_fallback: bool
@@ -833,20 +820,8 @@ class SubdividedDiagram:
             out[k] = out.get(k, 0) + 1
         return out
 
-    @property
-    def square_cell_ids(self) -> tuple[int, ...]:
-        return tuple(c for c in self.inside_cells
-                     if self.subdivision.cells[c].kind == "square")
 
-    @property
-    def touching_square_count(self) -> int:
-        nd = self.diagram
-        return sum(1 for c in self.square_cell_ids
-                   if any(nd.on_gamma(v)
-                          for v in self.subdivision.cells[c].polygon.vertices))
-
-
-def _land(nd: NewtonDiagram, dec: StaircaseDecomposition, lifting: LiftedSupport,
+def _land(nd: NewtonDiagram, lifting: LiftedSupport,
           used_fallback: bool) -> SubdividedDiagram | None:
     """The subdivided diagram if the lifting, separable with strictly
     increasing increments, lands on the special tiling: the cells under
@@ -855,26 +830,27 @@ def _land(nd: NewtonDiagram, dec: StaircaseDecomposition, lifting: LiftedSupport
     boundary's unit steps against the skeleton before it locates any
     cell, so a lifting that misses one costs no point location.
 
-    The decomposition's counts then hold with no test.  Let R be the
-    region; the support is every lattice point of R.  The inside squares
-    are the unit squares in R: a unit square in R has its four corners
-    in the support, so it is a cell by the squares lemma (module
-    docstring), and inside; an inside cell lies in R, since the cells
-    tile it.  A unit square in R lies in one piece of the decomposition,
-    whose cuts run along lattice lines and the boundary; a staircase
-    rectangle holds its area of them, and a corner triangle with coprime
-    legs p and q holds (p - 1)(q - 1)/2, so there are
-    ``dec.square_count``.  The boundary falls strictly, so a unit square
-    in R meets it only in its upper right corner, whose coordinates are
-    positive: an inner lattice point of the boundary.  Each inner
-    lattice point g is the upper right corner of the unit square below
-    and left of it, which lies in R, since R holds every point below and
-    left of one of its points.  So ``touching_square_count`` is
-    ``dec.touching_count``, one square per inner lattice point.
+    The staircase decomposition's counts (``decompose_diagram``) then
+    hold for the inside cells with no test.  Let R be the region; the
+    support is every lattice point of R.  The inside squares are the
+    unit squares in R: a unit square in R has its four corners in the
+    support, so it is a cell by the squares lemma (module docstring),
+    and inside; an inside cell lies in R, since the cells tile it.  A
+    unit square in R lies in one piece of the decomposition, whose cuts
+    run along lattice lines and the boundary; a staircase rectangle
+    holds its area of them, and a corner triangle with coprime legs p
+    and q holds (p - 1)(q - 1)/2, so there are ``square_count`` inside
+    squares.  The boundary falls strictly, so a unit square in R meets
+    it only in its upper right corner, whose coordinates are positive:
+    an inner lattice point of the boundary.  Each inner lattice point g
+    is the upper right corner of the unit square below and left of it,
+    which lies in R, since R holds every point below and left of one of
+    its points.  So ``touching_count`` inside squares touch the
+    boundary, one per inner lattice point.
     """
     sd = _certify(lifting, *_square_wrap(lifting))
     inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
-    result = SubdividedDiagram(nd, dec, sd, inside, used_fallback)
+    result = SubdividedDiagram(nd, sd, inside, used_fallback)
     if clean and set(result.inside_kinds()) <= {"square", "half_triangle"}:
         return result
     return None
@@ -915,12 +891,11 @@ def subdivide_diagram(nd: NewtonDiagram) -> SubdividedDiagram:
     of the kinked lifting raises RegularityCertificationError rather
     than passing silently.
     """
-    dec = decompose_diagram(nd)
-    result = _land(nd, dec, separable_lifting(nd), False)
+    result = _land(nd, separable_lifting(nd), False)
     if result is not None:
         return result
     lam = (nd.p + nd.q) ** 2
-    result = _land(nd, dec, _kinked_lifting(nd, lam), True)
+    result = _land(nd, _kinked_lifting(nd, lam), True)
     if result is None:
         raise RegularityCertificationError(
             "kinked separable lifting missed the special tiling",

@@ -88,6 +88,27 @@ def test_parse_error_prints_a_caret(capsys):
     assert err == "error: expected '+' or '-', found '&'\nx^2 & y^3\n    ^\n"
 
 
+def test_a_long_bad_germ_gets_a_short_echo(capsys):
+    # a window of the text around the error, '...' at each cut, and the
+    # caret under the same character
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text in ("1" * 5000, "x^2+y^3+" + "x*" * 3000):
+            code, out, err = run(capsys, "certify", text)
+            assert (code, out) == (2, ""), text[:9]
+            assert len(err.encode()) < 300, text[:9]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    text = "".join(chr(65 + k % 26) for k in range(200))
+    for pos, cuts in [(0, (False, True)), (100, (True, True)), (199, (True, False)),
+                      (200, (True, False))]:
+        line, caret = ParseError("bad", text, pos).caret_block().split("\n")
+        assert (line.startswith("..."), line.endswith("...")) == cuts, pos
+        assert len(line) <= 86, pos
+        assert caret.strip() == "^" and (text + " ")[pos] == (line + " ")[len(caret) - 1], pos
+
+
 def test_certify_pass_lines(capsys):
     code, out, _ = run(capsys, "certify", "x^2+y^3")
     assert code == 0

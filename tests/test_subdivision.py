@@ -149,13 +149,20 @@ def test_quintic_subdivision_and_classification():
     assert sd.cells[out[0]].polygon.vertices == ((0, 5), (2, 2), (5, 0))
 
 
+def touching_squares(sdd) -> int:
+    """Inside unit squares with a corner on the Newton boundary."""
+    cells = sdd.subdivision.cells
+    return sum(cells[c].kind == "square"
+               and any(map(sdd.diagram.on_gamma, cells[c].polygon.vertices))
+               for c in sdd.inside_cells)
+
+
 def test_subdivide_diagram_counts():
     for nd, squares, touching in [(QUINTIC, 6, 1), (CUSP, 1, 0), (NODE, 1, 1)]:
         sdd = subdivide_diagram(nd)
-        assert len(sdd.square_cell_ids) == squares
-        assert sdd.touching_square_count == touching
         dec = decompose_diagram(nd)
-        assert dec.square_count == squares
+        assert sdd.inside_kinds()["square"] == dec.square_count == squares
+        assert touching_squares(sdd) == dec.touching_count == touching
         assert not sdd.used_fallback
 
 
@@ -396,42 +403,42 @@ def wrapped(heights):
     """The wrap's output for a lifting, as ``_certify`` takes it; the
     untampered output passes."""
     lifting = LiftedSupport.from_mapping(heights)
-    domain, pts3, cells, planes, lines = subdivision._wrap(lifting)
-    subdivision._certify(lifting, domain, pts3, cells, planes, lines)
-    return pts3, cells, planes, lines
+    domain, pts3, scale, facets, lines = subdivision._wrap(lifting)
+    subdivision._certify(lifting, domain, pts3, scale, facets, lines)
+    return pts3, scale, facets, lines
 
 
 def test_certificate_fails_on_a_flat_fold():
     # the affine 4x4 grid is one cell; cut along its diagonal, the two
     # halves share one plane, so the diagonal does not fold
-    pts3, (cell,), (plane,), lines = wrapped(
+    pts3, scale, [(_, tight, plane)], lines = wrapped(
         {(i, j): 3 * i - 2 * j for i in range(4) for j in range(4)})
-    halves = [tuple(p for p in cell.tight if side(p)) for side in
+    halves = [tuple(p for p in tight if side(p)) for side in
               (lambda p: p.i >= p.j, lambda p: p.j >= p.i)]
-    cells = [subdivision.Cell(convex_hull_of_sorted(t), cell.plane, t) for t in halves]
+    facets = [(convex_hull_of_sorted(t).vertices, t, plane) for t in halves]
     with pytest.raises(InternalCheckError,
                        match=r"inner edge \(0,0\)-\(3,3\) does not fold upward"):
-        subdivision._certify(None, None, pts3, cells, [plane, plane], lines)
+        subdivision._certify(None, None, pts3, scale, facets, lines)
 
 
 def test_certificate_fails_on_a_loose_point_on_a_plane():
     # (2,2) lies on the fan, so it is kept, and 4 above both cells
-    pts3, cells, planes, lines = wrapped(
+    pts3, scale, facets, lines = wrapped(
         {(0, 0): 0, (4, 0): 0, (4, 4): 8, (0, 4): 0, (2, 2): 4})
-    assert (2, 2) not in {p for c in cells for p in c.tight}
+    assert (2, 2) not in {p for _, tight, _ in facets for p in tight}
     pts3[LatticePoint(2, 2)] = (2, 2, 0)
     with pytest.raises(InternalCheckError, match="wrap produced a non-supporting plane"):
-        subdivision._certify(None, None, pts3, cells, planes, lines)
+        subdivision._certify(None, None, pts3, scale, facets, lines)
 
 
 def test_certificate_fails_on_an_edge_claimed_twice_or_once():
     # the dent at (1, 1) makes three cells around it
-    pts3, cells, planes, lines = wrapped({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
-    assert len(cells) == 3
+    pts3, scale, facets, lines = wrapped({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
+    assert len(facets) == 3
     with pytest.raises(InternalCheckError, match="claimed by two cells"):
-        subdivision._certify(None, None, pts3, cells + cells[:1], planes + planes[:1], lines)
+        subdivision._certify(None, None, pts3, scale, facets + facets[:1], lines)
     with pytest.raises(InternalCheckError, match="has a cell on one side only"):
-        subdivision._certify(None, None, pts3, cells[1:], planes[1:], lines)
+        subdivision._certify(None, None, pts3, scale, facets[1:], lines)
 
 
 def test_certificate_fails_on_a_tight_point_off_its_plane():
@@ -439,19 +446,19 @@ def test_certificate_fails_on_a_tight_point_off_its_plane():
     # wrap, it breaks no fold, so only the tight-point check sees it
     lifting = LiftedSupport.from_mapping({(0, 0): 0, (4, 0): 4, (4, 4): 8, (0, 4): 4,
                                           (2, 2): 4, (2, 0): 2, (1, 3): 5})
-    domain, pts3, cells, planes, lines = subdivision._wrap(lifting)
-    assert [LatticePoint(2, 2) in c.tight for c in cells] == [True]
+    domain, pts3, scale, facets, lines = subdivision._wrap(lifting)
+    assert [LatticePoint(2, 2) in tight for _, tight, _ in facets] == [True]
     pts3[LatticePoint(2, 2)] = (2, 2, 5)
     with pytest.raises(InternalCheckError,
                        match=re.escape("tight point (2,2) is off its cell's plane")):
-        subdivision._certify(lifting, domain, pts3, cells, planes, lines)
+        subdivision._certify(lifting, domain, pts3, scale, facets, lines)
 
 
 def test_certificate_fails_when_the_cells_do_not_tile():
     lifting = LiftedSupport.from_mapping({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
-    domain, pts3, _, _, lines = subdivision._wrap(lifting)
+    domain, pts3, scale, _, lines = subdivision._wrap(lifting)
     with pytest.raises(InternalCheckError, match="cells do not tile the support hull"):
-        subdivision._certify(lifting, domain, pts3, [], [], lines)
+        subdivision._certify(lifting, domain, pts3, scale, [], lines)
 
 
 def test_wrap_fails_on_an_edge_with_no_point_on_its_left(monkeypatch):
@@ -580,9 +587,9 @@ def test_square_wrap_scans_only_the_pocket(monkeypatch):
     real = subdivision._wrap_over
 
     def spy(points, *args):
-        cells, planes = real(points, *args)
-        scans.append((len(points), len(cells)))
-        return cells, planes
+        facets = real(points, *args)
+        scans.append((len(points), len(facets)))
+        return facets
 
     monkeypatch.setattr(subdivision, "_wrap_over", spy)
     for n in (40, 80):
@@ -592,6 +599,27 @@ def test_square_wrap_scans_only_the_pocket(monkeypatch):
         pq = nd.p + nd.q
         assert scans == [(2 * pq - 3, pq - 1)]
         assert len(sd.cells) == len(nd.gamma_minus_lattice) - 2
+
+
+def test_only_the_certificate_makes_fractions(monkeypatch):
+    # the wraps hand over integer planes, and _certify makes one Fraction
+    # per distinct (numerator, denominator) pair of the cells' planes
+    lifting = separable_lifting(analyze_support([(40, 0), (0, 41)]))
+    made = []
+
+    def counted(*pair):
+        made.append(pair)
+        return Fraction(*pair)
+
+    monkeypatch.setattr(subdivision, "Fraction", counted)
+    out = subdivision._square_wrap(lifting)
+    assert made == []
+    _, _, scale, facets, _ = out
+    sd = subdivision._certify(lifting, *out)
+    pairs = {(num, n2 * scale) for _, _, (n0, n1, n2, level) in facets
+             for num in (-n0, -n1, level)}
+    assert sorted(made) == sorted(pairs)
+    assert len(sd.cells) == len(facets) == 860
 
 
 def test_line_pick_equals_the_flat_scan_on_any_edge(monkeypatch):
@@ -658,9 +686,9 @@ def test_pocket_pick_searches_the_lines_of_a_thin_diagram(monkeypatch):
 
     def spy(points, *args):
         Counted.reads = 0
-        cells, planes = real_wrap(points, *args)
-        wraps.append((len(points), len(cells), Counted.reads))
-        return cells, planes
+        facets = real_wrap(points, *args)
+        wraps.append((len(points), len(facets), Counted.reads))
+        return facets
 
     monkeypatch.setattr(subdivision, "_wrap_over", spy)
     nd = analyze_support([(2, 0), (0, 1001)])
@@ -837,7 +865,7 @@ def test_lemma_counts_match_full_hull():
     for p, q in [(2, 3), (3, 4), (3, 5), (4, 5), (2, 7)]:
         nd = analyze_support([(p, 0), (0, q)])
         sdd = subdivide_diagram(nd)
-        assert len(sdd.square_cell_ids) == triangle_square_count(p, q)
+        assert sdd.inside_kinds().get("square", 0) == triangle_square_count(p, q)
 
 
 # --- the kinked separable lifting ---------------------------------------------
@@ -848,8 +876,8 @@ def assert_special(sdd):
     nd = sdd.diagram
     kinds = sdd.inside_kinds()
     assert set(kinds) <= {"square", "half_triangle"}
-    assert kinds.get("square", 0) == sdd.decomposition.square_count
-    assert sdd.touching_square_count == nd.branch_count - 1
+    assert kinds.get("square", 0) == decompose_diagram(nd).square_count
+    assert touching_squares(sdd) == nd.branch_count - 1
     area = sum(sdd.subdivision.cells[c].polygon.area2 for c in sdd.inside_cells)
     assert area == nd.gamma_minus.area2
 
