@@ -25,7 +25,7 @@ from .errors import (
 )
 from .corpus import run_corpus
 from .newton import analyze_support
-from .parsing import LiftedSupport, SupportSet, germ_text, load_json, parse_germ
+from .parsing import SupportSet, germ_text, load_json, parse_germ
 from .patchwork import analyze, build_patchwork, emit_polynomial_text
 from .subdivision import crossed_square_count, triangle_square_count
 from .svg import REGIONS, render_svg
@@ -41,11 +41,7 @@ def _load_support(ns) -> SupportSet:
     """The support, with its coefficients, from the positional
     expression or --file."""
     if ns.file:
-        obj = load_json(ns.file)
-        if isinstance(obj, LiftedSupport):
-            raise SchemaError("heights (\"t\" entries) are not accepted here; "
-                              "the tool computes its own lifting")
-        return obj
+        return load_json(ns.file)
     return parse_germ(ns.expression)
 
 
@@ -130,8 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("expression", nargs="?",
                        help="germ, e.g. \"x^5+x^2*y^2+y^5\"")
-        p.add_argument("--file", help="JSON support (monomials without \"t\" "
-                                      "heights) instead of an inline expression")
+        p.add_argument("--file", help="JSON support instead of an inline expression")
 
     p = sub.add_parser("analyze", help="full pipeline with summary and verdicts")
     add_input(p)

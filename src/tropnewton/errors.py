@@ -56,7 +56,7 @@ class SchemaError(TropnewtonError):
     """Structured input violates the JSON schema.
 
     ``pointer`` is a JSON-pointer-style path to the offending element,
-    e.g. ``/monomials/3/t``.
+    e.g. ``/monomials/3/coeff``.
     """
 
     def __init__(self, message: str, pointer: str = ""):

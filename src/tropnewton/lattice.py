@@ -136,21 +136,6 @@ def _canonical_rotation(vertices: tuple) -> tuple:
     return vertices[k:] + vertices[:k]
 
 
-def _strip_collinear(vertices: Sequence[LatticePoint]) -> tuple:
-    """Drop vertices lying between their neighbours on a straight run."""
-    out = list(vertices)
-    changed = True
-    while changed and len(out) > 3:
-        changed = False
-        for k in range(len(out)):
-            p, c, n = out[k - 1], out[k], out[(k + 1) % len(out)]
-            if cross(p, c, n) == 0 and dot(sub(c, p), sub(n, c)) > 0:
-                out.pop(k)
-                changed = True
-                break
-    return tuple(out)
-
-
 class _Polygon:
     """Vertex tuple, counterclockwise from the smallest vertex, immutable.
 
@@ -229,7 +214,8 @@ class ConvexPolygon(_Polygon):
 
 
 class LatticePolygon(_Polygon):
-    """Simple closed lattice polygon, possibly non-convex, ccw."""
+    """Simple closed lattice polygon, possibly non-convex, ccw.  A vertex
+    between its neighbours on a straight run is kept as given."""
 
     __slots__ = ()
 
@@ -237,7 +223,6 @@ class LatticePolygon(_Polygon):
         verts = tuple(as_lattice_point(v) for v in vertices)
         check(len(verts) >= 3, "polygon needs at least 3 vertices")
         check(len(set(verts)) == len(verts), "repeated vertex in polygon")
-        verts = _strip_collinear(verts)
         verts = _canonical_rotation(verts)
         check(shoelace2(verts) > 0, "polygon boundary must be ccw with area > 0")
         n = len(verts)

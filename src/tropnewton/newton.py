@@ -42,11 +42,6 @@ class NewtonDiagram:
     q: int
 
     @property
-    def gamma_edges(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
-        v = self.gamma_vertices
-        return tuple(zip(v, v[1:]))
-
-    @property
     def primitive_steps(self) -> tuple[tuple[int, int], ...]:
         """(p_i, q_i) for each unit lattice segment along the boundary."""
         g = self.gamma_lattice
@@ -61,11 +56,6 @@ class NewtonDiagram:
         """Region between the boundary and the axes, counterclockwise."""
         ring = [LatticePoint(0, 0)] + list(reversed(self.gamma_vertices))
         return LatticePolygon(ring)
-
-    def on_gamma(self, point) -> bool:
-        """Membership in ``gamma_lattice``, which holds every lattice point
-        of every edge: a primitive step has none but its ends."""
-        return lattice_key(point) in self.gamma_lattice
 
     @cached_property
     def gamma_minus_lattice(self) -> tuple[LatticePoint, ...]:

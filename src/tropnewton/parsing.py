@@ -1,11 +1,10 @@
 """Parsers and serializers for supports and lifted supports.
 
-Three input routes produce the same two data shapes:
+Three input routes produce the two data shapes:
 
   * germ text like ``x^5+x^2*y^2+y^5``      -> SupportSet
+  * JSON ``{"monomials": [...]}``           -> SupportSet
   * lifted text like ``1+tz+t^3z^2``        -> LiftedSupport
-  * JSON ``{"monomials": [...]}``           -> either, decided by whether
-    the monomials carry a ``t`` field (mixing is a SchemaError)
 
 Both text routes share one signed-term loop.  Each data shape is
 checked in one place, its constructor, so the text parsers only read
@@ -23,9 +22,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import (
     DuplicateMonomialError,
@@ -72,12 +70,6 @@ class SupportSet:
     def points(self) -> tuple[LatticePoint, ...]:
         return tuple(p for p, _ in self.terms)
 
-    def coefficient(self, p) -> tuple[int, int]:
-        for q, c in self.terms:
-            if q == tuple(p):
-                return c
-        return (0, 0)
-
 
 def _gaussian(c, point: LatticePoint) -> tuple[int, int]:
     pair = (c, 0) if isinstance(c, int) else c
@@ -123,13 +115,6 @@ class LiftedSupport:
 
     def as_dict(self) -> dict[LatticePoint, Fraction]:
         return dict(self.entries)
-
-    @cached_property
-    def _heights(self) -> dict[LatticePoint, Fraction]:
-        return dict(self.entries)
-
-    def value(self, p) -> Fraction:
-        return self._heights[tuple(p)]
 
 
 class _Scanner:
@@ -383,29 +368,11 @@ def _require_nonneg_int(value, pointer: str) -> int:
     return value
 
 
-_ECHO = 40  # the longest "t" value a message repeats whole
+_ALLOWED_KEYS = {"i", "j", "coeff"}
 
 
-def _parse_t_string(value, pointer: str) -> Fraction:
-    """A longer bad value is named by its first characters and its
-    length: ``int``'s own message would repeat up to 200 of them."""
-    if not isinstance(value, str):
-        raise SchemaError("t must be a string rational like \"3/2\"", pointer)
-    try:
-        num, _, den = value.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        if len(value) > _ECHO:
-            raise SchemaError(f"bad rational of {len(value)} characters, "
-                              f"{value[:20]!r}...", pointer) from None
-        raise SchemaError(f"bad rational {value!r} ({exc})", pointer) from None
-
-
-_ALLOWED_KEYS = {"i", "j", "t", "coeff"}
-
-
-def parse_json_obj(obj) -> Union[SupportSet, LiftedSupport]:
-    """Validate a decoded JSON object and build the matching support."""
+def parse_json_obj(obj) -> SupportSet:
+    """Validate a decoded JSON object and build its support."""
     if not isinstance(obj, dict) or "monomials" not in obj:
         raise SchemaError("top level must be an object with \"monomials\"", "/monomials")
     monomials = obj["monomials"]
@@ -415,9 +382,7 @@ def parse_json_obj(obj) -> Union[SupportSet, LiftedSupport]:
     if not isinstance(monomials, list) or not monomials:
         raise SchemaError("must be a non-empty list", "/monomials")
 
-    lifted = None
     support_acc: dict[LatticePoint, tuple[int, int]] = {}
-    lift_acc: dict[LatticePoint, Fraction] = {}
     for k, entry in enumerate(monomials):
         ptr = f"/monomials/{k}"
         if not isinstance(entry, dict):
@@ -430,32 +395,20 @@ def parse_json_obj(obj) -> Union[SupportSet, LiftedSupport]:
             raise SchemaError("needs both \"i\" and \"j\"", ptr)
         i = _require_nonneg_int(entry["i"], f"{ptr}/i")
         j = _require_nonneg_int(entry["j"], f"{ptr}/j")
-        has_t = "t" in entry
-        if lifted is None:
-            lifted = has_t
-        elif lifted != has_t:
-            raise SchemaError("either every monomial carries t or none does", f"{ptr}/t")
         coeff = _require_int(entry.get("coeff", 1), f"{ptr}/coeff",
                              "coeff must be an integer")
         if coeff == 0:
             raise SchemaError("coeff must be nonzero", f"{ptr}/coeff")
         point = LatticePoint(i, j)
-        if lifted:
-            if point in lift_acc:
-                raise SchemaError(f"duplicate monomial ({i},{j})", ptr)
-            lift_acc[point] = _parse_t_string(entry["t"], f"{ptr}/t")
-        else:
-            support_acc[point] = _gauss_add(support_acc.get(point, (0, 0)), (coeff, 0))
+        support_acc[point] = _gauss_add(support_acc.get(point, (0, 0)), (coeff, 0))
 
-    if lifted:
-        return LiftedSupport(tuple(lift_acc.items()))
     support_acc = {p: c for p, c in support_acc.items() if c != (0, 0)}
     if not support_acc:
         raise SchemaError("support is empty after combining terms", "/monomials")
     return SupportSet(tuple(support_acc.items()))
 
 
-def load_json(path) -> Union[SupportSet, LiftedSupport]:
+def load_json(path) -> SupportSet:
     """Read and validate a support file, UTF-8 as JSON requires.  IO
     errors propagate to the caller; bytes that are not UTF-8, bad or too
     deeply nested JSON and integers too long for ``int`` are
@@ -473,24 +426,16 @@ def load_json(path) -> Union[SupportSet, LiftedSupport]:
     return parse_json_obj(obj)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def serialize_json(obj: Union[SupportSet, LiftedSupport]) -> str:
+def serialize_json(support: SupportSet) -> str:
     """Canonical JSON text; parse_json_obj inverts it exactly."""
     monomials = []
-    if isinstance(obj, LiftedSupport):
-        for p, nu in obj.entries:
-            monomials.append({"i": p.i, "j": p.j, "t": _frac_str(nu)})
-    else:
-        for p, (re, im) in obj.terms:
-            if im != 0:
-                raise ValueError(f"coefficient {re}+{im}i at {p} has no JSON form")
-            entry = {"i": p.i, "j": p.j}
-            if re != 1:
-                entry["coeff"] = re
-            monomials.append(entry)
+    for p, (re, im) in support.terms:
+        if im != 0:
+            raise ValueError(f"coefficient {re}+{im}i at {p} has no JSON form")
+        entry = {"i": p.i, "j": p.j}
+        if re != 1:
+            entry["coeff"] = re
+        monomials.append(entry)
     return json.dumps({"monomials": monomials}, indent=2, sort_keys=True)
 
 

@@ -82,7 +82,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, groupby
 from math import lcm
 from operator import itemgetter
@@ -326,10 +325,9 @@ def _square_wrap(lifting: LiftedSupport):
     checks the fourth), and its edges are claimed up front.  The wrap
     then picks and collects over the pocket only, with ``_line_pick``.
     It starts from the squares' frontier edges, the reverses of square
-    edges that are off the rim and have no square on their other side,
-    or from the lower chain edge when there is no square (then every
-    point is in the pocket).  There is no fan prefilter: every lifted
-    point lies on a strictly convex surface, so the fan would drop none.
+    edges that are off the rim and have no square on their other side.
+    There is no fan prefilter: every lifted point lies on a strictly
+    convex surface, so the fan would drop none.
     """
     domain, scale, pts3 = _lifted(lifting)
     lines = _rim_masks(pts3, _edge_lines(domain))
@@ -346,10 +344,13 @@ def _square_wrap(lifting: LiftedSupport):
             facets.append(((ll, lr, ur, ul), (ll, ul, lr, ur), (n0, n1, 1, n0 * i + n1 * j + z)))
             claimed.update(((ll, lr), (lr, ur), (ur, ul), (ul, ll)))
             full.add(ll)
-    # the frontier: square edges off the rim with no square on their right
+    # the frontier: square edges off the rim with no square on their right.
+    # There is always a square to start from: the liftings ``_land`` passes
+    # hold every lattice point of the region under a diagram's boundary,
+    # which holds the unit square at the origin.  Each support point of a
+    # singular germ has i + j >= 2, so p, q >= 2, and the boundary, whose
+    # vertices are support points, passes on or above (1, 1).
     queue = [(v, u) for u, v in claimed if (v, u) not in claimed and not lines[u] & lines[v]]
-    if not facets:
-        queue.append(_lower_chain_edge(pts3, domain.vertices[0], domain.vertices[1]))
     pocket = {pt: p for pt, p in pts3.items()
               if not {pt, (pt.i - 1, pt.j), (pt.i, pt.j - 1), (pt.i - 1, pt.j - 1)} <= full}
     facets += _wrap_over(pocket, lines, claimed, queue, _line_pick(pocket))
@@ -630,9 +631,7 @@ def _certify(lifting, domain, pts3, scale, facets, lines) -> RegularSubdivision:
     tight sets are exactly the lower hull's.
 
     Only then is each cell built, its plane z = (level - n0*i - n1*j) /
-    (n2 * scale) in ``Fraction``s.  Squares share their slopes, and many
-    cells their levels, so one ``Fraction`` is made per distinct
-    integer pair (numerator, denominator).
+    (n2 * scale) in ``Fraction``s.
     """
     facets = sorted(facets, key=itemgetter(0))
     # each directed edge's cell, and the corner that follows the edge; the
@@ -680,11 +679,10 @@ def _certify(lifting, domain, pts3, scale, facets, lines) -> RegularSubdivision:
     check(area2 == domain.area2, "cells do not tile the support hull")
     interior.sort()
     boundary.sort()
-    exact = cache(Fraction)
     cells = []
     for v, on, (n0, n1, n2, level) in facets:
         den = n2 * scale
-        plane = (exact(-n0, den), exact(-n1, den), exact(level, den))
+        plane = (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den))
         cells.append(Cell(ConvexPolygon._trusted(v), plane, tuple(on)))
     return RegularSubdivision(lifting, domain, tuple(cells), tuple(interior),
                               tuple(boundary), tuple(sorted(corners)))

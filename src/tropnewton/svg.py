@@ -216,9 +216,9 @@ def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
 
     if show_curve:
         if region == "gamma-minus":
-            sc = _sub_curve(tc, nd.gamma_minus, sdd.inside_cells)
+            sc = _sub_curve(tc, sdd.inside_cells)
         else:
-            sc = _sub_curve(tc, sd.domain, tuple(range(len(sd.cells))))
+            sc = _sub_curve(tc, tuple(range(len(sd.cells))))
         for k in sc.full_segments:
             e = tc.edges[k]
             v, w = e.endpoints

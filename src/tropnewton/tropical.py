@@ -281,7 +281,6 @@ class HalfEdge:
 @dataclass(frozen=True)
 class TropicalSubCurve:
     curve: TropicalCurve
-    region: object
     vprime: tuple[int, ...]
     full_segments: tuple[int, ...]  # indices into curve.edges
     rays: tuple[int, ...]
@@ -299,10 +298,10 @@ def restrict(tc: TropicalCurve, region) -> TropicalSubCurve:
     inside, clean = classify_cells_by_region(tc.subdivision, region)
     if not clean:
         raise NotCellUnionError("region is not a union of subdivision cells")
-    return _sub_curve(tc, region, inside)
+    return _sub_curve(tc, inside)
 
 
-def _sub_curve(tc: TropicalCurve, region, inside: tuple[int, ...]) -> TropicalSubCurve:
+def _sub_curve(tc: TropicalCurve, inside: tuple[int, ...]) -> TropicalSubCurve:
     """``restrict`` over cells already known to tile the region: the
     ids, ascending, that ``classify_cells_by_region`` gave for it on a
     clean region, or every cell id for the subdivision's domain, which
@@ -339,8 +338,7 @@ def _sub_curve(tc: TropicalCurve, region, inside: tuple[int, ...]) -> TropicalSu
             g2 = tc.vertices[c2].coords
             mid = ((g1[0] + g2[0]) / 2, (g1[1] + g2[1]) / 2)
             halves.append(HalfEdge(at, mid, e.weight, e.dual_edge))
-    return TropicalSubCurve(tc, region, tuple(inside), tuple(full),
-                            tuple(rays), tuple(halves))
+    return TropicalSubCurve(tc, tuple(inside), tuple(full), tuple(rays), tuple(halves))
 
 
 def count_four_valent(sc: TropicalSubCurve) -> int:

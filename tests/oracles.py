@@ -26,7 +26,7 @@ def primitive_direction(dx: Coord, dy: Coord) -> tuple[int, int]:
 
 def on_gamma_by_cross(nd, point) -> bool:
     """Whether a point lies on a segment of the boundary chain, by the
-    cross product; the reference for ``NewtonDiagram.on_gamma``."""
+    cross product; the reference for ``NewtonDiagram.gamma_lattice``."""
     g = nd.gamma_lattice
     return any(a.i <= point[0] <= b.i and b.j <= point[1] <= a.j
                and cross(a, b, point) == 0 for a, b in zip(g, g[1:]))
@@ -121,6 +121,76 @@ def locate_boundary_vertex_count(sd) -> int:
     """Subdivision vertices that ``ConvexPolygon.locate`` puts on the
     domain's boundary; the reference for ``boundary_vertex_count``."""
     return sum(1 for v in sd.vertices if sd.domain.locate(v) == "boundary")
+
+
+def _gauss_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _rank_over_gaussian_rationals(rows) -> int:
+    """Rank over Q(i) of sparse rows ``{column: (re, im)}`` of Gaussian
+    integers, by fraction-free elimination: a row's least column is its
+    pivot, and a row that meets a pivot is replaced by v*row - u*pivot
+    (u, v the two entries in that column), divided by the integer gcd of
+    its entries.  Both steps keep the row space over Q(i)."""
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            u, v = row[c], pivot[c]
+            out = {}
+            for k in row.keys() | pivot.keys():
+                x = _gauss_mul(v, row.get(k, (0, 0)))
+                y = _gauss_mul(u, pivot.get(k, (0, 0)))
+                if x != y:
+                    out[k] = (x[0] - y[0], x[1] - y[1])
+            g = gcd(*(part for entry in out.values() for part in entry)) or 1
+            row = {k: (re // g, im // g) for k, (re, im) in out.items()}
+    return len(pivots)
+
+
+def milnor_by_elimination(support, budget: int = 30):
+    """mu = dim C{x,y}/(f_x, f_y) of the germ f whose terms a ``SupportSet``
+    holds, with no use of the Newton diagram; None when f is not isolated
+    within ``budget``.
+
+    Let J = (f_x, f_y) and d(N) = dim C[x,y]/(J + m^N), with m = (x, y).
+    Modulo m^N, J is spanned by the products of f_x and f_y with the
+    monomials of degree below N - 1 (f is singular at 0, so its partials
+    have no constant term), truncated to degree below N: d(N) is the
+    number of monomials of degree below N less the rank of those rows,
+    by exact elimination over the Gaussian rationals.  d never
+    decreases.  If d(N) = d(N + 1), then J + m^N = J + m^(N+1), so m^N
+    lies in J in the local ring by Nakayama, and mu = d(N) (Greuel,
+    Lossen and Shustin, Introduction to Singularities and Deformations,
+    2007).  When no N < ``budget`` gives d(N) = d(N + 1), the answer is
+    None: "not isolated within budget".
+    """
+    f_x = [((i - 1, j), (i * re, i * im)) for (i, j), (re, im) in support.terms if i]
+    f_y = [((i, j - 1), (j * re, j * im)) for (i, j), (re, im) in support.terms if j]
+
+    def d(n: int) -> int:
+        # a column is a monomial x^a y^b as (a + b, a): least degree first
+        rows = []
+        for a in range(n - 1):
+            for b in range(n - 1 - a):
+                for g in (f_x, f_y):
+                    row = {(a + i + b + j, a + i): c for (i, j), c in g if a + i + b + j < n}
+                    if row:
+                        rows.append(row)
+        return n * (n + 1) // 2 - _rank_over_gaussian_rationals(rows)
+
+    last = d(1)
+    for n in range(2, budget + 1):
+        now = d(n)
+        if now == last:
+            return last
+        last = now
+    return None
 
 
 def _edge_span(tc: TropicalCurve, e: TropicalEdge):

@@ -12,7 +12,7 @@ from tropnewton import analyze, cli
 from tropnewton.cli import _build_parser, main
 from tropnewton.corpus import SplitMix64
 from tropnewton.errors import InternalCheckError, ParseError, SchemaError
-from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly, serialize_json
+from tropnewton.parsing import parse_germ, parse_puiseux_poly, serialize_json
 from tropnewton.svg import _fmt, render_svg
 
 QUINTIC = "x^5+x^2*y^2+y^5"
@@ -130,14 +130,6 @@ def test_file_input_roundtrip(tmp_path, capsys):
     assert "mu       = 11" in out
     assert run(capsys, "analyze", "x^2+y^3", "--file", str(path))[0] == 2
     assert run(capsys, "analyze", "--file", str(tmp_path / "nope.json"))[0] == 4
-    # a lifted file carries heights the pipeline would ignore, so it is refused
-    lifted = tmp_path / "lifted.json"
-    lifted.write_text(serialize_json(LiftedSupport.from_mapping({(2, 0): 7, (0, 3): 5})))
-    for command in ("analyze", "emit-poly"):
-        code, out, err = run(capsys, command, "--file", str(lifted))
-        assert code == 2
-        assert out == ""
-        assert "heights" in err
 
 
 def test_lemma_command(capsys):
@@ -151,19 +143,21 @@ def test_lemma_command(capsys):
 
 
 def test_a_long_bad_t_value_gets_a_short_message(capsys, tmp_path):
-    # digits past int's limit, or not digits at all: the message names
-    # the value by its first characters and its length
+    # the tool computes its own lifting, so a "t" height in a file is an
+    # unknown key, short or past int's limit or not digits at all, and
+    # the message never repeats the value
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        path = tmp_path / "long_t.json"
-        for t in ("1" * 5000, "1/" + "7" * 5000, "x" * 5000):
-            path.write_text(json.dumps({"monomials": [{"i": 0, "j": 0, "t": "0"},
-                                                      {"i": 2, "j": 0, "t": t}]}))
-            code, out, err = run(capsys, "certify", "--file", str(path))
-            assert (code, out) == (2, ""), t[:3]
-            assert len(err.encode()) < 300 and "/monomials/1/t" in err, t[:3]
-            assert f"{len(t)} characters" in err, t[:3]
+        path = tmp_path / "t.json"
+        for t in ("7", "1" * 5000, "1/" + "7" * 5000, "x" * 5000):
+            path.write_text(json.dumps({"monomials": [{"i": 2, "j": 0, "t": t},
+                                                      {"i": 0, "j": 3, "t": "5"}]}))
+            for command in ("analyze", "certify", "emit-poly"):
+                code, out, err = run(capsys, command, "--file", str(path))
+                assert (code, out) == (2, ""), (command, t[:3])
+                assert len(err.encode()) < 300, (command, t[:3])
+                assert "/monomials/0/t: unknown key 't'" in err, (command, t[:3])
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -372,7 +366,8 @@ def _file_bytes(rng, limit: int) -> bytes:
         return json.dumps({"monomials": [entry, {"i": 0, "j": 3}]}).replace(
             '"DIGITS"', digits).encode()
     if kind == 5:
-        return serialize_json(LiftedSupport.from_mapping({(2, 0): 1, (0, 3): 0})).encode()
+        return json.dumps({"monomials": [{"i": 0, "j": 3, "t": "0"}, {"i": 2, "j": 0, "t": "1"}]},
+                          indent=2, sort_keys=True).encode()
     if kind == 6:
         return _pick(rng, [b"{}", b"[]", b"null", b'{"monomials": 1}',
                            b'{"monomials": [{"i": 1}]}', b'{"monomials": [], "x": 1}',

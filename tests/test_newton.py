@@ -24,9 +24,9 @@ from tropnewton.newton import (
     delta_invariant,
     milnor_number,
 )
-from tropnewton.parsing import parse_germ
+from tropnewton.parsing import SupportSet, parse_germ
 
-from oracles import on_gamma_by_cross, staircase_squares_by_shoelace
+from oracles import milnor_by_elimination, on_gamma_by_cross, staircase_squares_by_shoelace
 
 QUINTIC = parse_germ("x^5+x^2*y^2+y^5").points
 CUSP = parse_germ("x^2+y^3").points
@@ -93,24 +93,24 @@ def test_rejects_non_convenient():
 
 def test_on_gamma():
     nd = analyze_support(QUINTIC)
-    assert nd.on_gamma((2, 2))
-    assert nd.on_gamma((0, 5))
-    assert not nd.on_gamma((1, 1))
-    assert not nd.on_gamma((1, 4))  # strictly above the first edge
-    assert nd.on_gamma((Fraction(5), 0))
-    # (5/2, 5/2) is on the boundary's line but not a lattice point; it
-    # used to be truncated onto (2, 2)
-    with pytest.raises(SchemaError, match="is not a lattice point"):
-        nd.on_gamma((Fraction(5, 2), Fraction(5, 2)))
+    assert (2, 2) in nd.gamma_lattice
+    assert (0, 5) in nd.gamma_lattice
+    assert (1, 1) not in nd.gamma_lattice
+    assert (1, 4) not in nd.gamma_lattice  # strictly above the first edge
+    assert (Fraction(5), 0) in nd.gamma_lattice
+    # (5/2, 5/2) is on the boundary's line but not a lattice point
+    assert (Fraction(5, 2), Fraction(5, 2)) not in nd.gamma_lattice
 
 
 def test_on_gamma_matches_the_cross_product_on_the_bbox():
+    # gamma_lattice holds every lattice point of every boundary edge
     for text in ["x^5+x^2*y^2+y^5", "x^2+y^3", "x^2+y^2", "x^30+x^10*y^5+y^29",
                  "x^12+x^4*y^2+y^9", "x^6+y^4"]:
         nd = analyze_support(parse_germ(text).points)
         for i in range(nd.p + 2):
             for j in range(nd.q + 2):
-                assert nd.on_gamma((i, j)) == on_gamma_by_cross(nd, (i, j)), (text, i, j)
+                assert ((i, j) in nd.gamma_lattice) == on_gamma_by_cross(nd, (i, j)), \
+                    (text, i, j)
 
 
 def test_non_lattice_support_is_rejected():
@@ -157,6 +157,34 @@ def test_milnor_numbers():
         assert milnor_number(analyze_support([(2, 0), (0, k + 1)])) == k
 
 
+def test_milnor_by_elimination_textbook_table():
+    table = [(f"x^2+y^{k + 1}", k) for k in range(1, 9)]  # A_k
+    table += [(f"x^2*y+y^{k - 1}", k) for k in range(4, 9)]  # D_k
+    table += [("x^3+y^4", 6), ("x^3+x*y^3", 7), ("x^3+y^5", 8)]  # E_6, E_7, E_8
+    for germ, mu in table:
+        assert milnor_by_elimination(parse_germ(germ)) == mu, germ
+
+
+def test_milnor_by_elimination_equals_milnor_number_on_the_corpus():
+    # the algebraic side shares nothing with the diagram's two routes
+    for seed in (1, 2, 3):
+        rng = SplitMix64(seed)
+        for k in range(120):
+            points = staircase_support(rng)
+            assert milnor_by_elimination(SupportSet.from_points(points)) == \
+                milnor_number(analyze_support(points)), (seed, k, points)
+
+
+def test_milnor_by_elimination_on_degenerate_germs():
+    # Kouchnirenko's formula, which both routes of milnor_number are,
+    # reads these diagrams as 4, 3 and 1: the germs are (x-y)^3+y^7,
+    # (y-x^2)^2+x^5 (A_4 after y -> y+x^2) and (x+y)^2, not isolated
+    for germ, mu in [("x^3-3*x^2*y+3*x*y^2-y^3+y^7", 12),
+                     ("y^2-2*x^2*y+x^4+x^5", 4),
+                     ("x^2+2*x*y+y^2", None)]:
+        assert milnor_by_elimination(parse_germ(germ)) == mu, germ
+
+
 def test_delta_invariant():
     assert delta_invariant(11, 2) == 6
     assert delta_invariant(2, 1) == 1
@@ -182,9 +210,10 @@ def test_random_staircases_yield_valid_boundaries():
     for _ in range(300):
         nd = analyze_support(random_staircase(rng))
         # boundary is convex with strictly negative slopes
-        for (a, b), (c, d) in zip(nd.gamma_edges, nd.gamma_edges[1:]):
+        edges = list(zip(nd.gamma_vertices, nd.gamma_vertices[1:]))
+        for (a, b), (c, d) in zip(edges, edges[1:]):
             assert cross(a, b, d) > 0
-        for a, b in nd.gamma_edges:
+        for a, b in edges:
             assert b.i > a.i and b.j < a.j
         # support never dips strictly inside the region under the boundary
         poly = nd.gamma_minus
@@ -192,7 +221,7 @@ def test_random_staircases_yield_valid_boundaries():
             assert poly.locate(pt) != "inside"
         for pt in nd.gamma_lattice:
             assert poly.locate(pt) == "boundary"
-            assert nd.on_gamma(pt)
+            assert on_gamma_by_cross(nd, pt)
         # Milnor number is consistent both ways (checked internally) and odd
         # iff branch parity says so
         mu = milnor_number(nd)

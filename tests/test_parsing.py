@@ -53,21 +53,21 @@ def test_juxtaposed_and_spaced_forms_agree():
 
 def test_coefficients_and_signs():
     s = parse_germ("-3x^2+2y-x^2")
-    assert s.coefficient((2, 0)) == (-4, 0)
-    assert s.coefficient((0, 1)) == (2, 0)
+    assert dict(s.terms)[(2, 0)] == (-4, 0)
+    assert dict(s.terms)[(0, 1)] == (2, 0)
 
 
 def test_gaussian_coefficients_cancel():
     s = parse_germ("i*x^2+3y-i*x^2+y")
     assert points(s) == {(0, 1)}
-    assert s.coefficient((0, 1)) == (4, 0)
+    assert dict(s.terms)[(0, 1)] == (4, 0)
 
 
 def test_constant_and_unit_terms():
     s = parse_germ("1+x")
     assert points(s) == {(0, 0), (1, 0)}
-    assert parse_germ("5").coefficient((0, 0)) == (5, 0)
-    assert parse_germ("2i").coefficient((0, 0)) == (0, 2)
+    assert dict(parse_germ("5").terms)[(0, 0)] == (5, 0)
+    assert dict(parse_germ("2i").terms)[(0, 0)] == (0, 2)
 
 
 def test_full_cancellation_is_empty_support():
@@ -377,21 +377,6 @@ def test_json_plain_support():
     assert points(s) == {(5, 0), (2, 2), (0, 5)}
 
 
-def test_json_lifted_support():
-    obj = {"monomials": [{"i": 0, "j": 0, "t": "0"},
-                         {"i": 1, "j": 0, "t": "3/2"}]}
-    ls = parse_json_obj(obj)
-    assert isinstance(ls, LiftedSupport)
-    assert ls.value((1, 0)) == Fraction(3, 2)
-
-
-def test_json_mixed_t_presence_points_at_offender():
-    obj = {"monomials": [{"i": 0, "j": 0, "t": "0"}, {"i": 1, "j": 0}]}
-    with pytest.raises(SchemaError) as e:
-        parse_json_obj(obj)
-    assert e.value.pointer == "/monomials/1/t"
-
-
 def test_json_schema_errors_carry_pointers():
     cases = [
         ({}, "/monomials"),
@@ -408,13 +393,6 @@ def test_json_schema_errors_carry_pointers():
         with pytest.raises(SchemaError) as e:
             parse_json_obj(obj)
         assert e.value.pointer == pointer, obj
-
-
-def test_json_duplicate_lifted_monomial():
-    obj = {"monomials": [{"i": 1, "j": 0, "t": "1"}, {"i": 1, "j": 0, "t": "2"}]}
-    with pytest.raises(SchemaError) as e:
-        parse_json_obj(obj)
-    assert e.value.pointer == "/monomials/1"
 
 
 class PairList(Mapping):
@@ -524,17 +502,6 @@ def test_lifted_support_checks_each_key_once(monkeypatch):
     assert seen == [(0, 0), (1, 0), (0, 1)]
 
 
-def test_lifted_value_looks_up_without_rebuilding(monkeypatch):
-    ls = LiftedSupport.from_mapping({(0, 0): 1, (1, 0): Fraction(3, 2)})
-    monkeypatch.setattr(LiftedSupport, "as_dict",
-                        lambda self: pytest.fail("value() rebuilt the dict"))
-    assert [ls.value(p) for p in [(1, 0), LatticePoint(0, 0), [1, 0]]] == [
-        Fraction(3, 2), 1, Fraction(3, 2)]
-    for missing in [(1, Fraction(1, 2)), (0, 1)]:
-        with pytest.raises(KeyError):
-            ls.value(missing)
-
-
 def test_json_plain_coefficients_combine_and_cancel():
     obj = {"monomials": [{"i": 1, "j": 0, "coeff": 2},
                          {"i": 1, "j": 0, "coeff": -2},
@@ -559,12 +526,6 @@ def test_invalid_json_text_is_schema_error(tmp_path):
     path.write_text("{monomials: [")
     with pytest.raises(SchemaError):
         load_json(path)
-
-
-def test_lifted_serialization_round_trip():
-    ls = parse_puiseux_poly(CUSP_LIFTED)
-    again = parse_json_obj(json.loads(serialize_json(ls)))
-    assert again == ls
 
 
 def test_serialized_form_is_canonical():

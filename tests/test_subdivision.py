@@ -82,9 +82,9 @@ def test_separable_lifting_shares_the_diagram_points():
 
 def test_separable_lifting_custom_and_errors():
     lift = separable_lifting([(0, 0), (1, 0), (0, 1)], a=[0, 2], b=[1, 5])
-    assert lift.value((0, 0)) == 1
-    assert lift.value((1, 0)) == 3
-    assert lift.value((0, 1)) == 6
+    assert lift.as_dict()[(0, 0)] == 1
+    assert lift.as_dict()[(1, 0)] == 3
+    assert lift.as_dict()[(0, 1)] == 6
     with pytest.raises(BadSequenceError):
         separable_lifting([(0, 0), (2, 0)], a=[0, 1])  # too short
     with pytest.raises(BadSequenceError):
@@ -153,7 +153,7 @@ def touching_squares(sdd) -> int:
     """Inside unit squares with a corner on the Newton boundary."""
     cells = sdd.subdivision.cells
     return sum(cells[c].kind == "square"
-               and any(map(sdd.diagram.on_gamma, cells[c].polygon.vertices))
+               and any(v in sdd.diagram.gamma_lattice for v in cells[c].polygon.vertices)
                for c in sdd.inside_cells)
 
 
@@ -602,8 +602,9 @@ def test_square_wrap_scans_only_the_pocket(monkeypatch):
 
 
 def test_only_the_certificate_makes_fractions(monkeypatch):
-    # the wraps hand over integer planes, and _certify makes one Fraction
-    # per distinct (numerator, denominator) pair of the cells' planes
+    # the wraps hand over integer planes, and _certify makes three
+    # Fractions per cell, from the (numerator, denominator) pairs of its
+    # plane
     lifting = separable_lifting(analyze_support([(40, 0), (0, 41)]))
     made = []
 
@@ -618,7 +619,7 @@ def test_only_the_certificate_makes_fractions(monkeypatch):
     sd = subdivision._certify(lifting, *out)
     pairs = {(num, n2 * scale) for _, _, (n0, n1, n2, level) in facets
              for num in (-n0, -n1, level)}
-    assert sorted(made) == sorted(pairs)
+    assert len(made) == 3 * len(facets) and set(made) == pairs
     assert len(sd.cells) == len(facets) == 860
 
 

@@ -284,6 +284,29 @@ def test_restrict_to_non_convex_union_of_squares():
     assert count_bounded_regions(sc) == 0
 
 
+def test_a_straight_through_vertex_changes_nothing():
+    # a LatticePolygon keeps a vertex that lies between its neighbours on
+    # a straight run; the region, its boundary steps and its sub-curve
+    # are those of the polygon without it
+    nd, sdd, tc = curve_for(QUINTIC)
+    for plain, extra in [
+            ([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+             [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1)]),
+            ([(0, 0), (5, 0), (2, 2), (0, 5)],
+             [(0, 0), (3, 0), (5, 0), (2, 2), (0, 5), (0, 2)])]:
+        a, b = LatticePolygon(plain), LatticePolygon(extra)
+        assert len(b.vertices) == len(extra)
+        assert b.area2 == a.area2
+        grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-1, 12) for j in range(-1, 12)]
+        assert [b.locate(pt) for pt in grid] == [a.locate(pt) for pt in grid]
+
+        def steps(poly):
+            return sorted(s for u, w in poly.edges() for s in subdivision._unit_steps(u, w))
+
+        assert steps(b) == steps(a)
+        assert restrict(tc, b) == restrict(tc, a)
+
+
 def test_restrict_rejects_region_cutting_cells():
     nd, sdd, tc = curve_for(QUINTIC)
     for corners in ([(0, 0), (1, 0), (0, 1)],
@@ -464,8 +487,8 @@ def spy_on_figure_sub_curves(monkeypatch) -> list:
     """Each sub-curve ``render_svg`` builds."""
     built = []
 
-    def sub_curve(tc, region, inside):
-        built.append(tropical._sub_curve(tc, region, inside))
+    def sub_curve(tc, inside):
+        built.append(tropical._sub_curve(tc, inside))
         return built[-1]
 
     monkeypatch.setattr(svg, "_sub_curve", sub_curve)
@@ -503,5 +526,4 @@ def test_figure_sub_curve_is_the_restriction(monkeypatch):
             (sc,) = built
             want = (nd.gamma_minus if region == "gamma-minus"
                     else sc.curve.subdivision.domain)
-            assert sc.region == want, (points, region)
-            assert sc == restrict(sc.curve, sc.region), (points, region)
+            assert sc == restrict(sc.curve, want), (points, region)
