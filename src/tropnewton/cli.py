@@ -92,7 +92,12 @@ def _cmd_lemma(ns) -> int:
     ok = (2 * squares == (ns.p - 1) * (ns.q - 1)
           and crossed == ns.p + ns.q - 1
           and ns.p * ns.q == 2 * squares + crossed)
-    print(f"squares={squares} I={crossed} {'PASS' if ok else 'FAIL'}")
+    try:
+        line = f"squares={squares} I={crossed} {'PASS' if ok else 'FAIL'}"
+    except ValueError as exc:  # a count past Python's int-to-str digit limit
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    print(line)
     return EXIT_OK if ok else EXIT_VERDICT
 
 

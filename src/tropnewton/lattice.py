@@ -18,11 +18,14 @@ conventions as it runs (see ``convex_hull_of_sorted``), so its output
 goes into the polygon with no second pass.  ``convex_hull`` takes
 outside points and raises SchemaError for one that is not a lattice
 point; ``as_lattice_point`` is for the package's own data, where a
-non-lattice point is a defect.
+non-lattice point is a defect.  ``lower_chain`` is the package's one
+monotone chain: each hull half, the Newton boundary, the wrap's first
+edge.  ``_located`` is its one scan of a region's bounding box.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -274,19 +277,13 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
 
     The hull is trusted, not re-checked.  Why it meets the polygon
     conventions: the lower chain starts at pts[0], the smallest point,
-    so the vertex order is already canonical.  Each half-chain keeps a
-    point only where it makes a strict left turn with the two before
-    it, and the two chains meet at pts[0] and pts[-1], the leftmost and
-    rightmost points, with the lower chain below the upper one; so once
-    the points are not all collinear, the vertices are distinct,
-    strictly convex and counterclockwise.  With three points the turn
-    sign orders them from pts[0] directly.
-
-    Each half skips a point that comes right after another point of its
-    column in the half's order, unless it ends the half: it lies
-    straight above that point (below, in the upper half), so the first
-    point of the next column would pop it and leave the chain as it
-    was.
+    so the vertex order is already canonical.  The lower half is
+    ``lower_chain`` of the points and the upper half ``lower_chain`` of
+    the points reversed; the two chains meet at pts[0] and pts[-1], the
+    leftmost and rightmost points, with the lower chain below the upper
+    one, so once the points are not all collinear, the vertices are
+    distinct, strictly convex and counterclockwise.  With three points
+    the turn sign orders them from pts[0] directly.
     """
     if len(pts) < 3:
         raise DegenerateHullError(f"{len(pts)} distinct points")
@@ -297,31 +294,47 @@ def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:
         if turn == 0:
             raise DegenerateHullError("all points collinear")
         return ConvexPolygon._trusted((p, q, r) if turn > 0 else (p, r, q))
-
-    last = len(pts) - 1
-
-    def half(seq):
-        chain: list[LatticePoint] = []
-        column = None
-        for k, p in enumerate(seq):
-            px, py = p
-            if px == column and k < last:
-                continue
-            column = px
-            while len(chain) >= 2:
-                (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
-                    break
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    verts = lower[:-1] + upper[:-1]
+    verts = lower_chain(pts)[:-1] + lower_chain(pts[::-1])[:-1]
     if len(verts) < 3:
         raise DegenerateHullError("all points collinear")
     return ConvexPolygon._trusted(tuple(verts))
+
+
+def lower_chain(points: Sequence[Point]) -> list:
+    """Andrew's monotone chain (Inf. Process. Lett. 9, 1979): the convex
+    chain from the first to the last of distinct points sorted by x,
+    then y, with every point on or above it and a strict left turn at
+    each kept point; over the points reversed, the upper chain.
+
+    It skips a point that comes right after another point of its column,
+    unless it ends the chain: it lies straight above that point (below,
+    reversed), so the first point of the next column would pop it and
+    leave the chain as it was.
+    """
+    chain: list = []
+    column = None
+    last = len(points) - 1
+    for k, p in enumerate(points):
+        px, py = p
+        if px == column and k < last:
+            continue
+        column = px
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _located(region: Region) -> Iterator[tuple[int, int, str]]:
+    """Each lattice point (i, j) of the region's bbox, column by column,
+    with its exact location."""
+    x0, y0, x1, y1 = region.bbox()
+    for i in range(x0, x1 + 1):
+        for j in range(y0, y1 + 1):
+            yield i, j, region.locate((i, j))
 
 
 def enumerate_lattice_points(region: Region) -> list[LatticePoint]:
@@ -330,25 +343,10 @@ def enumerate_lattice_points(region: Region) -> list[LatticePoint]:
 
     Fine at desk scale; the scan is |bbox| point-in-polygon tests.
     """
-    x0, y0, x1, y1 = region.bbox()
-    out = []
-    for i in range(x0, x1 + 1):
-        for j in range(y0, y1 + 1):
-            if region.locate((i, j)) != "outside":
-                out.append(LatticePoint(i, j))
-    return out
+    return [LatticePoint(i, j) for i, j, where in _located(region) if where != "outside"]
 
 
 def pick_interior_boundary(region: Region) -> tuple[int, int]:
     """(interior, boundary) lattice point counts by direct enumeration."""
-    interior = 0
-    boundary = 0
-    x0, y0, x1, y1 = region.bbox()
-    for i in range(x0, x1 + 1):
-        for j in range(y0, y1 + 1):
-            where = region.locate((i, j))
-            if where == "inside":
-                interior += 1
-            elif where == "boundary":
-                boundary += 1
-    return interior, boundary
+    counts = Counter(where for _, _, where in _located(region))
+    return counts["inside"], counts["boundary"]

@@ -22,9 +22,9 @@ from .errors import (
 from .lattice import (
     LatticePoint,
     LatticePolygon,
-    cross,
     enumerate_lattice_points,
     lattice_key,
+    lower_chain,
     pick_interior_boundary,
     segment_lattice_points,
 )
@@ -83,21 +83,11 @@ def analyze_support(points) -> NewtonDiagram:
         raise NotConvenientError("support must meet both coordinate axes")
     p, q = min(on_x), min(on_y)
 
-    lowest: dict[int, int] = {}
-    for pt in pts:
-        if pt.i <= p and pt.j <= q:
-            lowest[pt.i] = min(lowest.get(pt.i, pt.j), pt.j)
-    chain: list[LatticePoint] = []
-    floor = None
-    for i in sorted(lowest):
-        j = lowest[i]
-        if floor is not None and j >= floor:
-            continue
-        floor = j
-        nxt = LatticePoint(i, j)
-        while len(chain) >= 2 and cross(chain[-2], chain[-1], nxt) <= 0:
-            chain.pop()
-        chain.append(nxt)
+    # the boundary: the lower chain from (0, q), column 0's lowest point,
+    # to (p, 0) over the points left of column p (the rest lie in (p, 0) +
+    # R^2_+).  Convex and ending at its only point on the x-axis, it falls
+    # strictly, so it drops every point at or above an earlier one
+    chain = lower_chain([pt for pt in pts if pt.i < p] + [LatticePoint(p, 0)])
 
     lattice: list[LatticePoint] = [chain[0]]
     for a, b in zip(chain, chain[1:]):

@@ -5,13 +5,14 @@ The central construction lifts each support point (i, j) to height
 nu(i, j) and takes the lower convex hull; facets project to the cells
 of a regular subdivision.  The hull is a gift-wrap over integer triples
 (heights are scaled by their common denominator).  The domain is the
-hull of the support, whose monotone chain skips every point but the
-lowest and the highest of its column (``convex_hull_of_sorted``).
-First a fan
-prefilter drops the lifted points that lie strictly above the fan from
-the lowest lifted point to the domain corners: they lie strictly above
-the hull.  Then, over the kept points, one flat scan per facet picks
-it and collects its tight points.  After the wrap, one local
+hull of the support, whose monotone chain (``lattice.lower_chain``,
+which also gives the first wrap edge) skips every point but the lowest
+and the highest of its column.  First a fan prefilter drops the lifted
+points that lie strictly above the fan from the lowest lifted point to
+the domain corners: they lie strictly above the hull.  Then, over the
+kept points, one flat scan per facet, ``_least_plane``, picks it and
+collects its tight points; the pocket pick below runs the same scan
+over the points its line search keeps.  After the wrap, one local
 certificate, ``_certify``, proves that the cells are the lower hull's
 and builds the subdivision: they tile the domain, every interior edge
 folds strictly upward, every tight point lies on its cell's plane, and
@@ -102,6 +103,7 @@ from .lattice import (
     convex_hull_of_sorted,
     lattice_key,
     lattice_length,
+    lower_chain,
     segment_lattice_points,
 )
 from .newton import NewtonDiagram
@@ -166,7 +168,8 @@ def _edge_lines(polygon: ConvexPolygon) -> list[tuple[int, int, int]]:
 
 
 def _lower_chain_edge(pts3, a, b):
-    """First edge of the 2d lower hull of the lifted points on segment ab.
+    """First edge of the 2d lower hull of the lifted points on segment ab,
+    by ``lower_chain`` over (t, z), t the position along ab.
 
     ab is an edge of the support's hull, which holds every support
     point, so a point on the line of ab lies on the segment.  The fan,
@@ -175,17 +178,10 @@ def _lower_chain_edge(pts3, a, b):
     """
     ai, aj = a
     dx, dy = b.i - ai, b.j - aj
-    on_line = [(x * dx + y * dy, z, pt) for pt, (x, y, z) in pts3.items()
-               if dx * (y - aj) == dy * (x - ai)]
-    on_line.sort()
-    chain: list = []
-    for t, z, pt in on_line:
-        while len(chain) >= 2 and (
-                (chain[-1][0] - chain[-2][0]) * (z - chain[-2][1])
-                - (chain[-1][1] - chain[-2][1]) * (t - chain[-2][0])) <= 0:
-            chain.pop()
-        chain.append((t, z, pt))
-    return chain[0][2], chain[1][2]
+    on_line = {x * dx + y * dy: (z, pt) for pt, (x, y, z) in pts3.items()
+               if dx * (y - aj) == dy * (x - ai)}
+    (t0, _), (t1, _) = lower_chain(sorted((t, z) for t, (z, _) in on_line.items()))[:2]
+    return on_line[t0][1], on_line[t1][1]
 
 
 def lower_hull_subdivision(lifting: Union[LiftedSupport, Mapping]) -> RegularSubdivision:
@@ -402,41 +398,48 @@ def _scan_pick(points: dict):
     """The general pick: one flat scan over ``points`` per wrap edge
     picks the facet and collects its tight points (see
     ``lower_hull_subdivision``)."""
-    kept = [(pt, x, y, z) for pt, (x, y, z) in points.items()]
+    items = list(points.items())
 
     def pick(a, b):
-        ax, ay, az = points[a]
-        bx, by, bz = points[b]
-        dx, dy, dz = bx - ax, by - ay, bz - az
-        # for a point's offset c = (cx, cy, cz) from a, dx*cy - dy*cx is
-        # positive when the point is left of ab, that is when dx*y - dy*x
-        # exceeds ``rest``; n = ab x c for the pick is the current plane's
-        # normal and level = n.a, so the point is below the plane when
-        # n.p < level.  The vertical plane comes first; n2 > 0 (n points
-        # up) once a pick is made, because the pick is left of ab
-        rest = dx * ay - dy * ax
-        n0, n1, n2 = dy, -dx, 0
-        level = -rest
-        tied: list[LatticePoint] = []
-        on_line: list[LatticePoint] = []
-        for pt, x, y, z in kept:
-            left = dx * y - dy * x
-            if left > rest:
-                side = n0 * x + n1 * y + n2 * z
-                if side < level:
-                    cx, cy, cz = x - ax, y - ay, z - az
-                    n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left - rest
-                    level = n0 * ax + n1 * ay + n2 * az
-                    tied = [pt]
-                elif side == level:
-                    tied.append(pt)
-            elif left == rest:
-                cx, cz = x - ax, z - az
-                if dx * cz == dz * cx and dy * cz == dz * (y - ay):
-                    on_line.append(pt)
+        n0, n1, n2, level, tied, on_line = _least_plane(items, points[a], points[b])
         return n0, n1, n2, level, sorted(tied + on_line)
 
     return pick
+
+
+def _least_plane(items, a3, b3):
+    """Both picks' scan over ``items``, each a point and its lifted point
+    (see ``lower_hull_subdivision``): the least plane through the lifted
+    a3 and b3 on which a point left of ab lies, as (n0, n1, n2, level),
+    then the left points on it and the points on the lifted line through
+    a3 and b3.  A point's offset c from a is left of ab when dx*cy -
+    dy*cx > 0, that is when dx*y - dy*x > ``rest``.  The plane starts
+    vertical, n = (dy, -dx, 0); each pick c makes it n = ab x c, with n2
+    > 0, and level = n.a, and a point p lies below it when n.p < level."""
+    ax, ay, az = a3
+    bx, by, bz = b3
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    rest = dx * ay - dy * ax
+    n0, n1, n2 = dy, -dx, 0
+    level = -rest
+    tied: list[LatticePoint] = []
+    on_line: list[LatticePoint] = []
+    for pt, (x, y, z) in items:
+        left = dx * y - dy * x
+        if left > rest:
+            side = n0 * x + n1 * y + n2 * z
+            if side < level:
+                cx, cy, cz = x - ax, y - ay, z - az
+                n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left - rest
+                level = n0 * ax + n1 * ay + n2 * az
+                tied = [pt]
+            elif side == level:
+                tied.append(pt)
+        elif left == rest:
+            cx, cz = x - ax, z - az
+            if dx * cz == dz * cx and dy * cz == dz * (y - ay):
+                on_line.append(pt)
+    return n0, n1, n2, level, tied, on_line
 
 
 # a line with more pocket points than this is searched, the rest are
@@ -456,9 +459,7 @@ def _line_pick(points: dict):
     line of ab, the first of them with the least pencil parameter s;
     the point after it is its only possible tie partner.  Those two points of
     each long line and every point of the short lines then go through
-    one scan, as in ``lower_hull_subdivision``: the first left point
-    becomes the pick, a point strictly below the current plane replaces
-    it, and a point on it is tied with it.  So the tie list ends as
+    ``_least_plane``, the scan of ``_scan_pick``.  So its tie list holds
     every pocket point left of ab on the least plane, and with a and b,
     the only tight points on the line of ab, it is the facet's tight
     set.
@@ -506,24 +507,10 @@ def _line_pick(points: dict):
             if lo < hi:
                 first = _first_least(line, lo, hi, k, ax, ay, az, dx, dy, dz)
                 kept += line[first:first + 2]
-        # the vertical plane first, then as in ``_scan_pick``
-        n0, n1, n2 = dy, -dx, 0
-        level, rest = base, -base
-        tied: list[LatticePoint] = []
-        for pt, (x, y, z) in chain(scanned, kept):
-            left = dx * y - dy * x
-            if left > rest:
-                side = n0 * x + n1 * y + n2 * z
-                if side < level:
-                    cx, cy, cz = x - ax, y - ay, z - az
-                    n0, n1, n2 = dy * cz - dz * cy, dz * cx - dx * cz, left - rest
-                    level = n0 * ax + n1 * ay + n2 * az
-                    tied = [pt]
-                elif side == level:
-                    tied.append(pt)
-        tied += (a, b)
-        tied.sort()
-        return n0, n1, n2, level, tied
+        # the lifted line through a and b holds no other point (line lemma)
+        n0, n1, n2, level, tied, _ = _least_plane(chain(scanned, kept), (ax, ay, az),
+                                                  (bx, by, bz))
+        return n0, n1, n2, level, sorted(tied + [a, b])
 
     return pick
 
@@ -776,14 +763,30 @@ def _check_legs(p: int, q: int) -> None:
         raise NotCoprimeError(f"legs must be positive and coprime, got ({p}, {q})")
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*k + b)/m) over 0 <= k < n, for n, a, b >= 0
+    and m > 0, in O(log m) rounds.  A round takes out the whole parts of
+    a/m and b/m; the rest counts the lattice points with 0 <= k < n and
+    0 < m*y <= a*k + b, row y holding floor((y_max - m*y)/a) of them,
+    y_max = a*n + b.  So y = y_max // m - k' makes it the same sum over
+    (y_max // m, a, m, y_max % m): (m, a) steps as in Euclid's algorithm."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
+
+
 def triangle_square_count(p: int, q: int) -> int:
     """Unit grid squares contained in the triangle (0,0), (p,0), (0,q).
 
     The square [a, a+1] x [b, b+1] is in it when its far corner is,
     q(a + 1) + p(b + 1) <= pq, so column a holds the rows b + 1 <=
-    q(p - a - 1)/p: one division per column."""
+    q(p - a - 1)/p: the sum of floor(q*k/p) over k = p - a - 1 < p."""
     _check_legs(p, q)
-    return sum(q * (p - a - 1) // p for a in range(p))
+    return _floor_sum(p, p, q, 0)
 
 
 def crossed_square_count(p: int, q: int) -> int:
@@ -793,9 +796,10 @@ def crossed_square_count(p: int, q: int) -> int:
     With c = q(p - a), the square [a, a+1] x [b, b+1] is crossed when
     its corners straddle the line, c - p - q < pb < c.  So column a
     holds the rows from floor((c - q)/p), its count of contained
-    squares, to ceil(c/p) - 1 = floor((c - 1)/p)."""
+    squares, to ceil(c/p) - 1 = floor((c - 1)/p): with k = p - a - 1,
+    floor((q*k + q - 1)/p) less the contained squares, plus one."""
     _check_legs(p, q)
-    return sum((q * (p - a) - 1) // p - q * (p - a - 1) // p + 1 for a in range(p))
+    return _floor_sum(p, p, q, q - 1) - _floor_sum(p, p, q, 0) + p
 
 
 # --- the special subdivision of a diagram -----------------------------------

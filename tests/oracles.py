@@ -1,5 +1,6 @@
 """Test-only oracles: exact brute-force checks that the shipped package
-does not need, kept here as references for the test suites."""
+does not need, kept here as references for the test suites, and the
+read counter the work-count tests share."""
 
 from __future__ import annotations
 
@@ -8,7 +9,15 @@ from itertools import combinations
 from math import gcd, lcm
 
 from tropnewton.errors import ZeroSegmentError
-from tropnewton.lattice import Coord, LatticePoint, LatticePolygon, Point, convex_hull, cross
+from tropnewton.lattice import (
+    Coord,
+    LatticePoint,
+    LatticePolygon,
+    Point,
+    convex_hull,
+    cross,
+    on_segment,
+)
 from tropnewton.tropical import TropicalCurve, TropicalEdge
 
 
@@ -30,6 +39,20 @@ def on_gamma_by_cross(nd, point) -> bool:
     g = nd.gamma_lattice
     return any(a.i <= point[0] <= b.i and b.j <= point[1] <= a.j
                and cross(a, b, point) == 0 for a, b in zip(g, g[1:]))
+
+
+def lower_chain_by_edges(points) -> list:
+    """The chain from points[0] to points[-1] counterclockwise along their
+    hull, a brute-force walk: from each vertex u the step goes to the
+    point w with every other point strictly left of uw or strictly
+    inside it; the reference for ``lower_chain``."""
+    chain = [points[0]]
+    while chain[-1] != points[-1]:
+        u = chain[-1]
+        [w] = [w for w in points if w != u and all(
+            cross(u, w, p) > 0 or on_segment(p, u, w) for p in points if p not in (u, w))]
+        chain.append(w)
+    return chain
 
 
 def staircase_squares_by_shoelace(nd) -> int:
@@ -252,3 +275,13 @@ def check_embedded(tc: TropicalCurve) -> tuple[str, ...]:
             if pt not in _shared_endpoint(tc, tc.edges[i], tc.edges[k]):
                 violations.append(f"edges {i} and {k} cross at {pt}")
     return tuple(violations)
+
+
+class Counted(tuple):
+    """A lifted point that counts its reads, each unpacking of it."""
+
+    reads = 0
+
+    def __iter__(self):
+        Counted.reads += 1
+        return super().__iter__()

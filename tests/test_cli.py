@@ -163,12 +163,32 @@ def test_a_long_bad_t_value_gets_a_short_message(capsys, tmp_path):
 
 
 def test_lemma_on_legs_in_the_tens_of_thousands(capsys):
-    # one division per column: the square-by-square count would take
-    # minutes here
+    # the square-by-square count would take minutes here
     code, out, _ = run(capsys, "lemma", "30001", "29999")
     assert (code, out) == (0, f"squares={30000 * 29998 // 2} I=59999 PASS\n")
     code, out, _ = run(capsys, "lemma", "10000", "99999")
     assert (code, out) == (0, f"squares={9999 * 99998 // 2} I=109998 PASS\n")
+
+
+def test_lemma_on_thirty_digit_legs(capsys):
+    # the floor sums take O(log P) steps; a count by columns would never end
+    p, q = 10 ** 29 + 7, 10 ** 30 - 1
+    code, out, _ = run(capsys, "lemma", str(p), str(q))
+    assert (code, out) == (0, f"squares={(p - 1) * (q - 1) // 2} I={p + q - 1} PASS\n")
+    code, out, _ = run(capsys, "lemma", "1000000000001", "1000000000000")
+    assert (code, out) == (0, "squares=499999999999500000000000 I=2000000000000 PASS\n")
+
+
+def test_lemma_counts_past_the_digit_limit_exit_3(capsys):
+    # legs Python reads whose counts it will not print
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        leg = "1" + "0" * 2500
+        code, out, err = run(capsys, "lemma", leg[:-1] + "1", leg)
+        assert (code, out) == (3, "") and "4300 digits" in err
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_corpus_command_reports_and_repeats(capsys):

@@ -21,6 +21,7 @@ from tropnewton.lattice import (
     cross,
     enumerate_lattice_points,
     lattice_length,
+    lower_chain,
     on_segment,
     pick_interior_boundary,
     segment_lattice_points,
@@ -28,7 +29,7 @@ from tropnewton.lattice import (
     shoelace2,
 )
 
-from oracles import primitive_direction, segments_cross_properly
+from oracles import lower_chain_by_edges, primitive_direction, segments_cross_properly
 
 QUINTIC_REGION = LatticePolygon([(0, 0), (5, 0), (2, 2), (0, 5)])
 CUSP_REGION = LatticePolygon([(0, 0), (2, 0), (0, 3)])
@@ -124,6 +125,26 @@ def test_trusted_hull_equals_validating_constructor():
         assert set(hull.vertices) <= pts
         assert all(hull.locate(p) != "outside" for p in pts)
     assert hulls > 600
+
+
+def test_lower_chain_matches_a_brute_force_walk():
+    # seeded sorted point sets on a small grid, so columns repeat, and
+    # collinear runs with a few points off them; both orders, as the hull
+    # takes the upper chain from the reversed points
+    rng = SplitMix64(22)
+    sets = []
+    for _ in range(150):
+        sets.append({(rng.below(6), rng.below(6)) for _ in range(rng.between(2, 16))})
+        x0, y0 = rng.below(6), rng.below(6)
+        dx, dy = rng.between(-2, 2), rng.between(-2, 2)
+        run = {(x0 + k * dx, y0 + k * dy) for k in range(rng.between(2, 7))}
+        sets.append(run | {(rng.below(6), rng.below(6)) for _ in range(rng.below(3))})
+    for pts in sets:
+        pts = sorted(map(LatticePoint._make, pts))
+        if len(pts) < 2:
+            continue
+        for seq in (pts, pts[::-1]):
+            assert lower_chain(seq) == lower_chain_by_edges(seq), seq
 
 
 def test_convex_hull_rejects_non_lattice_input():

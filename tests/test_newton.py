@@ -69,6 +69,13 @@ def test_shadowed_points_do_not_bend_the_boundary():
     assert nd.gamma_vertices == ((0, 3), (2, 0))
     nd2 = analyze_support([(0, 3), (1, 1), (2, 0), (5, 0), (0, 7), (3, 3)])
     assert nd2.gamma_vertices == ((0, 3), (1, 1), (2, 0))
+    # column minima that repeat, or rise before they fall, bend nothing
+    for germ, vertices in [("x^4+x^3*y+x^2*y+x*y^3+y^3", ((0, 3), (2, 1), (4, 0))),
+                           ("x^5+x*y^4+x^2*y+y^3", ((0, 3), (2, 1), (5, 0))),
+                           ("x^6+x*y^3+x^2*y^3+x^3*y+x^4*y^2+x^5*y+y^3",
+                            ((0, 3), (3, 1), (6, 0))),
+                           ("x^4+x*y^5+x^2*y^4+x^3*y^3+y^3", ((0, 3), (4, 0)))]:
+        assert analyze_support(parse_germ(germ)).gamma_vertices == vertices, germ
 
 
 def test_collinear_support_point_is_lattice_not_vertex():

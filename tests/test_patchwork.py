@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from tropnewton import patchwork
+from tropnewton.corpus import SplitMix64, staircase_support
 from tropnewton.errors import NotConvenientError, NotSingularAtOriginError
 from tropnewton.lattice import LatticePoint, convex_hull
 from tropnewton.newton import analyze_support
@@ -162,3 +164,54 @@ def test_verdicts_hold_on_random_corpus():
         assert rep.lifting == sdd.lifting.entries
         pp = build_patchwork(nd)
         assert convex_hull(pp.support) == sdd.subdivision.domain
+
+
+# the two metamorphic relations run on the first germs of the default
+# corpus, seeds 1-3, as many as fit in about two seconds
+METAMORPHIC_GERMS = 18
+
+
+def corpus_germs():
+    for seed in (1, 2, 3):
+        rng = SplitMix64(seed)
+        for _ in range(METAMORPHIC_GERMS):
+            yield seed, staircase_support(rng)
+
+
+def test_swapping_x_and_y_mirrors_the_analysis(monkeypatch):
+    # the five numbers stay, and the special subdivision's cells, inside
+    # ones included, are mirrored across the diagonal
+    made = []
+    real = patchwork.subdivide_diagram
+
+    def spy(nd):
+        made.append(real(nd))
+        return made[-1]
+
+    monkeypatch.setattr(patchwork, "subdivide_diagram", spy)
+
+    def numbers(rep):
+        return rep.mu, rep.v, rep.r, rep.delta, rep.branches
+
+    def cells(sdd, ids, mirror=False):
+        return sorted(tuple(sorted((j, i) if mirror else (i, j) for i, j in
+                                   sdd.subdivision.cells[c].polygon.vertices)) for c in ids)
+
+    for seed, points in corpus_germs():
+        made.clear()
+        rep, swapped = analyze(points), analyze([(j, i) for i, j in points])
+        assert numbers(rep) == numbers(swapped), (seed, points)
+        a, b = made
+        assert cells(a, range(len(a.subdivision.cells)), True) == \
+            cells(b, range(len(b.subdivision.cells))), (seed, points)
+        assert cells(a, a.inside_cells, True) == cells(b, b.inside_cells), (seed, points)
+
+
+def test_a_monomial_above_the_boundary_changes_only_the_notes():
+    # x^p*y^q, with p and q the intercepts, lies above the boundary
+    for seed, points in corpus_germs():
+        nd = analyze_support(points)
+        want = analyze(points).to_json_obj()
+        got = analyze(points + (LatticePoint(nd.p, nd.q),)).to_json_obj()
+        assert want.pop("notes") != got.pop("notes")
+        assert want == got, (seed, points)

@@ -36,6 +36,7 @@ from tropnewton.subdivision import (
 from tropnewton.tropical import dual_tropical_curve, verify_duality
 
 from oracles import (
+    Counted,
     brute_force_lower_hull,
     crossed_square_count_by_tests,
     locate_boundary_vertex_count,
@@ -659,16 +660,6 @@ def test_line_pick_equals_the_flat_scan_on_any_edge(monkeypatch):
                 assert got[2] == want[2] == 0 or all(
                     Fraction(u, got[2]) == Fraction(v, want[2])
                     for u, v in zip(got[:2] + got[3:4], want[:2] + want[3:4])), (support, a, b)
-
-
-class Counted(tuple):
-    """A lifted point that counts its reads, each unpacking of it."""
-
-    reads = 0
-
-    def __iter__(self):
-        Counted.reads += 1
-        return super().__iter__()
 
 
 def test_pocket_pick_searches_the_lines_of_a_thin_diagram(monkeypatch):
