@@ -21,8 +21,9 @@ _ECHO = 40  # characters of the text a parse error shows on each side of pos
 class ParseError(TropnewtonError):
     """Malformed expression text.
 
-    Carries the character offset where scanning failed so the CLI can
-    print a caret under the offending spot.
+    Carries the character offset ``pos`` so the CLI can print a caret
+    under the offending spot: the start of the token the error names,
+    or the end of the text, never a blank.
     """
 
     def __init__(self, message: str, text: str = "", pos: int = 0):

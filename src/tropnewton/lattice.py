@@ -218,14 +218,24 @@ class ConvexPolygon(_Polygon):
 
 class LatticePolygon(_Polygon):
     """Simple closed lattice polygon, possibly non-convex, ccw.  A vertex
-    between its neighbours on a straight run is kept as given."""
+    between its neighbours on a straight run is kept as given.
+
+    A ring that repeats a vertex, ``v[a] == v[b]`` with ``a != b``, needs
+    no check of its own: of the area, spike and crossing checks below,
+    one cannot pass it.  With three vertices the ring has at most two
+    distinct points, so its area is zero.  Otherwise, if ``a`` and ``b``
+    are neighbours, the step between them is zero, so the cross and dot
+    products at the later of the two are zero, a spike.  If they are
+    not, the edges leaving ``v[a]`` and ``v[b]`` are not neighbours
+    either, so the crossing check compares them, and as closed segments
+    they share the point ``v[a]``.
+    """
 
     __slots__ = ()
 
     def __init__(self, vertices: Iterable[Point]):
         verts = tuple(as_lattice_point(v) for v in vertices)
         check(len(verts) >= 3, "polygon needs at least 3 vertices")
-        check(len(set(verts)) == len(verts), "repeated vertex in polygon")
         verts = _canonical_rotation(verts)
         check(shoelace2(verts) > 0, "polygon boundary must be ccw with area > 0")
         n = len(verts)

@@ -17,6 +17,7 @@ from .errors import (
     NotConvenientError,
     NotSingularAtOriginError,
     ParityViolationError,
+    SchemaError,
     check,
 )
 from .lattice import (
@@ -69,10 +70,14 @@ class NewtonDiagram:
 def analyze_support(points) -> NewtonDiagram:
     """Build the Newton diagram, rejecting non-singular or non-convenient
     input.  ``points`` is an iterable of exponent points or a
-    ``SupportSet``, as ``parse_germ`` returns it."""
+    ``SupportSet``, as ``parse_germ`` returns it; a point off the lattice
+    or with a negative exponent is a SchemaError."""
     if isinstance(points, SupportSet):
         points = points.points
     pts = sorted({lattice_key(p, "support point") for p in points})
+    for pt in pts:
+        if pt.i < 0 or pt.j < 0:
+            raise SchemaError(f"support point {tuple(pt)} has a negative exponent")
     for bad in ((0, 0), (1, 0), (0, 1)):
         if LatticePoint(*bad) in pts:
             raise NotSingularAtOriginError(

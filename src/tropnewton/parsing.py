@@ -6,10 +6,12 @@ Three input routes produce the two data shapes:
   * JSON ``{"monomials": [...]}``           -> SupportSet
   * lifted text like ``1+tz+t^3z^2``        -> LiftedSupport
 
-Both text routes share one signed-term loop.  Each data shape is
-checked in one place, its constructor, so the text parsers only read
-syntax; the JSON route keeps its SchemaErrors, which point at the bad
-entry of outside input.
+Both text routes share one signed-term loop and one scanner, whose
+``peek`` alone steps over whitespace: blanks may stand between any two
+tokens, never inside an integer.  Each data shape is checked in one
+place, its constructor, so the text parsers only read syntax; the JSON
+route keeps its SchemaErrors, which point at the bad entry of outside
+input.
 
 Coefficients only matter up to cancellation, so germ coefficients are
 kept as Gaussian integers (re, im) and everything else about them is
@@ -118,6 +120,11 @@ class LiftedSupport:
 
 
 class _Scanner:
+    """Reads the tokens of ``text`` left to right.  Whitespace is stepped
+    over in ``peek`` alone, so every read starts at the next token, and
+    after a ``peek`` ``pos`` is that token's offset, or the end of the
+    text."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -125,39 +132,45 @@ class _Scanner:
     def error(self, message: str, pos: int | None = None, cls=ParseError):
         raise cls(message, self.text, self.pos if pos is None else pos)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next token's first character, or "" at the end."""
+        ch = self.text[self.pos:self.pos + 1]
+        while ch.isspace():
+            self.pos += 1
+            ch = self.text[self.pos:self.pos + 1]
+        return ch
 
     def take(self) -> str:
         ch = self.peek()
         self.pos += 1
         return ch
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def accept(self, ch: str) -> bool:
+        """Take the next character if it is ``ch``."""
+        if self.peek() != ch:
+            return False
+        self.pos += 1
+        return True
 
-    def integer(self) -> int:
-        """A run of decimal digits; ``isdigit`` would also take digits
-        like '²' that ``int`` refuses."""
-        self.skip_ws()
-        start = self.pos
-        while self.peek().isdecimal():
-            self.pos += 1
-        if self.pos == start:
+    def integer(self, zero: str = "") -> int:
+        """A run of decimal digits, read from the raw text, so "1 2" is
+        two integers; ``isdigit`` would also take digits like '²' that
+        ``int`` refuses.  A zero is the error ``zero``, if one is named."""
+        if not self.peek().isdecimal():
             self.error("expected an integer")
+        start = self.pos
+        while self.text[self.pos:self.pos + 1].isdecimal():
+            self.pos += 1
         try:
-            return int(self.text[start:self.pos])
+            value = int(self.text[start:self.pos])
         except ValueError:  # longer than the int conversion limit
             self.error(_over_digit_limit(self.pos - start), pos=start)
+        if zero and not value:
+            self.error(zero, pos=start)
+        return value
 
     def natural_exponent(self) -> int:
         """Integer after '^' where negatives are a distinct error."""
-        self.skip_ws()
         if self.peek() == "-":
             self.error("exponent must be non-negative", cls=NegativeExponentError)
         return self.integer()
@@ -172,7 +185,7 @@ def _signed_terms(text: str, parse_term):
     terms joined by '+' or '-', each read by ``parse_term(sc, negative)``
     right after its sign; the terms come back in text order."""
     sc = _Scanner(text)
-    if sc.at_end():
+    if not sc.peek():
         sc.error("empty expression")
     terms = []
     while True:
@@ -180,7 +193,7 @@ def _signed_terms(text: str, parse_term):
         if sc.peek() in "+-":
             sc.take()
         terms.append(parse_term(sc, negative))
-        if sc.at_end():
+        if not sc.peek():
             return terms
         if sc.peek() not in "+-":
             sc.error(f"expected '+' or '-', found {sc.peek()!r}")
@@ -202,49 +215,21 @@ def parse_germ(text: str) -> SupportSet:
 
 
 def _parse_germ_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, tuple[int, int]]:
-    sc.skip_ws()
     coeff: tuple[int, int] | None = None
-    coeff_pos = sc.pos
     if sc.peek().isdecimal():
-        n = sc.integer()
-        sc.skip_ws()  # "2 i" is 2i, as "2 x" is 2x
-        if sc.peek() == "i":
-            sc.take()
-            coeff = (0, n)
-        else:
-            coeff = (n, 0)
-        if n == 0:
-            sc.error("zero coefficient", pos=coeff_pos)
-    elif sc.peek() == "i":
-        sc.take()
+        n = sc.integer(zero="zero coefficient")
+        coeff = (0, n) if sc.accept("i") else (n, 0)  # "2 i" is 2i, as "2 x" is 2x
+    elif sc.accept("i"):
         coeff = (0, 1)
-    sc.skip_ws()
-    star_after_coeff = False
-    if coeff is not None and sc.peek() == "*":
-        sc.take()
-        star_after_coeff = True
+    star_after_coeff = coeff is not None and sc.accept("*")
     exps = {"x": 0, "y": 0}
     seen_var = False
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch not in ("x", "y"):
-            break
-        sc.take()
-        e = 1
-        sc.skip_ws()
-        if sc.peek() == "^":
-            sc.take()
-            e = sc.natural_exponent()
-        exps[ch] += e
+    while sc.peek() in ("x", "y"):
+        var = sc.take()
+        exps[var] += sc.natural_exponent() if sc.accept("^") else 1
         seen_var = True
-        sc.skip_ws()
-        if sc.peek() == "*":
-            star_pos = sc.pos
-            sc.take()
-            sc.skip_ws()
-            if sc.peek() not in ("x", "y"):
-                sc.error("expected a variable after '*'", pos=star_pos + 1)
+        if sc.accept("*") and sc.peek() not in ("x", "y"):
+            sc.error("expected a variable after '*'")
     if star_after_coeff and not seen_var:
         sc.error("expected a monomial after '*'")
     if coeff is None and not seen_var:
@@ -254,29 +239,12 @@ def _parse_germ_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, tuple[
 
 
 def _rational_exponent(sc: _Scanner) -> Fraction:
-    sc.skip_ws()
-    wrapped = sc.peek() == "("
-    if wrapped:
-        sc.take()
-        sc.skip_ws()
-    neg = False
-    if sc.peek() == "-":
-        sc.take()
-        neg = True
+    wrapped = sc.accept("(")
+    neg = sc.accept("-")
     num = sc.integer()
-    den = 1
-    sc.skip_ws()
-    if sc.peek() == "/":
-        sc.take()
-        den_pos = sc.pos
-        den = sc.integer()
-        if den == 0:
-            sc.error("zero denominator", pos=den_pos)
-    if wrapped:
-        sc.skip_ws()
-        if sc.peek() != ")":
-            sc.error("expected ')'")
-        sc.take()
+    den = sc.integer(zero="zero denominator") if sc.accept("/") else 1
+    if wrapped and not sc.accept(")"):
+        sc.error("expected ')'")
     return Fraction(-num if neg else num, den)
 
 
@@ -294,22 +262,18 @@ def parse_puiseux_poly(text: str) -> LiftedSupport:
 def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Fraction]:
     if negative:
         sc.error("coefficients are implicitly 1", pos=sc.pos - 1)
-    sc.skip_ws()
+    first = sc.peek()
     start = sc.pos
-    if sc.peek().isdecimal():
+    if first.isdecimal():
         if sc.integer() != 1:
             sc.error("coefficients are implicitly 1", pos=start)
         _take_star(sc)
     powers = {"t": 0, "z": 0, "w": 0}
     for var in "tzw":
-        sc.skip_ws()
-        if sc.peek() != var:
+        if not sc.accept(var):
             continue
-        sc.take()
         powers[var] = 1
-        sc.skip_ws()
-        if sc.peek() == "^":
-            sc.take()
+        if sc.accept("^"):
             powers[var] = _rational_exponent(sc) if var == "t" else sc.natural_exponent()
         if var != "w":  # '*' may follow each factor but the last
             _take_star(sc)
@@ -319,16 +283,12 @@ def _parse_lifted_term(sc: _Scanner, negative: bool) -> tuple[LatticePoint, Frac
 
 
 def _take_star(sc: _Scanner) -> None:
-    """Take a '*', with any whitespace around it, only when a factor t, z
-    or w follows it: a dangling '*' ends the term, and the term loop
-    reports it."""
-    sc.skip_ws()
-    if sc.peek() == "*":
-        after = sc.pos + 1
-        while after < len(sc.text) and sc.text[after].isspace():
-            after += 1
-        if sc.text[after:after + 1] in ("t", "z", "w"):
-            sc.take()
+    """Take a '*' only when a factor t, z or w follows it: a dangling '*'
+    is put back, ending the term, and the term loop reports it."""
+    if sc.accept("*"):
+        star = sc.pos - 1
+        if sc.peek() not in ("t", "z", "w"):
+            sc.pos = star
 
 
 # --- JSON route -------------------------------------------------------------

@@ -29,6 +29,13 @@ def test_bounded_draws_cover_the_range():
     assert all(2 <= rng.between(2, 4) <= 4 for _ in range(50))
 
 
+def test_bounds_below_the_smallest_draw_are_internal_errors():
+    with pytest.raises(InternalCheckError, match="^bound must be positive$"):
+        SplitMix64(1).below(0)
+    with pytest.raises(InternalCheckError, match="^intercept bounds must be at least 2$"):
+        staircase_support(SplitMix64(1), 1, 5)
+
+
 def test_sample_is_distinct_and_sorted():
     rng = SplitMix64(3)
     for _ in range(20):

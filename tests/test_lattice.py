@@ -213,6 +213,24 @@ def test_lattice_polygon_rejects_spike():
         LatticePolygon([(0, 0), (4, 0), (2, 0), (2, 2)])
 
 
+def test_polygons_need_three_vertices():
+    for cls, message in [(ConvexPolygon, "convex polygon needs at least 3 vertices"),
+                         (LatticePolygon, "polygon needs at least 3 vertices")]:
+        for ring in [[], [(0, 0)], [(0, 0), (2, 0)]]:
+            with pytest.raises(InternalCheckError, match=f"^{message}$"):
+                cls(ring)
+
+
+def test_lattice_polygon_rejects_a_repeated_vertex():
+    # the three cases of the class docstring, each caught by another check
+    for ring, message in [([(0, 0), (2, 0), (0, 0)], "ccw with area > 0"),
+                          ([(0, 0), (2, 0), (2, 0), (0, 2)], "boundary spike at (2,0)"),
+                          ([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)],
+                           "self-intersection between edges (2,0)-(1,1) and (0,2)-(1,1)")]:
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            LatticePolygon(ring)
+
+
 def test_locate_on_nonconvex_staircase():
     stair = LatticePolygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)])
     assert stair.locate((2, Fraction(1, 2))) == "inside"

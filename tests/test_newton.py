@@ -5,13 +5,17 @@ the definitions (boundary chain, Pick's theorem, Milnor's formula) and
 are frozen here.
 """
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from tropnewton import newton
 from tropnewton.corpus import SplitMix64, staircase_support
 from tropnewton.errors import (
+    InternalCheckError,
     NotConvenientError,
     NotSingularAtOriginError,
     ParityViolationError,
@@ -25,6 +29,8 @@ from tropnewton.newton import (
     milnor_number,
 )
 from tropnewton.parsing import SupportSet, parse_germ
+from tropnewton.patchwork import analyze
+from tropnewton.svg import render_svg
 
 from oracles import milnor_by_elimination, on_gamma_by_cross, staircase_squares_by_shoelace
 
@@ -127,6 +133,19 @@ def test_non_lattice_support_is_rejected():
     assert analyze_support([(Fraction(4, 2), 0), (0, 3)]).p == 2
 
 
+def test_negative_exponent_is_a_schema_error():
+    # these used to end in an InternalCheckError, from the tiling check
+    # and from the region's orientation check
+    for pts, bad in [([(3, 0), (0, 3), (-1, 1)], "(-1, 1)"),
+                     ([(2, 0), (0, 2), (1, -1)], "(1, -1)")]:
+        message = re.escape(f"support point {bad} has a negative exponent")
+        for build in (analyze, analyze_support, render_svg):
+            with pytest.raises(SchemaError, match=message):
+                build(pts)
+        with pytest.raises(SchemaError, match=message):
+            analyze(SupportSet.from_points(pts))
+
+
 def test_quintic_decomposition():
     dec = decompose_diagram(analyze_support(QUINTIC))
     assert dec.triangle_squares == 2
@@ -190,6 +209,15 @@ def test_milnor_by_elimination_on_degenerate_germs():
                      ("y^2-2*x^2*y+x^4+x^5", 4),
                      ("x^2+2*x*y+y^2", None)]:
         assert milnor_by_elimination(parse_germ(germ)) == mu, germ
+
+
+def test_milnor_number_checks_its_two_routes_against_each_other(monkeypatch):
+    nd = analyze_support(QUINTIC)
+    dec = decompose_diagram(nd)
+    monkeypatch.setattr(newton, "decompose_diagram", lambda nd: dataclasses.replace(
+        dec, staircase_squares=dec.staircase_squares + 1))
+    with pytest.raises(InternalCheckError, match="area route and staircase route disagree"):
+        milnor_number(nd)
 
 
 def test_delta_invariant():

@@ -302,6 +302,42 @@ def test_space_before_i_changes_nothing():
     assert parse_germ("x^2+2 \ti") == parse_germ("x^2+2i")
 
 
+_GERM_CHUNKS = ["x", "y", "i", "^", "*", "+", "-", "0", "1", "2", "12", "x^", "y*", "2*"]
+_LIFTED_CHUNKS = ["t", "z", "w", "^", "*", "+", "-", "/", "(", ")", "0", "1", "2",
+                  "t^", "t^1/", "t^(", "z^", "w*"]
+
+
+def test_a_blank_at_every_token_boundary_keeps_each_error_at_its_token():
+    # an error used to point at the blank after a '*' ("x* +y") or a '/'
+    # ("t^1/ 0z") instead of at the token it names
+    rng = SplitMix64(23)
+    for parse, chunks, moved in [(parse_germ, _GERM_CHUNKS, "expected a variable after '*'"),
+                                 (parse_puiseux_poly, _LIFTED_CHUNKS, "zero denominator")]:
+        messages = set()
+        for _ in range(4000):
+            text = "".join(chunks[rng.below(len(chunks))] for _ in range(rng.between(1, 8)))
+            tokens = _TOKEN.findall(text)
+            assert "".join(tokens) == text
+            spaced = " " + " ".join(tokens) + " "
+            # the offset of each token, and of the end, in both texts
+            at, offsets = 0, {len(text): len(spaced)}
+            for k, token in enumerate(tokens):
+                offsets[at] = 1 + at + k
+                at += len(token)
+            try:
+                expect = parse(text)
+            except TropnewtonError as exc:
+                with pytest.raises(type(exc)) as got:
+                    parse(spaced)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc)), spaced
+                if isinstance(exc, ParseError):
+                    assert got.value.pos == offsets[exc.pos], (text, spaced)
+                    messages.add(str(exc))
+            else:
+                assert parse(spaced) == expect, spaced
+        assert moved in messages, parse
+
+
 # --- fuzzing ----------------------------------------------------------------
 
 def fuzz_string(rng, alphabet):

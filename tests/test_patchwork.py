@@ -9,7 +9,11 @@ import pytest
 
 from tropnewton import patchwork
 from tropnewton.corpus import SplitMix64, staircase_support
-from tropnewton.errors import NotConvenientError, NotSingularAtOriginError
+from tropnewton.errors import (
+    InternalCheckError,
+    NotConvenientError,
+    NotSingularAtOriginError,
+)
 from tropnewton.lattice import LatticePoint, convex_hull
 from tropnewton.newton import analyze_support
 from tropnewton.parsing import parse_germ
@@ -106,6 +110,12 @@ def test_report_preconditions_propagate():
         analyze([(1, 0), (0, 2)])
     with pytest.raises(NotConvenientError):
         analyze([(2, 1), (0, 2)])
+
+
+def test_build_patchwork_rejects_the_subdivision_of_another_diagram():
+    quintic, cusp = analyze_support([(5, 0), (2, 2), (0, 5)]), analyze_support([(2, 0), (0, 3)])
+    with pytest.raises(InternalCheckError, match="lifting points differ"):
+        build_patchwork(quintic, subdivide_diagram(cusp))
 
 
 def test_report_json_schema_and_determinism():

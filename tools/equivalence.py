@@ -34,7 +34,14 @@ output updates those files and says why.  The families are
     of the first 200 corpus germs of seed 1 (50 with ``--quick``), the
     ladder for n = 2..12 and the thin diagrams for k <= 8; and of the
     quintic under the three layer choices of ``render`` (both layers,
-    the subdivision alone, the curve alone).
+    the subdivision alone, the curve alone);
+  * parse.{germ,lifted}: ``repr`` of what ``parse_germ`` and
+    ``parse_puiseux_poly`` return, or of the error's (class, message,
+    ``pos``), on 10,000 strings of random characters and 10,000 token
+    strings with a blank at each token boundary drawn with even odds,
+    per parser, from ``SplitMix64(1)`` (1,000 each with ``--quick``);
+    the lifted tokens include the run ``t^2/``, without which a zero
+    denominator is almost never drawn.
 
 Standard library only; the package is imported from this checkout's
 ``src``.
@@ -50,7 +57,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_support  # noqa: E402
+from tropnewton.errors import TropnewtonError  # noqa: E402
 from tropnewton.newton import analyze_support  # noqa: E402
+from tropnewton.parsing import parse_germ, parse_puiseux_poly  # noqa: E402
 from tropnewton.patchwork import analyze, build_patchwork, emit_polynomial_text  # noqa: E402
 from tropnewton.subdivision import (  # noqa: E402
     lower_hull_subdivision,
@@ -68,6 +77,13 @@ SVG_LADDER = range(2, 13)
 SVG_THIN = 3
 LAYERS = ((True, True), (True, False), (False, True))
 FIGURES = {"quintic": [(5, 0), (2, 2), (0, 5)], "cusp": [(2, 0), (0, 3)]}
+PARSE_STRINGS = 10_000
+PARSERS = {  # parser, characters, tokens
+    "germ": (parse_germ, "xyi0123456789+-*^ ",
+             ["x", "y", "i", "^", "*", "+", "-", "0", "1", "2", "12"]),
+    "lifted": (parse_puiseux_poly, "tzw0123456789+-*^/() ",
+               ["t", "z", "w", "^", "*", "+", "-", "/", "(", ")", "0", "1", "2", "12", "t^2/"]),
+}
 
 
 def _lifting_family(seed: int, count: int) -> dict[str, list[str]]:
@@ -129,6 +145,25 @@ def families(quick: bool):
         if name != "emit-poly":
             yield f"thin.{name} k<={2 ** top}", texts
     yield from _svg_families(cap)
+    for name, (parse, chars, tokens) in PARSERS.items():
+        count = PARSE_STRINGS // 10 if quick else PARSE_STRINGS
+        yield f"parse.{name}", _parse_family(parse, chars, tokens, count)
+
+
+def _parse_family(parse, chars, tokens, count) -> list[str]:
+    rng = SplitMix64(1)
+    texts = ["".join(chars[rng.below(len(chars))] for _ in range(rng.below(16)))
+             for _ in range(count)]
+    for _ in range(count):
+        drawn = [tokens[rng.below(len(tokens))] for _ in range(rng.between(1, 12))]
+        texts.append("".join(" " * rng.below(2) + token for token in drawn + [""]))
+    out = []
+    for text in texts:
+        try:
+            out.append(repr(parse(text)))
+        except TropnewtonError as exc:
+            out.append(repr((type(exc).__name__, str(exc), getattr(exc, "pos", None))))
+    return out
 
 
 def _figures(supports) -> list[str]:
