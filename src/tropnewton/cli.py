@@ -19,6 +19,7 @@ from .errors import (
     DuplicateMonomialError,
     EmptySupportError,
     InternalCheckError,
+    ParityViolationError,
     ParseError,
     SchemaError,
     TropnewtonError,
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except InternalCheckError:
+    except (InternalCheckError, ParityViolationError):
         raise  # a defect, not an input problem; fail loudly
     except TropnewtonError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateHullError, check
+from .errors import DegenerateHullError, SchemaError, require
 from .lattice import LatticePoint, convex_hull
 from .parsing import LiftedSupport
 from .patchwork import AnalysisReport, analyze
@@ -40,7 +40,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        check(n >= 1, "bound must be positive")
+        if not isinstance(n, int) or n < 1:
+            raise SchemaError("bound must be positive" if isinstance(n, int)
+                              else "bound must be an int")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             z = self.next64()
@@ -53,7 +55,9 @@ class SplitMix64:
 
     def sample(self, lo: int, hi: int, k: int) -> list[int]:
         """k distinct values from the inclusive range, ascending."""
+        require(all(isinstance(v, int) for v in (lo, hi, k)), "sample arguments must be ints")
         pool = list(range(lo, hi + 1))
+        require(0 <= k <= len(pool), "sample size must be between 0 and the range's size")
         for idx in range(k):
             swap = idx + self.below(len(pool) - idx)
             pool[idx], pool[swap] = pool[swap], pool[idx]
@@ -64,7 +68,7 @@ def staircase_support(rng: SplitMix64, pmax: int = 12,
                       qmax: int = 12) -> tuple[LatticePoint, ...]:
     """Random convenient support: axis points plus a strictly monotone
     chain of inner points, none at (0,0), (1,0), (0,1)."""
-    check(pmax >= 2 and qmax >= 2, "intercept bounds must be at least 2")
+    require(pmax >= 2 and qmax >= 2, "intercept bounds must be at least 2")
     p = rng.between(2, pmax)
     q = rng.between(2, qmax)
     kmax = min(p - 1, q - 1)
@@ -78,7 +82,10 @@ def staircase_support(rng: SplitMix64, pmax: int = 12,
 def random_lifted_support(rng: SplitMix64, span: int = 6,
                           max_points: int = 10) -> LiftedSupport:
     """Random heights over a random planar support with a real hull;
-    nothing ties the heights to any staircase structure."""
+    nothing ties the heights to any staircase structure.  The support
+    holds 4 to ``max_points`` distinct points of the ``span`` x ``span``
+    grid, so ``max_points`` past ``span * span`` is refused."""
+    require(4 <= max_points <= span * span, "max_points must be between 4 and span * span")
     while True:
         n = rng.between(4, max_points)
         pts = set()
@@ -110,7 +117,8 @@ class CorpusResult:
 def run_corpus(seed: int, count: int, pmax: int = 12,
                qmax: int = 12) -> CorpusResult:
     """Certify ``count`` seeded staircase supports end to end."""
-    check(count >= 1, "corpus needs at least one case")
+    require(isinstance(count, int), "corpus count must be an int")
+    require(count >= 1, "corpus needs at least one case")
     rng = SplitMix64(seed)
     failures = []
     for _ in range(count):

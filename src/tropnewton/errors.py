@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-The hierarchy is flat on purpose: callers usually want to distinguish
-"your input was malformed" (ParseError and friends), "your input is
-outside the theory's hypotheses" (precondition errors), and "the library
-caught itself producing garbage" (InternalCheckError), nothing finer.
+The hierarchy is flat on purpose: callers tell apart "your input was
+malformed" (ParseError, SchemaError and friends; ``require``), "your
+input is outside the theory's hypotheses" (precondition errors), and
+"the library caught itself producing garbage" (``check``), nothing finer.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ class DuplicateMonomialError(TropnewtonError):
 
 
 class SchemaError(TropnewtonError):
-    """Structured input violates the JSON schema.
+    """A malformed value from a caller: a JSON file against the schema,
+    or a point, ring, height, bound or count passed to the API.
 
     ``pointer`` is a JSON-pointer-style path to the offending element,
-    e.g. ``/monomials/3/coeff``.
+    e.g. ``/monomials/3/coeff``, or empty for an API argument.
     """
 
     def __init__(self, message: str, pointer: str = ""):
@@ -128,10 +129,16 @@ class ParityViolationError(TropnewtonError):
 
 
 class InternalCheckError(TropnewtonError):
-    """A construction-time invariant failed.  Always a bug, surfaced loudly."""
+    """An invariant the package proves of itself failed: always a bug."""
 
 
 def check(condition: bool, message: str) -> None:
     """Raise InternalCheckError unless ``condition`` holds."""
     if not condition:
         raise InternalCheckError(message)
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise SchemaError unless the caller's argument meets ``condition``."""
+    if not condition:
+        raise SchemaError(message)

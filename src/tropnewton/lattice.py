@@ -12,15 +12,16 @@ Polygon conventions:
   * ConvexPolygon additionally forbids three consecutive collinear
     vertices, so equality of polygons is equality of vertex tuples.
 
-``ConvexPolygon(...)`` checks all of this on whatever it is given.  The
-hulls built here are trusted instead: the monotone chain proves the
-conventions as it runs (see ``convex_hull_of_sorted``), so its output
-goes into the polygon with no second pass.  ``convex_hull`` takes
-outside points and raises SchemaError for one that is not a lattice
-point; ``as_lattice_point`` is for the package's own data, where a
-non-lattice point is a defect.  ``lower_chain`` is the package's one
-monotone chain: each hull half, the Newton boundary, the wrap's first
-edge.  ``_located`` is its one scan of a region's bounding box.
+``ConvexPolygon(...)`` and ``LatticePolygon(...)`` check all of this on
+whatever a caller gives them, and raise SchemaError for a point that is
+not a lattice point (``lattice_key``, the one conversion of a caller's
+point) or a ring that breaks a convention.  The rings built here are
+trusted instead: the monotone chain proves the conventions as it runs
+(see ``convex_hull_of_sorted``), so its output goes into the polygon
+with no second pass, through ``_Polygon._trusted``.  ``lower_chain`` is
+the package's one monotone chain: each hull half, the Newton boundary,
+the wrap's first edge.  ``_located`` is its one scan of a region's
+bounding box.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import (
-    DegenerateHullError,
-    InternalCheckError,
-    SchemaError,
-    ZeroSegmentError,
-    check,
-)
+from .errors import DegenerateHullError, SchemaError, ZeroSegmentError, require
 
 Coord = Union[int, Fraction]
 Point = Sequence[Coord]
@@ -67,15 +62,6 @@ def lattice_key(p, what: str = "point") -> LatticePoint:
     return LatticePoint(int(i), int(j))
 
 
-def as_lattice_point(p: Point) -> LatticePoint:
-    if type(p) is LatticePoint:
-        return p
-    i, j = p
-    if int(i) != i or int(j) != j:
-        raise InternalCheckError(f"point {p} is not a lattice point")
-    return LatticePoint(int(i), int(j))
-
-
 def cross(o: Point, a: Point, b: Point) -> Coord:
     """Signed area x2 of triangle (o, a, b); positive if counterclockwise."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -100,7 +86,7 @@ def lattice_length(a: Point, b: Point) -> int:
 
 def segment_lattice_points(a: Point, b: Point) -> list[LatticePoint]:
     """All lattice points on segment [a, b], endpoints included, in order."""
-    a, b = as_lattice_point(a), as_lattice_point(b)
+    a, b = lattice_key(a), lattice_key(b)
     n = lattice_length(a, b)
     si, sj = (b.i - a.i) // n, (b.j - a.j) // n
     return [LatticePoint(a.i + k * si, a.j + k * sj) for k in range(n + 1)]
@@ -159,6 +145,15 @@ class _Polygon:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.vertices)})"
 
+    @classmethod
+    def _trusted(cls, verts: tuple):
+        """A polygon from vertices already known to be distinct
+        LatticePoints that meet the class's conventions, in canonical
+        order, so none of that is checked again."""
+        polygon = object.__new__(cls)
+        object.__setattr__(polygon, "vertices", verts)
+        return polygon
+
     def edges(self) -> Iterator[tuple[LatticePoint, LatticePoint]]:
         v = self.vertices
         return zip(v, v[1:] + v[:1])
@@ -179,23 +174,14 @@ class ConvexPolygon(_Polygon):
     __slots__ = ()
 
     def __init__(self, vertices: Iterable[Point]):
-        verts = tuple(map(as_lattice_point, vertices))
-        check(len(verts) >= 3, "convex polygon needs at least 3 vertices")
+        verts = tuple(map(lattice_key, vertices))
+        require(len(verts) >= 3, "convex polygon needs at least 3 vertices")
         verts = _canonical_rotation(verts)
         for (ax, ay), b, (cx, cy) in zip(verts[-1:] + verts[:-1], verts,
                                          verts[1:] + verts[:1]):
             if (b[0] - ax) * (cy - ay) - (b[1] - ay) * (cx - ax) <= 0:
-                raise InternalCheckError(f"vertices not strictly convex ccw at {b}")
+                raise SchemaError(f"vertices not strictly convex ccw at {b}")
         object.__setattr__(self, "vertices", verts)
-
-    @classmethod
-    def _trusted(cls, verts: tuple) -> "ConvexPolygon":
-        """A polygon from vertices already known to be distinct
-        LatticePoints, strictly convex, counterclockwise and in canonical
-        order, so none of that is checked again."""
-        polygon = object.__new__(cls)
-        object.__setattr__(polygon, "vertices", verts)
-        return polygon
 
     def locate(self, p: Point) -> str:
         """'inside', 'boundary' or 'outside', decided exactly."""
@@ -234,17 +220,17 @@ class LatticePolygon(_Polygon):
     __slots__ = ()
 
     def __init__(self, vertices: Iterable[Point]):
-        verts = tuple(as_lattice_point(v) for v in vertices)
-        check(len(verts) >= 3, "polygon needs at least 3 vertices")
+        verts = tuple(map(lattice_key, vertices))
+        require(len(verts) >= 3, "polygon needs at least 3 vertices")
         verts = _canonical_rotation(verts)
-        check(shoelace2(verts) > 0, "polygon boundary must be ccw with area > 0")
+        require(shoelace2(verts) > 0, "polygon boundary must be ccw with area > 0")
         n = len(verts)
         for k in range(n):
             # a spike folds the boundary back over itself
             c = cross(verts[k - 1], verts[k], verts[(k + 1) % n])
             d = dot(sub(verts[k], verts[k - 1]), sub(verts[(k + 1) % n], verts[k]))
             if c == 0 and d <= 0:
-                raise InternalCheckError(f"boundary spike at {verts[k]}")
+                raise SchemaError(f"boundary spike at {verts[k]}")
         for a_idx in range(n):
             a1, a2 = verts[a_idx], verts[(a_idx + 1) % n]
             for b_idx in range(a_idx + 1, n):
@@ -252,7 +238,7 @@ class LatticePolygon(_Polygon):
                     continue  # adjacent edges share an endpoint by design
                 b1, b2 = verts[b_idx], verts[(b_idx + 1) % n]
                 if segments_intersect(a1, a2, b1, b2):
-                    raise InternalCheckError(
+                    raise SchemaError(
                         f"self-intersection between edges {a1}-{a2} and {b1}-{b2}")
         object.__setattr__(self, "vertices", verts)
 

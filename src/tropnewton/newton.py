@@ -54,9 +54,13 @@ class NewtonDiagram:
 
     @cached_property
     def gamma_minus(self) -> LatticePolygon:
-        """Region between the boundary and the axes, counterclockwise."""
-        ring = [LatticePoint(0, 0)] + list(reversed(self.gamma_vertices))
-        return LatticePolygon(ring)
+        """Region between the boundary and the axes, built with no check.
+        The boundary falls strictly and convexly from ``(0, q)`` to
+        ``(p, 0)``, inner vertices in the open quadrant, so with the two
+        axis segments the ring ``(0, 0)``, boundary reversed, is simple,
+        counterclockwise, of positive area, turns at every vertex (no
+        spike) and starts at its smallest vertex."""
+        return LatticePolygon._trusted((LatticePoint(0, 0),) + self.gamma_vertices[::-1])
 
     @cached_property
     def gamma_minus_lattice(self) -> tuple[LatticePoint, ...]:

@@ -90,17 +90,22 @@ class LiftedSupport:
     def __post_init__(self):
         """Checked once, however the entries were built, and stored sorted.
 
-        A key that is not a pair of integral numbers is a SchemaError; a
-        point named by two entries is a DuplicateMonomialError.  Keys
-        become LatticePoints and heights Fractions, so the hull code can
-        trust both; a height that is a Fraction already is kept as it is.
+        A key that is not a pair of integral numbers, or a height that is
+        not a rational number, is a SchemaError; a point named by two
+        entries is a DuplicateMonomialError.  Keys become LatticePoints
+        and heights Fractions, so the hull code can trust both; a height
+        that is a Fraction already is kept as it is.
         """
         heights: dict[LatticePoint, Fraction] = {}
         for p, v in self.entries:
             point = lattice_key(p, "lifted support key")
             if point in heights:
                 raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
-            heights[point] = v if type(v) is Fraction else Fraction(v)
+            try:
+                heights[point] = v if type(v) is Fraction else Fraction(v)
+            except (TypeError, ValueError, OverflowError):
+                raise SchemaError(f"height {v!r} of point {tuple(point)} "
+                                  "is not a rational number") from None
         if not heights:
             raise EmptySupportError("lifted support must be nonempty")
         object.__setattr__(self, "entries", tuple(sorted(heights.items())))

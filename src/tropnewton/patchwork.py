@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import check
+from .errors import require
 from .lattice import LatticePoint
 from .newton import NewtonDiagram, analyze_support, delta_invariant, milnor_number
 from .subdivision import SubdividedDiagram, subdivide_diagram
@@ -41,8 +41,8 @@ def build_patchwork(nd: NewtonDiagram,
     nu = sdd.lifting.as_dict()
     support = tuple(sorted(nu))
     # cannot fail for our own subdivision; guards a passed-in one of another diagram
-    check(support == tuple(sorted(nd.gamma_minus_lattice)),
-          "lifting points differ from the lattice points under the boundary")
+    require(support == tuple(sorted(nd.gamma_minus_lattice)),
+            "lifting points differ from the lattice points under the boundary")
     return PatchworkPolynomial(support, nu)
 
 

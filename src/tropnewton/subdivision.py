@@ -96,6 +96,7 @@ from .errors import (
     NotCoprimeError,
     RegularityCertificationError,
     check,
+    require,
 )
 from .lattice import (
     ConvexPolygon,
@@ -690,13 +691,18 @@ def separable_lifting(diagram_or_points, a: Sequence[int] | None = None,
         points = diagram_or_points.gamma_minus_lattice
     else:
         points = tuple(lattice_key(p) for p in diagram_or_points)
-    need_i = max(pt.i for pt in points)
-    need_j = max(pt.j for pt in points)
+        require(all(i >= 0 and j >= 0 for i, j in points),
+                "separable lifting points need nonnegative coordinates")
+    need_i = max((pt.i for pt in points), default=0)
+    need_j = max((pt.j for pt in points), default=0)
 
     def prefix(seq, need, name):
         if seq is None:
             seq = range(need + 1)
-        seq = [Fraction(v) for v in seq]
+        try:
+            seq = [Fraction(v) for v in seq]
+        except (TypeError, ValueError, OverflowError):
+            raise BadSequenceError(f"{name} increments must be rational numbers") from None
         if len(seq) < need + 1:
             raise BadSequenceError(f"{name} needs at least {need + 1} increments")
         for u, v in zip(seq, seq[1:]):

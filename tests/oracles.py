@@ -1,9 +1,11 @@
 """Test-only oracles: exact brute-force checks that the shipped package
-does not need, kept here as references for the test suites, and the
-read counter the work-count tests share."""
+does not need, kept here as references for the test suites, the read
+counter the work-count tests share, and an alarm that ends a hung call."""
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -285,3 +287,22 @@ class Counted(tuple):
     def __iter__(self):
         Counted.reads += 1
         return super().__iter__()
+
+
+class Overran(Exception):
+    """A call ran past the alarm of ``deadline``."""
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise Overran in the block once ``seconds`` have passed, so a call
+    that hangs fails its test instead of stalling the suite."""
+    def ring(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+    saved = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, saved)

@@ -8,12 +8,38 @@ from fractions import Fraction
 
 import pytest
 
-from tropnewton import analyze, cli
+from tropnewton import (
+    LiftedSupport,
+    analyze,
+    analyze_support,
+    cli,
+    dual_tropical_curve,
+    lower_hull_subdivision,
+    patchwork,
+    restrict,
+    separable_lifting,
+    staircase_support,
+    subdivide_diagram,
+)
 from tropnewton.cli import _build_parser, main
-from tropnewton.corpus import SplitMix64
-from tropnewton.errors import InternalCheckError, ParseError, SchemaError
+from tropnewton.corpus import SplitMix64, random_lifted_support
+from tropnewton.errors import (
+    InternalCheckError,
+    ParityViolationError,
+    ParseError,
+    SchemaError,
+    TropnewtonError,
+)
+from tropnewton.lattice import (
+    ConvexPolygon,
+    LatticePolygon,
+    convex_hull,
+    segment_lattice_points,
+)
 from tropnewton.parsing import parse_germ, parse_puiseux_poly, serialize_json
 from tropnewton.svg import _fmt, render_svg
+
+from oracles import deadline
 
 QUINTIC = "x^5+x^2*y^2+y^5"
 # SHA-256 of the figures `render GERM [FLAGS]` writes, pinned when the
@@ -485,3 +511,93 @@ def test_cli_fuzz_ends_in_a_documented_exit(tmp_path, capsys, monkeypatch):
         assert exc.value.pos == 2 and f"{limit} digits" in str(exc.value)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _bound(rng):
+    """A small bound or count: zero, negative, a float, a Fraction, NaN."""
+    return _pick(rng, [0, 1, 2, 3, 4, 5, 9, 10, -1, -2, Fraction(5, 2), Fraction(6, 2),
+                       2.0, 2.5, float("nan"), float("inf")])
+
+
+def _junk(rng):
+    """A small coordinate or height, now and then one that is not an
+    integer: also text and None."""
+    return _pick(rng, [0, 1, 2, 3, _bound(rng), "x", None])
+
+
+# a square, a triangle, the region under the quintic's boundary and the
+# quintic's domain, each valid as given (clockwise once reversed, and
+# collinear with a midpoint inserted); a crossing ring; a repeated vertex
+_RINGS = [[(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 0), (3, 0), (0, 3)],
+          [(0, 0), (5, 0), (2, 2), (0, 5)], [(0, 5), (0, 0), (5, 0)],
+          [(0, 0), (4, 4), (4, 0), (0, 8)], [(0, 0), (2, 0), (2, 0), (0, 2)]]
+
+
+def _ring(rng) -> list:
+    """A fixed ring, reversed or with a midpoint now and then, or 0 to 6
+    points of a 6x6 grid; sometimes one coordinate is replaced by junk."""
+    if rng.below(2):
+        ring = list(_pick(rng, _RINGS))
+        if not rng.below(3):
+            ring.reverse()
+        if not rng.below(4):
+            (ai, aj), (bi, bj) = ring[0], ring[1]
+            ring.insert(1, ((ai + bi) // 2, (aj + bj) // 2))
+    else:
+        ring = [(rng.below(6), rng.below(6)) for _ in range(rng.below(7))]
+    if ring and not rng.below(4):
+        k, c = rng.below(len(ring)), rng.below(2)
+        ring[k] = tuple(_junk(rng) if n == c else v for n, v in enumerate(ring[k]))
+    return ring
+
+
+def _library_call(rng, quintic_curve):
+    """One library call over small malformed arguments: (function, args)."""
+    ring, draws = _ring(rng), SplitMix64(rng.below(99))
+    bounds = [_bound(rng) for _ in range(3)]
+    seqs = [None, [0, 1, 2, 3, 4, 5], [1, 1, 2, 3, 4, 5], [_junk(rng) for _ in range(6)]]
+
+    def restrict_to(region, ring):
+        return restrict(quintic_curve, region(ring))
+
+    return _pick(rng, [
+        (ConvexPolygon, ring), (LatticePolygon, ring), (convex_hull, ring),
+        (segment_lattice_points, *(ring + [(_junk(rng), _junk(rng))] * 2)[:2]),
+        (draws.below, bounds[0]), (draws.between, *bounds[:2]), (draws.sample, *bounds),
+        (staircase_support, draws, *bounds[:2]),
+        (random_lifted_support, draws, *bounds[:2]),
+        (LiftedSupport.from_mapping, {p: _junk(rng) for p in ring}),
+        (separable_lifting, ring, _pick(rng, seqs), _pick(rng, seqs)),
+        (lower_hull_subdivision, {p: _pick(rng, [0, 1, 2, _junk(rng)]) for p in ring}),
+        (analyze, ring),
+        (restrict_to, _pick(rng, [LatticePolygon, ConvexPolygon]), ring),
+    ])
+
+
+def test_library_fuzz_ends_in_a_package_error():
+    # every call over small malformed arguments returns or raises a
+    # TropnewtonError; a defect's InternalCheckError or
+    # ParityViolationError, any other exception, or a call still running
+    # after a second fails
+    quintic_curve = dual_tropical_curve(subdivide_diagram(analyze_support(
+        parse_germ(QUINTIC))).subdivision)
+    rng = SplitMix64(24)
+    for _ in range(2000):
+        fn, *args = _library_call(rng, quintic_curve)
+        try:
+            with deadline(1.0):
+                fn(*args)
+        except Exception as exc:
+            defect = isinstance(exc, (InternalCheckError, ParityViolationError))
+            if defect or not isinstance(exc, TropnewtonError):
+                pytest.fail(f"{fn.__qualname__}{tuple(args)!r} raised {exc!r}")
+
+
+def test_a_parity_violation_escapes_the_cli(monkeypatch):
+    # like an InternalCheckError, it marks a defect, so no exit code hides it
+    def odd(mu, branches):
+        raise ParityViolationError("mu + branches - 1 is odd")
+
+    monkeypatch.setattr(patchwork, "delta_invariant", odd)
+    with pytest.raises(ParityViolationError):
+        main(["certify", "x^2+y^3"])

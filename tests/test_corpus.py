@@ -1,5 +1,7 @@
 """Seeded generator portability and the batch runner."""
 
+from fractions import Fraction
+
 import pytest
 
 from tropnewton.corpus import (
@@ -8,9 +10,11 @@ from tropnewton.corpus import (
     run_corpus,
     staircase_support,
 )
-from tropnewton.errors import InternalCheckError
+from tropnewton.errors import SchemaError
 from tropnewton.lattice import convex_hull
 from tropnewton.newton import analyze_support
+
+from oracles import deadline
 
 
 def test_splitmix_reference_sequence():
@@ -29,11 +33,39 @@ def test_bounded_draws_cover_the_range():
     assert all(2 <= rng.between(2, 4) <= 4 for _ in range(50))
 
 
-def test_bounds_below_the_smallest_draw_are_internal_errors():
-    with pytest.raises(InternalCheckError, match="^bound must be positive$"):
+def test_bounds_below_the_smallest_draw_are_schema_errors():
+    with pytest.raises(SchemaError, match="^bound must be positive$"):
         SplitMix64(1).below(0)
-    with pytest.raises(InternalCheckError, match="^intercept bounds must be at least 2$"):
+    with pytest.raises(SchemaError, match="^intercept bounds must be at least 2$"):
         staircase_support(SplitMix64(1), 1, 5)
+
+
+def test_below_refuses_a_bound_that_is_not_an_int():
+    # 2.5 used to give the float 1.0, and Fraction(3) a Fraction
+    for bound in (2.5, 3.0, Fraction(3), float("nan")):
+        with pytest.raises(SchemaError, match="^bound must be an int$"):
+            SplitMix64(1).below(bound)
+
+
+def test_sample_refuses_a_size_outside_the_range():
+    # k = -1 used to return all five values
+    for k in (-1, 6):
+        with pytest.raises(SchemaError, match="^sample size must be between 0 and the range's size$"):
+            SplitMix64(1).sample(0, 4, k)
+    with pytest.raises(SchemaError, match="^sample arguments must be ints$"):
+        SplitMix64(1).sample(0, 4.0, 2)
+    assert SplitMix64(1).sample(0, 4, 5) == [0, 1, 2, 3, 4]
+    assert SplitMix64(1).sample(0, 4, 0) == []
+
+
+def test_random_lifted_support_refuses_more_points_than_its_grid():
+    # span 1 and 2 hold 1 and 4 points, so these used to draw forever
+    for span, max_points in ((1, 10), (2, 10), (2, 5), (6, 3)):
+        with deadline(1.0), pytest.raises(
+                SchemaError, match=r"^max_points must be between 4 and span \* span$"):
+            random_lifted_support(SplitMix64(1), span, max_points)
+    with deadline(1.0):
+        assert random_lifted_support(SplitMix64(1), 2, 4).points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_sample_is_distinct_and_sorted():
@@ -84,5 +116,7 @@ def test_run_corpus_all_green():
 
 
 def test_run_corpus_rejects_empty():
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(SchemaError, match="^corpus needs at least one case$"):
         run_corpus(seed=1, count=0)
+    with pytest.raises(SchemaError, match="^corpus count must be an int$"):
+        run_corpus(seed=1, count=2.5)  # used to escape range() as a TypeError

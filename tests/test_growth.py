@@ -9,11 +9,16 @@ of loose points against planes, the dual curve's edges and the duality
 check's vertex reads.  The log-log slope of each count against the
 lattice points, fitted by least squares over the three sizes, must stay
 below ``BOUND``.  On the thin family a flat pick over the pocket reads
-about points^2 lifted points, so its slope would be near 2.
+about points^2 lifted points, so its slope would be near 2.  Chains
+with many edges do not meet the bound yet; their test is an expected
+failure until point location under a chain stops scanning the
+bounding box (ROADMAP item 3).
 """
 
 from collections import Counter
 from math import log
+
+import pytest
 
 from tropnewton import lattice, patchwork, subdivision, tropical
 from tropnewton.lattice import ConvexPolygon, LatticePolygon
@@ -42,7 +47,22 @@ def slope(xs, ys) -> float:
             / sum((a - mx) ** 2 for a in lx))
 
 
-def test_work_grows_near_linearly_in_the_lattice_points(monkeypatch):
+def _stair(m: int) -> list:
+    """The chain from (0, q) with steps (1, m), ..., (1, 1), (2, 1), ...,
+    (m, 1): 2m - 1 boundary edges."""
+    steps = [(1, k) for k in range(m, 0, -1)] + [(k, 1) for k in range(2, m + 1)]
+    chain = [(0, sum(dy for _, dy in steps))]
+    for dx, dy in steps:
+        chain.append((chain[-1][0] + dx, chain[-1][1] - dy))
+    return chain
+
+
+NAMES = ("locate", "cross", "on_segment", "pick reads", "loose tests",
+         "curve edges", "duality vertex reads")
+
+
+def _spied(monkeypatch) -> Counter:
+    """Install the spies; the returned counter gathers their counts."""
     counts: Counter = Counter()
 
     def counted(name, fn):
@@ -83,20 +103,37 @@ def test_work_grows_near_linearly_in_the_lattice_points(monkeypatch):
     monkeypatch.setattr(subdivision, "_wrap_over", wrap)
     monkeypatch.setattr(subdivision, "_certify", certify)
     monkeypatch.setattr(patchwork, "dual_tropical_curve", curve)
-    names = ("locate", "cross", "on_segment", "pick reads", "loose tests",
-             "curve edges", "duality vertex reads")
+    return counts
+
+
+def _assert_near_linear(family, germs, counts, kinked: bool) -> None:
+    points, rows = [], []
+    for support in germs:
+        counts.clear()
+        report = analyze(support)
+        assert report.verdicts_hold, (family, support)
+        assert ("kinked" in report.notes[1]) == kinked
+        points.append(len(report.lifting))  # one height per lattice point
+        rows.append([counts[name] for name in NAMES])
+    assert points[-1] >= 8 * points[0], (family, points)
+    for name, values in zip(NAMES, zip(*rows)):
+        if name == "loose tests" and not any(values):
+            continue  # a diagram lifting makes every point a cell corner
+        assert all(values), (family, name, values)
+        assert slope(points, values) < BOUND, (family, name, points, values)
+
+
+def test_work_grows_near_linearly_in_the_lattice_points(monkeypatch):
+    counts = _spied(monkeypatch)
     for family, germs in FAMILIES.items():
-        points, rows = [], []
-        for support in germs:
-            counts.clear()
-            report = analyze(support)
-            assert report.verdicts_hold, (family, support)
-            assert ("kinked" in report.notes[1]) == (family == "chain")
-            points.append(len(report.lifting))  # one height per lattice point
-            rows.append([counts[name] for name in names])
-        assert points[-1] >= 8 * points[0], (family, points)
-        for name, values in zip(names, zip(*rows)):
-            if name == "loose tests" and not any(values):
-                continue  # a diagram lifting makes every point a cell corner
-            assert all(values), (family, name, values)
-            assert slope(points, values) < BOUND, (family, name, points, values)
+        _assert_near_linear(family, germs, counts, kinked=family == "chain")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a LatticePolygon.locate per point "
+                   "of the bounding box, each walking every boundary edge")
+def test_work_grows_near_linearly_on_many_edge_chains(monkeypatch):
+    # 29, 95 and 304 points; the locate, cross and on_segment counts grow
+    # with slopes of about 1.2 to 1.7, as the bounding box outgrows the
+    # region and the edges multiply
+    _assert_near_linear("stair", [_stair(m) for m in (3, 5, 8)], _spied(monkeypatch),
+                        kinked=False)

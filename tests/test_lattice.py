@@ -7,7 +7,6 @@ import pytest
 from tropnewton.corpus import SplitMix64
 from tropnewton.errors import (
     DegenerateHullError,
-    InternalCheckError,
     SchemaError,
     ZeroSegmentError,
 )
@@ -15,11 +14,11 @@ from tropnewton.lattice import (
     ConvexPolygon,
     LatticePoint,
     LatticePolygon,
-    as_lattice_point,
     convex_hull,
     convex_hull_of_sorted,
     cross,
     enumerate_lattice_points,
+    lattice_key,
     lattice_length,
     lower_chain,
     on_segment,
@@ -155,12 +154,14 @@ def test_convex_hull_rejects_non_lattice_input():
         (0, 1), (1, 0), (2, 0))
 
 
-def test_as_lattice_point_checks_both_coordinates():
+def test_lattice_key_checks_both_coordinates():
     for bad in [(1, Fraction(1, 2)), (Fraction(1, 2), 1), (2, 0.5)]:
-        with pytest.raises(InternalCheckError, match="is not a lattice point"):
-            as_lattice_point(bad)
-    assert as_lattice_point((Fraction(2), 3)) == (2, 3)
-    assert type(as_lattice_point((Fraction(2), 3.0)).j) is int
+        with pytest.raises(SchemaError, match="is not a lattice point"):
+            lattice_key(bad)
+        with pytest.raises(SchemaError, match="is not a lattice point"):
+            segment_lattice_points((0, 0), bad)
+    assert lattice_key((Fraction(2), 3)) == (2, 3)
+    assert type(lattice_key((Fraction(2), 3.0)).j) is int
 
 
 def test_polygon_classes_share_shape_but_not_equality():
@@ -184,11 +185,11 @@ def test_polygon_classes_share_shape_but_not_equality():
 
 
 def test_convex_polygon_validation():
-    with pytest.raises(InternalCheckError, match=re.escape("strictly convex ccw at (2,0)")):
+    with pytest.raises(SchemaError, match=re.escape("strictly convex ccw at (2,0)")):
         ConvexPolygon([(0, 0), (2, 0), (4, 0), (0, 4)])  # collinear run
-    with pytest.raises(InternalCheckError, match=re.escape("strictly convex ccw at (0,0)")):
+    with pytest.raises(SchemaError, match=re.escape("strictly convex ccw at (0,0)")):
         ConvexPolygon([(0, 0), (0, 4), (4, 0)])  # clockwise
-    with pytest.raises(InternalCheckError, match=re.escape(
+    with pytest.raises(SchemaError, match=re.escape(
             "point (Fraction(3, 2), Fraction(2, 1)) is not a lattice point")):
         ConvexPolygon([(0, 0), (Fraction(3, 2), Fraction(2)), (0, 4)])
 
@@ -201,15 +202,15 @@ def test_region_areas_match_hand_values():
 
 def test_lattice_polygon_rejects_self_intersection():
     # the symmetric bowtie has zero signed area, so the area check fires first
-    with pytest.raises(InternalCheckError, match="ccw with area > 0"):
+    with pytest.raises(SchemaError, match="ccw with area > 0"):
         LatticePolygon([(0, 0), (4, 4), (4, 0), (0, 4)])
-    with pytest.raises(InternalCheckError, match=re.escape(
+    with pytest.raises(SchemaError, match=re.escape(
             "self-intersection between edges (0,0)-(4,4) and (4,0)-(0,8)")):
         LatticePolygon([(0, 0), (4, 4), (4, 0), (0, 8)])
 
 
 def test_lattice_polygon_rejects_spike():
-    with pytest.raises(InternalCheckError, match=re.escape("boundary spike at (4,0)")):
+    with pytest.raises(SchemaError, match=re.escape("boundary spike at (4,0)")):
         LatticePolygon([(0, 0), (4, 0), (2, 0), (2, 2)])
 
 
@@ -217,7 +218,7 @@ def test_polygons_need_three_vertices():
     for cls, message in [(ConvexPolygon, "convex polygon needs at least 3 vertices"),
                          (LatticePolygon, "polygon needs at least 3 vertices")]:
         for ring in [[], [(0, 0)], [(0, 0), (2, 0)]]:
-            with pytest.raises(InternalCheckError, match=f"^{message}$"):
+            with pytest.raises(SchemaError, match=f"^{message}$"):
                 cls(ring)
 
 
@@ -227,7 +228,7 @@ def test_lattice_polygon_rejects_a_repeated_vertex():
                           ([(0, 0), (2, 0), (2, 0), (0, 2)], "boundary spike at (2,0)"),
                           ([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)],
                            "self-intersection between edges (2,0)-(1,1) and (0,2)-(1,1)")]:
-        with pytest.raises(InternalCheckError, match=re.escape(message)):
+        with pytest.raises(SchemaError, match=re.escape(message)):
             LatticePolygon(ring)
 
 

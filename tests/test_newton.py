@@ -21,7 +21,7 @@ from tropnewton.errors import (
     ParityViolationError,
     SchemaError,
 )
-from tropnewton.lattice import cross
+from tropnewton.lattice import LatticePolygon, cross
 from tropnewton.newton import (
     analyze_support,
     decompose_diagram,
@@ -48,6 +48,16 @@ def test_quintic_boundary():
     assert nd.primitive_steps == ((2, 3), (3, 2))
     assert nd.gamma_minus.area2 == 20
     assert nd.interior_lattice_count == 5
+
+
+def test_gamma_minus_skips_the_ring_checks(monkeypatch):
+    def checked(self, vertices):
+        raise AssertionError("the ring went through the checked constructor")
+
+    monkeypatch.setattr(LatticePolygon, "__init__", checked)
+    nd = analyze_support(QUINTIC)
+    assert nd.gamma_minus.vertices == ((0, 0), (5, 0), (2, 2), (0, 5))
+    assert type(nd.gamma_minus) is LatticePolygon
 
 
 def test_cusp_boundary():
@@ -250,8 +260,10 @@ def test_random_staircases_yield_valid_boundaries():
             assert cross(a, b, d) > 0
         for a, b in edges:
             assert b.i > a.i and b.j < a.j
-        # support never dips strictly inside the region under the boundary
+        # the unchecked ring passes every check of the checked constructor
         poly = nd.gamma_minus
+        assert poly == LatticePolygon([(0, 0)] + list(reversed(nd.gamma_vertices)))
+        # support never dips strictly inside the region under the boundary
         for pt in nd.support:
             assert poly.locate(pt) != "inside"
         for pt in nd.gamma_lattice:

@@ -459,6 +459,15 @@ def test_lifted_mapping_rejects_non_lattice_keys():
     assert all(type(c) is int for p in ls.points for c in p)
 
 
+def test_lifted_heights_that_are_not_rational_are_schema_errors():
+    # NaN and "x" used to raise ValueError, infinity OverflowError
+    for height in (float("nan"), float("inf"), "x", None, 1j):
+        with pytest.raises(SchemaError, match="^" + re.escape(
+                f"height {height!r} of point (1, 0) is not a rational number") + "$"):
+            LiftedSupport.from_mapping({(0, 0): 0, (1, 0): height})
+    assert LiftedSupport.from_mapping({(1, 0): 0.1}).entries == (((1, 0), Fraction(0.1)),)
+
+
 def test_support_points_reject_non_lattice_coordinates():
     # (3/2, 0) used to be truncated onto (1, 0), leaving two points
     with pytest.raises(SchemaError, match="is not a lattice point"):

@@ -10,9 +10,9 @@ import pytest
 from tropnewton import patchwork
 from tropnewton.corpus import SplitMix64, staircase_support
 from tropnewton.errors import (
-    InternalCheckError,
     NotConvenientError,
     NotSingularAtOriginError,
+    SchemaError,
 )
 from tropnewton.lattice import LatticePoint, convex_hull
 from tropnewton.newton import analyze_support
@@ -114,7 +114,7 @@ def test_report_preconditions_propagate():
 
 def test_build_patchwork_rejects_the_subdivision_of_another_diagram():
     quintic, cusp = analyze_support([(5, 0), (2, 2), (0, 5)]), analyze_support([(2, 0), (0, 3)])
-    with pytest.raises(InternalCheckError, match="lifting points differ"):
+    with pytest.raises(SchemaError, match="lifting points differ"):
         build_patchwork(quintic, subdivide_diagram(cusp))
 
 

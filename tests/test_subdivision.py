@@ -16,6 +16,7 @@ from tropnewton.errors import (
     BadSequenceError,
     DegenerateHullError,
     DegenerateInputError,
+    EmptySupportError,
     InternalCheckError,
     NotCoprimeError,
     RegularityCertificationError,
@@ -92,6 +93,19 @@ def test_separable_lifting_custom_and_errors():
         separable_lifting([(0, 0), (2, 0)], a=[0, 1, 1])  # not increasing
     with pytest.raises(SchemaError, match="is not a lattice point"):
         separable_lifting([(Fraction(3, 2), 0), (1, 0), (0, 2)])
+    # (-1, 0) used to read the height of (2, 0) from the end of the list
+    with pytest.raises(SchemaError, match="^separable lifting points need nonnegative"):
+        separable_lifting([(-1, 0), (2, 0)])
+    with pytest.raises(EmptySupportError):
+        separable_lifting([])
+
+
+def test_separable_increments_that_are_not_rational_are_bad_sequences():
+    # NaN used to raise ValueError, infinity OverflowError
+    for bad in (float("nan"), float("inf"), "x", None):
+        with pytest.raises(BadSequenceError, match="^b increments must be rational numbers$"):
+            separable_lifting([(0, 0), (0, 2)], b=[0, bad, 2])
+    assert separable_lifting([(0, 0), (1, 0)], a=[0.5, 1.5]).as_dict()[(1, 0)] == 2
 
 
 def test_cusp_subdivision_cells():
