@@ -26,15 +26,13 @@ for label, pts in [("cusp x^2+y^3", [(2, 0), (0, 3)]),
     print(f"  kinds under the boundary: {sdd.inside_kinds()}")
     print(f"  default lifting sufficed: {not sdd.used_fallback}")
 
-    pp = build_patchwork(nd, sdd)
-    text = emit_polynomial_text(pp)
+    text = emit_polynomial_text(build_patchwork(nd, sdd))
     if len(text) > 70:
         text = text[:67] + "..."
     print(f"  polynomial: {text}\n")
 
 # The lifting values themselves, for the cusp: each support point gets
 # the exponent of t on its coefficient.
-nd = analyze_support([(2, 0), (0, 3)])
-pp = build_patchwork(nd)
-for p in sorted(pp.support, key=lambda p: (p.i + p.j, -p.i)):
-    print(f"  nu({p.i},{p.j}) = {pp.nu[p]}")
+lifting = build_patchwork(analyze_support([(2, 0), (0, 3)]))
+for p in sorted(lifting.points, key=lambda p: (p.i + p.j, -p.i)):
+    print(f"  nu({p.i},{p.j}) = {lifting.nu[p]}")

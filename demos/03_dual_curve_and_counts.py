@@ -47,10 +47,13 @@ sc = restrict(tc, nd.gamma_minus)
 print(f"\nrestricted: {len(sc.vprime)} vertices kept, "
       f"{len(sc.full_segments)} whole segments, "
       f"{len(sc.half_edges)} half-edges, {len(sc.rays)} rays")
-for h in sc.half_edges:
-    a = tc.vertices[h.vertex].coords
+for k in sc.half_edges:
+    v, w = tc.edges[k].endpoints
+    if v not in sc.vprime:
+        v, w = w, v
+    a, b = tc.vertices[v].coords, tc.vertices[w].coords
     print(f"  half-edge from ({a[0]}, {a[1]}) to midpoint "
-          f"({h.midpoint[0]}, {h.midpoint[1]})")
+          f"({(a[0] + b[0]) / 2}, {(a[1] + b[1]) / 2})")
 
 v = count_four_valent(sc)
 r = count_bounded_regions(sc)

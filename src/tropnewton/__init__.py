@@ -22,7 +22,6 @@ from .parsing import (
 )
 from .patchwork import (
     AnalysisReport,
-    PatchworkPolynomial,
     analyze,
     build_patchwork,
     emit_polynomial_text,
@@ -52,7 +51,6 @@ __all__ = [
     "AnalysisReport",
     "LiftedSupport",
     "NewtonDiagram",
-    "PatchworkPolynomial",
     "RegularSubdivision",
     "SplitMix64",
     "SubdividedDiagram",

@@ -181,6 +181,9 @@ class ConvexPolygon(_Polygon):
                                          verts[1:] + verts[:1]):
             if (b[0] - ax) * (cy - ay) - (b[1] - ay) * (cx - ax) <= 0:
                 raise SchemaError(f"vertices not strictly convex ccw at {b}")
+        # left turns alone admit a star, which winds around twice or more
+        require(convex_hull_of_sorted(sorted(set(verts))).vertices == verts,
+                "vertices wind around more than once")
         object.__setattr__(self, "vertices", verts)
 
     def locate(self, p: Point) -> str:

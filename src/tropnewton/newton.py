@@ -10,7 +10,7 @@ in exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -34,13 +34,48 @@ from .parsing import SupportSet
 
 @dataclass(frozen=True)
 class NewtonDiagram:
-    """Support plus its Newton boundary from (0, q) down to (p, 0)."""
+    """Support plus its Newton boundary from (0, q) down to (p, 0), both
+    read off the support alone: exponent points or a ``SupportSet``,
+    stored sorted.  A point off the lattice or with a negative exponent
+    is a SchemaError; a germ not singular at the origin or not
+    convenient, a precondition error."""
 
     support: tuple[LatticePoint, ...]
-    gamma_vertices: tuple[LatticePoint, ...]
-    gamma_lattice: tuple[LatticePoint, ...]
-    p: int
-    q: int
+    gamma_vertices: tuple[LatticePoint, ...] = field(init=False)
+    gamma_lattice: tuple[LatticePoint, ...] = field(init=False)
+    p: int = field(init=False)
+    q: int = field(init=False)
+
+    def __post_init__(self):
+        points = self.support
+        if isinstance(points, SupportSet):
+            points = points.points
+        pts = sorted({lattice_key(p, "support point") for p in points})
+        for pt in pts:
+            if pt.i < 0 or pt.j < 0:
+                raise SchemaError(f"support point {tuple(pt)} has a negative exponent")
+        for bad in ((0, 0), (1, 0), (0, 1)):
+            if LatticePoint(*bad) in pts:
+                raise NotSingularAtOriginError(
+                    f"support contains {bad}; the germ is not singular at the origin")
+        on_x = [p.i for p in pts if p.j == 0]
+        on_y = [p.j for p in pts if p.i == 0]
+        if not on_x or not on_y:
+            raise NotConvenientError("support must meet both coordinate axes")
+        p, q = min(on_x), min(on_y)
+
+        # the boundary: the lower chain from (0, q), column 0's lowest point,
+        # to (p, 0) over the points left of column p (the rest lie in (p, 0) +
+        # R^2_+).  Convex and ending at its only point on the x-axis, it falls
+        # strictly, so it drops every point at or above an earlier one
+        chain = lower_chain([pt for pt in pts if pt.i < p] + [LatticePoint(p, 0)])
+
+        lattice: list[LatticePoint] = [chain[0]]
+        for a, b in zip(chain, chain[1:]):
+            lattice.extend(segment_lattice_points(a, b)[1:])
+        for name, value in (("support", tuple(pts)), ("gamma_vertices", tuple(chain)),
+                            ("gamma_lattice", tuple(lattice)), ("p", p), ("q", q)):
+            object.__setattr__(self, name, value)
 
     @property
     def primitive_steps(self) -> tuple[tuple[int, int], ...]:
@@ -72,36 +107,8 @@ class NewtonDiagram:
 
 
 def analyze_support(points) -> NewtonDiagram:
-    """Build the Newton diagram, rejecting non-singular or non-convenient
-    input.  ``points`` is an iterable of exponent points or a
-    ``SupportSet``, as ``parse_germ`` returns it; a point off the lattice
-    or with a negative exponent is a SchemaError."""
-    if isinstance(points, SupportSet):
-        points = points.points
-    pts = sorted({lattice_key(p, "support point") for p in points})
-    for pt in pts:
-        if pt.i < 0 or pt.j < 0:
-            raise SchemaError(f"support point {tuple(pt)} has a negative exponent")
-    for bad in ((0, 0), (1, 0), (0, 1)):
-        if LatticePoint(*bad) in pts:
-            raise NotSingularAtOriginError(
-                f"support contains {bad}; the germ is not singular at the origin")
-    on_x = [p.i for p in pts if p.j == 0]
-    on_y = [p.j for p in pts if p.i == 0]
-    if not on_x or not on_y:
-        raise NotConvenientError("support must meet both coordinate axes")
-    p, q = min(on_x), min(on_y)
-
-    # the boundary: the lower chain from (0, q), column 0's lowest point,
-    # to (p, 0) over the points left of column p (the rest lie in (p, 0) +
-    # R^2_+).  Convex and ending at its only point on the x-axis, it falls
-    # strictly, so it drops every point at or above an earlier one
-    chain = lower_chain([pt for pt in pts if pt.i < p] + [LatticePoint(p, 0)])
-
-    lattice: list[LatticePoint] = [chain[0]]
-    for a, b in zip(chain, chain[1:]):
-        lattice.extend(segment_lattice_points(a, b)[1:])
-    return NewtonDiagram(tuple(pts), tuple(chain), tuple(lattice), p, q)
+    """The Newton diagram of ``points``, as ``NewtonDiagram`` takes them."""
+    return NewtonDiagram(points)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import (
@@ -120,8 +122,10 @@ class LiftedSupport:
     def points(self) -> tuple[LatticePoint, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def as_dict(self) -> dict[LatticePoint, Fraction]:
-        return dict(self.entries)
+    @cached_property
+    def nu(self) -> Mapping[LatticePoint, Fraction]:
+        """The heights by point, read-only, built on first use."""
+        return MappingProxyType(dict(self.entries))
 
 
 class _Scanner:

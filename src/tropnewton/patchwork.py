@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import require
 from .lattice import LatticePoint
 from .newton import NewtonDiagram, analyze_support, delta_invariant, milnor_number
+from .parsing import LiftedSupport
 from .subdivision import SubdividedDiagram, subdivide_diagram
 from .tropical import (
     count_bounded_regions,
@@ -26,24 +27,15 @@ from .tropical import (
 )
 
 
-@dataclass(frozen=True)
-class PatchworkPolynomial:
-    """F(z, w) = sum of t^{nu(i, j)} z^i w^j over the support."""
-
-    support: tuple[LatticePoint, ...]
-    nu: dict[LatticePoint, Fraction]
-
-
 def build_patchwork(nd: NewtonDiagram,
-                    subdivided: SubdividedDiagram | None = None) -> PatchworkPolynomial:
-    """Attach the certified lifting to every lattice point under the boundary."""
+                    subdivided: SubdividedDiagram | None = None) -> LiftedSupport:
+    """The certified lifting of every lattice point under the boundary:
+    F(z, w) = sum of t^{nu(i, j)} z^i w^j over its points."""
     sdd = subdivided if subdivided is not None else subdivide_diagram(nd)
-    nu = sdd.lifting.as_dict()
-    support = tuple(sorted(nu))
     # cannot fail for our own subdivision; guards a passed-in one of another diagram
-    require(support == tuple(sorted(nd.gamma_minus_lattice)),
+    require(sdd.lifting.points == nd.gamma_minus_lattice,
             "lifting points differ from the lattice points under the boundary")
-    return PatchworkPolynomial(support, nu)
+    return sdd.lifting
 
 
 def _monomial_text(pt: LatticePoint) -> str:
@@ -52,11 +44,10 @@ def _monomial_text(pt: LatticePoint) -> str:
     return z + w
 
 
-def emit_polynomial_text(pp: PatchworkPolynomial) -> str:
+def emit_polynomial_text(lifting: LiftedSupport) -> str:
     """Canonical text form: ascending total degree, ties by descending i."""
     parts = []
-    for pt in sorted(pp.support, key=lambda p: (p.i + p.j, -p.i)):
-        k = pp.nu[pt]
+    for pt, k in sorted(lifting.entries, key=lambda e: (e[0].i + e[0].j, -e[0].i)):
         t = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
         parts.append((t + _monomial_text(pt)) or "1")
     return "+".join(parts)

@@ -120,8 +120,7 @@ class _Scene:
         labelled at its midpoint if weight > 1."""
         self.line(self.point(*a), self.point(*b), attrs)
         if weight > 1:
-            (x, y, d), (u, v, c) = a, b
-            mx, my = self.point(x * c + u * d, y * c + v * d, 2 * d * c)
+            mx, my = self.point(*_midpoint(a, b))
             self.parts.append(f'<text x="{mx}" y="{my}"{_WEIGHT}>{weight}</text>')
 
     def to_svg(self) -> str:
@@ -131,6 +130,12 @@ class _Scene:
         return ('<?xml version="1.0" encoding="UTF-8"?>\n'
                 f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                 f'viewBox="{vb}">\n{body}\n</svg>\n')
+
+
+def _midpoint(a, b) -> tuple[int, int, int]:
+    """The midpoint of the points with triples a and b, as a triple."""
+    (x, y, d), (u, v, c) = a, b
+    return x * c + u * d, y * c + v * d, 2 * d * c
 
 
 def _clip_ray(a: tuple[int, int, int], d: tuple[int, int], box) -> tuple[int, int, int]:
@@ -227,9 +232,13 @@ def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
             e = tc.edges[k]
             a = triples[e.endpoints[0]]
             scene.curve_edge(a, _clip_ray(a, e.direction, scene.box), e.weight, _RAY)
-        for h in sc.half_edges:
-            scene.line(scene.point(*triples[h.vertex]),
-                       scene.point(*_triple(h.midpoint)), _HALF)
+        kept = set(sc.vprime)
+        for k in sc.half_edges:
+            v, w = tc.edges[k].endpoints
+            if v not in kept:
+                v, w = w, v
+            scene.line(scene.point(*triples[v]),
+                       scene.point(*_midpoint(triples[v], triples[w])), _HALF)
         for vid in sc.vprime:
             cx, cy = scene.point(*triples[vid])
             scene.parts.append(f'<circle cx="{cx}" cy="{cy}" r="0.09"{_VERTEX}/>')

@@ -271,20 +271,12 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
 # --- restriction to a region ---------------------------------------------------
 
 @dataclass(frozen=True)
-class HalfEdge:
-    vertex: int
-    midpoint: Coords
-    weight: int
-    dual_edge: SubdivisionEdge
-
-
-@dataclass(frozen=True)
 class TropicalSubCurve:
     curve: TropicalCurve
     vprime: tuple[int, ...]
     full_segments: tuple[int, ...]  # indices into curve.edges
     rays: tuple[int, ...]
-    half_edges: tuple[HalfEdge, ...]
+    half_edges: tuple[int, ...]  # segments with one endpoint kept, cut at their midpoint
 
 
 def restrict(tc: TropicalCurve, region) -> TropicalSubCurve:
@@ -323,7 +315,7 @@ def _sub_curve(tc: TropicalCurve, inside: tuple[int, ...]) -> TropicalSubCurve:
 
     full: list[int] = []
     rays: list[int] = []
-    halves: list[HalfEdge] = []
+    halves: list[int] = []
     for k, e in enumerate(tc.edges):
         if e.kind == "ray":
             if e.endpoints[0] in kept:
@@ -333,11 +325,7 @@ def _sub_curve(tc: TropicalCurve, inside: tuple[int, ...]) -> TropicalSubCurve:
         if c1 in kept and c2 in kept:
             full.append(k)
         elif c1 in kept or c2 in kept:
-            at = c1 if c1 in kept else c2
-            g1 = tc.vertices[c1].coords
-            g2 = tc.vertices[c2].coords
-            mid = ((g1[0] + g2[0]) / 2, (g1[1] + g2[1]) / 2)
-            halves.append(HalfEdge(at, mid, e.weight, e.dual_edge))
+            halves.append(k)
     return TropicalSubCurve(tc, tuple(inside), tuple(full), tuple(rays), tuple(halves))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from tropnewton import (
     LiftedSupport,
+    NewtonDiagram,
     analyze,
     analyze_support,
     cli,
@@ -569,7 +570,7 @@ def _library_call(rng, quintic_curve):
         (LiftedSupport.from_mapping, {p: _junk(rng) for p in ring}),
         (separable_lifting, ring, _pick(rng, seqs), _pick(rng, seqs)),
         (lower_hull_subdivision, {p: _pick(rng, [0, 1, 2, _junk(rng)]) for p in ring}),
-        (analyze, ring),
+        (NewtonDiagram, ring), (analyze, ring),
         (restrict_to, _pick(rng, [LatticePolygon, ConvexPolygon]), ring),
     ])
 

@@ -192,6 +192,15 @@ def test_convex_polygon_validation():
     with pytest.raises(SchemaError, match=re.escape(
             "point (Fraction(3, 2), Fraction(2, 1)) is not a lattice point")):
         ConvexPolygon([(0, 0), (Fraction(3, 2), Fraction(2)), (0, 4)])
+    # every turn is strictly left, yet the rings wind twice (a pentagram:
+    # area2 26 and "outside" at (0,3), where the hull has 42 and "inside")
+    # and three times (a 7-point star over a convex heptagon)
+    heptagon = [(0, 0), (3, 0), (5, 2), (5, 4), (3, 6), (0, 5), (-2, 2)]
+    for star in ([(0, 0), (5, 3), (-1, 3), (4, 0), (2, 5)],
+                 [heptagon[3 * k % 7] for k in range(7)]):
+        with pytest.raises(SchemaError, match="^vertices wind around more than once$"):
+            ConvexPolygon(star)
+        assert ConvexPolygon(convex_hull(star).vertices) == convex_hull(star)
 
 
 def test_region_areas_match_hand_values():

@@ -6,6 +6,7 @@ are frozen here.
 """
 
 import dataclasses
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -23,6 +24,7 @@ from tropnewton.errors import (
 )
 from tropnewton.lattice import LatticePolygon, cross
 from tropnewton.newton import (
+    NewtonDiagram,
     analyze_support,
     decompose_diagram,
     delta_invariant,
@@ -250,10 +252,20 @@ def random_staircase(rng: random.Random, max_pq: int = 12):
     return pts
 
 
+# sha256 of (p, q, gamma_vertices, gamma_lattice) on the staircases below,
+# as analyze_support computed them before the diagram derived them itself
+STAIRCASE_BOUNDARIES = "efbe20212450aff953551fcc78a7f1b9ebb7bf3b9c9d9f4b0b98ba427dcbac3d"
+
+
 def test_random_staircases_yield_valid_boundaries():
     rng = random.Random(20260814)
+    digest = hashlib.sha256()
     for _ in range(300):
-        nd = analyze_support(random_staircase(rng))
+        pts = random_staircase(rng)
+        nd = analyze_support(pts)
+        assert NewtonDiagram(pts) == nd
+        digest.update(repr((nd.p, nd.q, [tuple(v) for v in nd.gamma_vertices],
+                            [tuple(v) for v in nd.gamma_lattice])).encode())
         # boundary is convex with strictly negative slopes
         edges = list(zip(nd.gamma_vertices, nd.gamma_vertices[1:]))
         for (a, b), (c, d) in zip(edges, edges[1:]):
@@ -278,6 +290,23 @@ def test_random_staircases_yield_valid_boundaries():
         area_from_parts = 2 * dec.staircase_squares + sum(
             pi * qi for pi, qi in nd.primitive_steps)
         assert area_from_parts == poly.area2
+    assert digest.hexdigest() == STAIRCASE_BOUNDARIES
+
+
+def test_a_diagram_is_built_from_its_support_alone():
+    # a rising "boundary" used to be accepted beside any support, and
+    # milnor_number answered 9 for it; the boundary, p and q now come
+    # from the support, and neither the constructor nor replace takes them
+    assert [f.name for f in dataclasses.fields(NewtonDiagram) if f.init] == ["support"]
+    with pytest.raises(TypeError):
+        NewtonDiagram((), ((0, 2), (3, 3), (2, 0)), ((0, 2), (3, 3), (2, 0)), 2, 2)
+    nd = NewtonDiagram(parse_germ("x^5+x^2*y^2+y^5"))
+    assert nd == analyze_support([(5, 0), (2, 2), (0, 5)])
+    assert (nd.p, nd.q, nd.gamma_vertices) == (5, 5, ((0, 5), (2, 2), (5, 0)))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(nd, p=2)
+    with pytest.raises(NotConvenientError):
+        NewtonDiagram(())
 
 
 def test_support_points_strictly_inside_region_are_allowed():

@@ -125,7 +125,7 @@ CUSP_LIFTED = "1+tz+tw+t^3z^2+t^2zw+t^3w^2+t^6w^3"
 
 def test_cusp_lifted_polynomial():
     ls = parse_puiseux_poly(CUSP_LIFTED)
-    assert ls.as_dict() == {
+    assert ls.nu == {
         LatticePoint(0, 0): Fraction(0),
         LatticePoint(1, 0): Fraction(1),
         LatticePoint(0, 1): Fraction(1),
@@ -134,11 +134,15 @@ def test_cusp_lifted_polynomial():
         LatticePoint(0, 2): Fraction(3),
         LatticePoint(0, 3): Fraction(6),
     }
+    # one read-only mapping, built once
+    assert ls.nu is ls.nu
+    with pytest.raises(TypeError):
+        ls.nu[LatticePoint(0, 0)] = Fraction(1)
 
 
 def test_rational_and_negative_t_exponents():
     ls = parse_puiseux_poly("t^3/2z+t^(1/2)w+t^-2zw+z^3")
-    d = ls.as_dict()
+    d = ls.nu
     assert d[LatticePoint(1, 0)] == Fraction(3, 2)
     assert d[LatticePoint(0, 1)] == Fraction(1, 2)
     assert d[LatticePoint(1, 1)] == Fraction(-2)
@@ -147,7 +151,7 @@ def test_rational_and_negative_t_exponents():
 
 def test_explicit_stars_allowed():
     ls = parse_puiseux_poly("t^2*z^3*w + 1")
-    assert ls.as_dict() == {LatticePoint(3, 1): Fraction(2),
+    assert ls.nu == {LatticePoint(3, 1): Fraction(2),
                             LatticePoint(0, 0): Fraction(0)}
 
 

@@ -16,9 +16,8 @@ from tropnewton.errors import (
 )
 from tropnewton.lattice import LatticePoint, convex_hull
 from tropnewton.newton import analyze_support
-from tropnewton.parsing import parse_germ
+from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly
 from tropnewton.patchwork import (
-    PatchworkPolynomial,
     analyze,
     build_patchwork,
     emit_polynomial_text,
@@ -31,7 +30,7 @@ CUSP_NU = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (2, 0): 3,
 
 def test_cusp_polynomial_support_and_lifting():
     pp = build_patchwork(analyze_support([(2, 0), (0, 3)]))
-    assert len(pp.support) == 7
+    assert len(pp.points) == 7
     assert {tuple(p): int(h) for p, h in pp.nu.items()} == CUSP_NU
     assert pp.nu[LatticePoint(1, 1)] == 2
     assert LatticePoint(7, 7) not in pp.nu
@@ -40,15 +39,15 @@ def test_cusp_polynomial_support_and_lifting():
 def test_quintic_polynomial_support_is_region_lattice():
     nd = analyze_support([(5, 0), (2, 2), (0, 5)])
     pp = build_patchwork(nd)
-    assert len(pp.support) == 17
-    assert set(pp.support) == set(nd.gamma_minus_lattice)
-    assert sorted(map(tuple, convex_hull(pp.support).vertices)) == [(0, 0), (0, 5), (5, 0)]
+    assert len(pp.points) == 17
+    assert set(pp.points) == set(nd.gamma_minus_lattice)
+    assert sorted(map(tuple, convex_hull(pp.points).vertices)) == [(0, 0), (0, 5), (5, 0)]
 
 
 def test_node_polynomial_includes_boundary_midpoint():
     pp = build_patchwork(analyze_support([(2, 0), (0, 2)]))
     # (1, 1) sits on the boundary segment, so six points, not five
-    assert sorted(map(tuple, pp.support)) == [
+    assert sorted(map(tuple, pp.points)) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
@@ -63,16 +62,35 @@ def test_emit_node_text_is_byte_exact():
 
 
 def test_emit_single_point():
-    pp = PatchworkPolynomial((LatticePoint(0, 0),),
-                             {LatticePoint(0, 0): Fraction(0)})
+    pp = LiftedSupport(((LatticePoint(0, 0), Fraction(0)),))
     assert emit_polynomial_text(pp) == "1"
 
 
 def test_emit_fractional_exponent():
-    pp = PatchworkPolynomial(
-        (LatticePoint(0, 0), LatticePoint(1, 0)),
+    pp = LiftedSupport.from_mapping(
         {LatticePoint(0, 0): Fraction(0), LatticePoint(1, 0): Fraction(3, 2)})
     assert emit_polynomial_text(pp) == "1+t^3/2z"
+
+
+def test_emitted_polynomial_reads_back_as_the_lifting():
+    # the first 40 corpus germs of seeds 1-3, the ladder x^n + y^(n+1),
+    # the A_k germs x^2 + y^(k+1), and a bent staircase that takes the
+    # kinked lifting
+    germs = []
+    for seed in (1, 2, 3):
+        rng = SplitMix64(seed)
+        germs += [staircase_support(rng) for _ in range(40)]
+    germs += [[(n, 0), (0, n + 1)] for n in range(2, 21)]
+    germs += [[(2, 0), (0, k + 1)] for k in range(1, 33)]
+    kinked = [(0, 8), (5, 2), (8, 0)]
+    germs.append(kinked)
+    for pts in germs:
+        nd = analyze_support(pts)
+        sdd = subdivide_diagram(nd)
+        assert sdd.used_fallback or pts is not kinked
+        lifting = build_patchwork(nd, sdd)
+        assert lifting is sdd.lifting
+        assert parse_puiseux_poly(emit_polynomial_text(lifting)) == sdd.lifting, pts
 
 
 def test_report_golden_values():
@@ -103,6 +121,18 @@ def test_simple_singularity_table():
         rep = analyze(parse_germ(text))
         assert (rep.mu, rep.branches, rep.delta) == want, text
         assert rep.verdicts_hold, text
+
+
+def test_a_count_mismatch_is_reported_in_the_notes(monkeypatch):
+    # each verdict and its note follow the comparison of its two sides
+    rep = analyze(parse_germ("x^5+x^2*y^2+y^5"))
+    assert not [n for n in rep.notes if "COUNT MISMATCH" in n]
+    real = patchwork.count_four_valent
+    monkeypatch.setattr(patchwork, "count_four_valent", lambda sc: real(sc) + 1)
+    rep = analyze(parse_germ("x^5+x^2*y^2+y^5"))
+    assert not rep.identity_holds and not rep.corollary_holds and rep.duality_ok
+    assert [n for n in rep.notes if "COUNT MISMATCH" in n] == [
+        "COUNT MISMATCH: mu = 11 but v + r = 12", "COUNT MISMATCH: delta = 6 but v = 7"]
 
 
 def test_report_preconditions_propagate():
@@ -173,7 +203,7 @@ def test_verdicts_hold_on_random_corpus():
         sdd = subdivide_diagram(nd)
         assert rep.lifting == sdd.lifting.entries
         pp = build_patchwork(nd)
-        assert convex_hull(pp.support) == sdd.subdivision.domain
+        assert convex_hull(pp.points) == sdd.subdivision.domain
 
 
 # the two metamorphic relations run on the first germs of the default

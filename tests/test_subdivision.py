@@ -61,8 +61,8 @@ def edge_split(heights):
 
 def test_default_lifting_is_triangular_numbers():
     lift = separable_lifting(CUSP)
-    assert lift.as_dict() == parse_puiseux_poly(
-        "1+tz+tw+t^3z^2+t^2zw+t^3w^2+t^6w^3").as_dict()
+    assert lift.nu == parse_puiseux_poly(
+        "1+tz+tw+t^3z^2+t^2zw+t^3w^2+t^6w^3").nu
 
 
 def test_separable_lifting_keeps_one_object_per_height():
@@ -84,9 +84,9 @@ def test_separable_lifting_shares_the_diagram_points():
 
 def test_separable_lifting_custom_and_errors():
     lift = separable_lifting([(0, 0), (1, 0), (0, 1)], a=[0, 2], b=[1, 5])
-    assert lift.as_dict()[(0, 0)] == 1
-    assert lift.as_dict()[(1, 0)] == 3
-    assert lift.as_dict()[(0, 1)] == 6
+    assert lift.nu[(0, 0)] == 1
+    assert lift.nu[(1, 0)] == 3
+    assert lift.nu[(0, 1)] == 6
     with pytest.raises(BadSequenceError):
         separable_lifting([(0, 0), (2, 0)], a=[0, 1])  # too short
     with pytest.raises(BadSequenceError):
@@ -105,7 +105,7 @@ def test_separable_increments_that_are_not_rational_are_bad_sequences():
     for bad in (float("nan"), float("inf"), "x", None):
         with pytest.raises(BadSequenceError, match="^b increments must be rational numbers$"):
             separable_lifting([(0, 0), (0, 2)], b=[0, bad, 2])
-    assert separable_lifting([(0, 0), (1, 0)], a=[0.5, 1.5]).as_dict()[(1, 0)] == 2
+    assert separable_lifting([(0, 0), (1, 0)], a=[0.5, 1.5]).nu[(1, 0)] == 2
 
 
 def test_cusp_subdivision_cells():
@@ -249,7 +249,7 @@ def test_hull_oracle_on_ties_large_scales_and_late_winners():
     # (1,1), but the facet is the one through (2,2)
     heights = {(0, 0): 0, (2, 0): 0, (2, 2): 0, (0, 2): 1, (1, 1): 1}
     sd = assert_matches_oracle(heights)
-    order = list(sd.lifting.as_dict())
+    order = list(sd.lifting.nu)
     assert [p for p in order if cross((0, 0), (2, 0), p) > 0] == [(0, 2), (1, 1), (2, 2)]
     assert sd.cells[0].polygon.vertices == ((0, 0), (2, 0), (2, 2))
 
@@ -569,7 +569,7 @@ def test_square_wrap_certificate_catches_a_raised_interior_height():
     # cells; raised by 1, (2,2) leaves the hull (the oracle covers it with
     # a quad), and the folds across the row and column through it fail
     nd = analyze_support([(6, 0), (0, 7)])
-    heights = separable_lifting(nd).as_dict()
+    heights = dict(separable_lifting(nd).nu)
     heights[LatticePoint(2, 2)] += 1
     tampered = LiftedSupport.from_mapping(heights)
     assert not any(LatticePoint(2, 2) in c.tight
@@ -585,7 +585,7 @@ def test_square_wrap_certificate_checks_each_fourth_corner():
     # 27 cells still goes upward; the square at (1,1) takes its plane from
     # its other three corners, and its fourth corner (2,2) is off it
     nd = analyze_support([(6, 0), (0, 7)])
-    heights = separable_lifting(nd).as_dict()
+    heights = dict(separable_lifting(nd).nu)
     heights[LatticePoint(2, 2)] += Fraction(1, 3)
     tampered = LiftedSupport.from_mapping(heights)
     assert len(lower_hull_subdivision(tampered).cells) == 31

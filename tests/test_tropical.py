@@ -244,9 +244,13 @@ def test_quintic_restriction_to_newton_region():
     assert len(sc.full_segments) == 18
     assert len(sc.rays) == 10
     # two pruned segments, both cut toward the pocket cell vertex (9, 9)
-    mids = sorted(h.midpoint for h in sc.half_edges)
+    halves = [tc.edges[k] for k in sc.half_edges]
+    assert all(e.kind == "segment" for e in halves)
+    assert sorted(len(set(e.endpoints) & set(sc.vprime)) for e in halves) == [1, 1]
+    mids = sorted(tuple((a + b) / 2 for a, b in zip(*(coords(tc, v) for v in e.endpoints)))
+                  for e in halves)
     assert mids == [(Fraction(15, 2), 8), (8, Fraction(15, 2))]
-    assert {tuple(h.dual_edge.a) + tuple(h.dual_edge.b) for h in sc.half_edges} \
+    assert {tuple(e.dual_edge.a) + tuple(e.dual_edge.b) for e in halves} \
         == {(0, 5, 2, 2), (2, 2, 5, 0)}
     assert count_four_valent(sc) == 6
     assert count_bounded_regions(sc) == 5

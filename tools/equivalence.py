@@ -41,7 +41,10 @@ output updates those files and says why.  The families are
     strings with a blank at each token boundary drawn with even odds,
     per parser, from ``SplitMix64(1)`` (1,000 each with ``--quick``);
     the lifted tokens include the run ``t^2/``, without which a zero
-    denominator is almost never drawn.
+    denominator is almost never drawn;
+  * demos: the standard output of each script in ``demos/``, run on a
+    copy in a new temporary directory, with that directory's path
+    written as ``<tmp>`` (demo 04 prints the paths of its figures).
 
 Standard library only; the package is imported from this checkout's
 ``src``.
@@ -51,10 +54,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_support  # noqa: E402
 from tropnewton.errors import TropnewtonError  # noqa: E402
@@ -148,6 +156,7 @@ def families(quick: bool):
     for name, (parse, chars, tokens) in PARSERS.items():
         count = PARSE_STRINGS // 10 if quick else PARSE_STRINGS
         yield f"parse.{name}", _parse_family(parse, chars, tokens, count)
+    yield "demos", _demo_family()
 
 
 def _parse_family(parse, chars, tokens, count) -> list[str]:
@@ -163,6 +172,19 @@ def _parse_family(parse, chars, tokens, count) -> list[str]:
             out.append(repr(parse(text)))
         except TropnewtonError as exc:
             out.append(repr((type(exc).__name__, str(exc), getattr(exc, "pos", None))))
+    return out
+
+
+def _demo_family() -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = []
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        with tempfile.TemporaryDirectory() as tmp:
+            script = Path(tmp) / demo.name
+            shutil.copy(demo, script)
+            proc = subprocess.run([sys.executable, str(script)], cwd=tmp, env=env,
+                                  capture_output=True, text=True, check=True)
+            out.append(proc.stdout.replace(tmp, "<tmp>"))
     return out
 
 

@@ -1,18 +1,27 @@
-"""Removal-mutant audit of the package's internal checks.
+"""Mutant audit of the package's internal checks and verdicts.
 
 A site is a ``check(...)`` call or a ``raise InternalCheckError`` /
-``raise ParityViolationError`` statement in ``src/tropnewton``.  For each
-site the audit replaces that statement with ``pass`` in a temporary
-copy of the checkout and runs the tier-1 tests there, without the
-benchmark's selftest and the demos.  A mutant that some test fails on
-is killed; one that passes every test survived, and each survivor
-needs a test that kills it or a proof that the check cannot fail.
+``raise ParityViolationError`` statement in ``src/tropnewton``.  Each
+mutant changes one thing in a temporary copy of the checkout, and the
+tier-1 tests run there, without the benchmark's selftest and the demos:
 
-    python3 tools/mutation_audit.py --list   # the sites, one a line
-    python3 tools/mutation_audit.py          # one line per site: killed or survived
+  * by default, one removal mutant per site: the statement becomes
+    ``pass``;
+  * with ``--negate``, one negation mutant per site: the condition of a
+    ``check`` call, or the test of the ``if`` whose body holds the
+    raise, becomes ``not (...)``; and one per comparison in
+    ``patchwork.analyze``, the verdicts ``identity_holds`` and
+    ``corollary_holds`` and the two tests that add a COUNT MISMATCH note.
+
+A mutant that some test fails on is killed; one that passes every test
+survived, and each survivor needs a test that kills it or a proof that
+it cannot change a result.
+
+    python3 tools/mutation_audit.py --list [--negate]   # the mutants, one a line
+    python3 tools/mutation_audit.py [--negate]          # one line per mutant: killed or survived
 
 The unmutated copy is run first, and the audit stops if it fails.  A
-full run takes about half a minute per site on a 2-vCPU host.  Standard
+full run takes about half a minute per mutant on a 2-vCPU host.  Standard
 library only.
 """
 
@@ -43,27 +52,50 @@ def _called(node) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def sites(root: Path = ROOT) -> list[tuple[Path, ast.stmt]]:
-    """Every site under ``root``, by file and then line."""
-    found = []
+def _parsed(root: Path):
     for path in sorted((root / PACKAGE).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Expr) and _called(node.value) == "check":
-                found.append((path.relative_to(root), node))
-            elif isinstance(node, ast.Raise) and node.exc is not None \
-                    and _called(node.exc) in DEFECTS:
-                found.append((path.relative_to(root), node))
-    return sorted(found, key=lambda site: (str(site[0]), site[1].lineno))
+        yield path.relative_to(root), ast.parse(path.read_text(encoding="utf-8"))
 
 
-def removed(source: str, node: ast.stmt) -> str:
-    """``source`` with the statement ``node`` replaced by ``pass``; the
+def _is_site(node) -> bool:
+    """Whether ``node`` is a ``check(...)`` statement or a raise of a defect."""
+    if isinstance(node, ast.Expr):
+        return _called(node.value) == "check"
+    return isinstance(node, ast.Raise) and node.exc is not None and _called(node.exc) in DEFECTS
+
+
+def _negated(node: ast.expr) -> tuple[ast.expr, str]:
+    return node, f"(not ({ast.unparse(node)}))"
+
+
+def mutants(negate: bool = False, root: Path = ROOT) -> list[tuple[Path, ast.AST, str]]:
+    """(file, node, text) for every mutant under ``root``, by file and
+    then line: the node's source is to be replaced by the text."""
+    found = []
+    for path, tree in _parsed(root):
+        for node in ast.walk(tree):
+            if not negate:
+                if _is_site(node):
+                    found.append((path, node, "pass"))
+            elif isinstance(node, ast.Expr) and _is_site(node):
+                found.append((path, *_negated(node.value.args[0])))
+            elif isinstance(node, ast.If) and any(map(_is_site, node.body)):
+                found.append((path, *_negated(node.test)))
+            elif path.name == "patchwork.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "analyze":
+                found += [(path, *_negated(n)) for n in ast.walk(node)
+                          if isinstance(n, ast.Compare)]
+    return sorted(found, key=lambda m: (str(m[0]), m[1].lineno, m[1].col_offset))
+
+
+def replaced(source: str, node: ast.AST, text: str) -> str:
+    """``source`` with the span of ``node`` replaced by ``text``; the
     lines it spanned stay, empty, so every other line keeps its number."""
-    lines = source.splitlines(keepends=True)
+    lines = source.encode().splitlines(keepends=True)
     first, last = node.lineno - 1, node.end_lineno - 1
     head, tail = lines[first][:node.col_offset], lines[last][node.end_col_offset:]
-    return "".join(lines[:first] + [head + "pass" + tail.rstrip("\n") + "\n"]
-                   + ["\n"] * (last - first) + lines[last + 1:])
+    return b"".join(lines[:first] + [head + text.encode() + tail] + [b"\n"] * (last - first)
+                    + lines[last + 1:]).decode()
 
 
 def tier1(copy: Path) -> bool:
@@ -77,18 +109,22 @@ def tier1(copy: Path) -> bool:
     return proc.returncode == 0
 
 
-def describe(path: Path, node: ast.stmt) -> str:
-    return f"{path}:{node.lineno}: {ast.unparse(node).splitlines()[0]}"
+def describe(path: Path, node: ast.AST, text: str) -> str:
+    if text == "pass":
+        text = ast.unparse(node).splitlines()[0]
+    return f"{path}:{node.lineno}: {text}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="print the sites and stop")
+    parser.add_argument("--list", action="store_true", help="print the mutants and stop")
+    parser.add_argument("--negate", action="store_true",
+                        help="negate each condition instead of removing each site")
     args = parser.parse_args(argv)
-    found = sites()
+    found = mutants(args.negate)
     if args.list:
-        for path, node in found:
-            print(describe(path, node))
+        for path, node, text in found:
+            print(describe(path, node, text))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
@@ -98,17 +134,18 @@ def main(argv=None) -> int:
             print("the unmutated copy fails tier-1; nothing to audit", file=sys.stderr)
             return 2
         survivors = 0
-        for path, node in found:
+        for path, node, text in found:
             target = copy / path
             source = target.read_text(encoding="utf-8")
-            target.write_text(removed(source, node), encoding="utf-8")
+            target.write_text(replaced(source, node, text), encoding="utf-8")
             try:
                 killed = not tier1(copy)
             finally:
                 target.write_text(source, encoding="utf-8")
             survivors += not killed
-            print(f"{'killed  ' if killed else 'survived'} {describe(path, node)}", flush=True)
-        print(f"{len(found)} sites, {len(found) - survivors} killed, {survivors} survived")
+            print(f"{'killed  ' if killed else 'survived'} {describe(path, node, text)}",
+                  flush=True)
+        print(f"{len(found)} mutants, {len(found) - survivors} killed, {survivors} survived")
     return 1 if survivors else 0
 
 
