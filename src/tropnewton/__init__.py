@@ -26,13 +26,9 @@ from .patchwork import (
     build_patchwork,
     emit_polynomial_text,
 )
-from .subdivision import (
-    RegularSubdivision,
-    SubdividedDiagram,
-    lower_hull_subdivision,
-    separable_lifting,
-    subdivide_diagram,
-)
+from .certificate import RegularSubdivision
+from .hull import lower_hull_subdivision
+from .subdivision import SubdividedDiagram, separable_lifting, subdivide_diagram
 from .svg import render_svg
 from .corpus import SplitMix64, run_corpus, staircase_support
 from .tropical import (

@@ -25,10 +25,9 @@ from .errors import (
     TropnewtonError,
 )
 from .corpus import run_corpus
-from .newton import analyze_support
+from .newton import analyze_support, crossed_square_count, triangle_square_count
 from .parsing import SupportSet, germ_text, load_json, parse_germ
 from .patchwork import analyze, build_patchwork, emit_polynomial_text
-from .subdivision import crossed_square_count, triangle_square_count
 from .svg import REGIONS, render_svg
 
 EXIT_OK = 0

@@ -5,7 +5,8 @@ misses (0,0), (1,0), (0,1) and meets both coordinate axes.  The
 boundary gamma is the chain of compact faces of the shifted positive
 quadrant hull; everything downstream (region below the boundary,
 staircase decomposition, Milnor and delta numbers) is derived from it
-in exact integer arithmetic.
+in exact integer arithmetic.  The ``lemma`` counts of the unit squares
+in and across a corner triangle close the module.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import cached_property
 
 from .errors import (
     NotConvenientError,
+    NotCoprimeError,
     NotSingularAtOriginError,
     ParityViolationError,
     SchemaError,
@@ -25,6 +27,7 @@ from .lattice import (
     LatticePolygon,
     enumerate_lattice_points,
     lattice_key,
+    lattice_length,
     lower_chain,
     pick_interior_boundary,
     segment_lattice_points,
@@ -163,3 +166,49 @@ def delta_invariant(mu: int, branches: int) -> int:
         raise ParityViolationError(
             f"mu + branches - 1 = {total} is odd; counts are inconsistent")
     return total // 2
+
+
+# --- the lemma counts, which check decompose_diagram's corner triangles ---
+
+def _check_legs(p: int, q: int) -> None:
+    if p < 1 or q < 1 or lattice_length((0, 0), (p, q)) != 1:
+        raise NotCoprimeError(f"legs must be positive and coprime, got ({p}, {q})")
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*k + b)/m) over 0 <= k < n, for n, a, b >= 0
+    and m > 0, in O(log m) rounds.  A round takes out the whole parts of
+    a/m and b/m; the rest counts the lattice points with 0 <= k < n and
+    0 < m*y <= a*k + b, row y holding floor((y_max - m*y)/a) of them,
+    y_max = a*n + b.  So y = y_max // m - k' makes it the same sum over
+    (y_max // m, a, m, y_max % m): (m, a) steps as in Euclid's algorithm."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
+
+
+def triangle_square_count(p: int, q: int) -> int:
+    """Unit grid squares contained in the triangle (0,0), (p,0), (0,q).
+
+    The square [a, a+1] x [b, b+1] is in it when its far corner is,
+    q(a + 1) + p(b + 1) <= pq, so column a holds the rows b + 1 <=
+    q(p - a - 1)/p: the sum of floor(q*k/p) over k = p - a - 1 < p."""
+    _check_legs(p, q)
+    return _floor_sum(p, p, q, 0)
+
+
+def crossed_square_count(p: int, q: int) -> int:
+    """Unit grid squares whose interior meets the open segment from
+    (0, q) to (p, 0).
+
+    With c = q(p - a), the square [a, a+1] x [b, b+1] is crossed when
+    its corners straddle the line, c - p - q < pb < c.  So column a
+    holds the rows from floor((c - q)/p), its count of contained
+    squares, to ceil(c/p) - 1 = floor((c - 1)/p): with k = p - a - 1,
+    floor((q*k + q - 1)/p) less the contained squares, plus one."""
+    _check_legs(p, q)
+    return _floor_sum(p, p, q, q - 1) - _floor_sum(p, p, q, 0) + p

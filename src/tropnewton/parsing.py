@@ -315,7 +315,7 @@ class _LongLiteral:
         self.digits = digits
 
 
-def _json_int(text: str):
+def _read_json_int(text: str):
     try:
         return int(text)
     except ValueError:
@@ -384,7 +384,7 @@ def load_json(path) -> SupportSet:
     SchemaErrors."""
     raw = Path(path).read_bytes()
     try:
-        obj = json.loads(raw.decode("utf-8"), parse_int=_json_int)
+        obj = json.loads(raw.decode("utf-8"), parse_int=_read_json_int)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"invalid JSON: not UTF-8 ({exc.reason} at byte "
                           f"{exc.start})") from None
@@ -396,11 +396,12 @@ def load_json(path) -> SupportSet:
 
 
 def serialize_json(support: SupportSet) -> str:
-    """Canonical JSON text; parse_json_obj inverts it exactly."""
+    """Canonical JSON text; parse_json_obj inverts it exactly.  The
+    schema has no complex coefficient, so one is a SchemaError."""
     monomials = []
     for p, (re, im) in support.terms:
         if im != 0:
-            raise ValueError(f"coefficient {re}+{im}i at {p} has no JSON form")
+            raise SchemaError(f"coefficient {re}+{im}i at {p} has no JSON form")
         entry = {"i": p.i, "j": p.j}
         if re != 1:
             entry["coeff"] = re
@@ -413,23 +414,25 @@ def _coeff_prefix(c: tuple[int, int], bare_point: bool) -> str:
     if im == 0:
         body = "" if abs(re) == 1 and not bare_point else str(abs(re))
         return ("-" if re < 0 else "") + body
-    if re == 0:
-        body = ("" if abs(im) == 1 else str(abs(im))) + "i"
-        return ("-" if im < 0 else "") + body
-    raise ValueError(f"coefficient {re}+{im}i has no canonical text form")
+    body = ("" if abs(im) == 1 else str(abs(im))) + "i"
+    return ("-" if im < 0 else "") + body
 
 
 def germ_text(support: SupportSet) -> str:
-    """Canonical germ string; parse_germ inverts it on its output."""
+    """Canonical germ string; parse_germ inverts it on its output.  A
+    coefficient with both parts nonzero is written as two terms of its
+    monomial, the real one first, as in ``2x^2+3ix^2``; parse_germ sums
+    them back."""
     parts = []
-    for p, c in sorted(support.terms, key=lambda t: (t[0].i + t[0].j, -t[0].i)):
+    for p, (re, im) in sorted(support.terms, key=lambda t: (t[0].i + t[0].j, -t[0].i)):
         mono = []
         if p.i:
             mono.append("x" if p.i == 1 else f"x^{p.i}")
         if p.j:
             mono.append("y" if p.j == 1 else f"y^{p.j}")
-        prefix = _coeff_prefix(c, bare_point=not mono)
-        parts.append(prefix + "*".join(mono) if mono or prefix else "1")
+        for c in ((re, 0), (0, im)) if re and im else ((re, im),):
+            prefix = _coeff_prefix(c, bare_point=not mono)
+            parts.append(prefix + "*".join(mono) if mono or prefix else "1")
     out = parts[0]
     for term in parts[1:]:
         out += term if term.startswith("-") else "+" + term

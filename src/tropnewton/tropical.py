@@ -24,7 +24,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import NonRegularInputError, NotCellUnionError, NotConnectedError
-from .subdivision import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
+from .certificate import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
 
 Coords = tuple[Fraction, Fraction]
 

@@ -13,14 +13,10 @@ from fractions import Fraction
 from tropnewton.cli import main
 from tropnewton.corpus import SplitMix64, random_lifted_support, run_corpus, staircase_support
 from tropnewton.lattice import convex_hull, pick_interior_boundary
-from tropnewton.newton import analyze_support
+from tropnewton.hull import lower_hull_subdivision
+from tropnewton.newton import analyze_support, crossed_square_count, triangle_square_count
 from tropnewton.patchwork import analyze
-from tropnewton.subdivision import (
-    crossed_square_count,
-    lower_hull_subdivision,
-    subdivide_diagram,
-    triangle_square_count,
-)
+from tropnewton.subdivision import subdivide_diagram
 from tropnewton.tropical import dual_tropical_curve, verify_duality
 
 from test_subdivision import brute_force_cells

@@ -37,7 +37,13 @@ from tropnewton.lattice import (
     convex_hull,
     segment_lattice_points,
 )
-from tropnewton.parsing import parse_germ, parse_puiseux_poly, serialize_json
+from tropnewton.parsing import (
+    SupportSet,
+    germ_text,
+    parse_germ,
+    parse_puiseux_poly,
+    serialize_json,
+)
 from tropnewton.svg import _fmt, render_svg
 
 from oracles import deadline
@@ -561,6 +567,13 @@ def _library_call(rng, quintic_curve):
     def restrict_to(region, ring):
         return restrict(quintic_curve, region(ring))
 
+    def serialize(fn, terms):
+        return fn(SupportSet(terms))
+
+    # Gaussian coefficients, now and then a zero or junk one
+    terms = [(p, _pick(rng, [(rng.between(-2, 2), rng.between(-2, 2)), rng.between(-2, 2),
+                             _junk(rng)])) for p in ring]
+
     return _pick(rng, [
         (ConvexPolygon, ring), (LatticePolygon, ring), (convex_hull, ring),
         (segment_lattice_points, *(ring + [(_junk(rng), _junk(rng))] * 2)[:2]),
@@ -572,6 +585,7 @@ def _library_call(rng, quintic_curve):
         (lower_hull_subdivision, {p: _pick(rng, [0, 1, 2, _junk(rng)]) for p in ring}),
         (NewtonDiagram, ring), (analyze, ring),
         (restrict_to, _pick(rng, [LatticePolygon, ConvexPolygon]), ring),
+        (serialize, _pick(rng, [serialize_json, germ_text]), terms),
     ])
 
 

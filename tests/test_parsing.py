@@ -601,3 +601,23 @@ def test_germ_text_parse_is_identity():
             terms[p] = (c, 0)
         s = SupportSet.from_points(terms.keys(), terms)
         assert parse_germ(germ_text(s)) == s
+
+
+def test_germ_text_round_trips_gaussian_coefficients():
+    # a coefficient with both parts nonzero is written as two terms of its
+    # monomial, which parse_germ sums back; the constant term included
+    assert germ_text(parse_germ("2*x^2+3i*x^2+y^3")) == "2x^2+3ix^2+y^3"
+    assert germ_text(parse_germ("-1-i+x")) == "-1-i+x"
+    rng = SplitMix64(26)
+    mixed = 0
+    for _ in range(300):
+        terms = {}
+        for cell in rng.sample(0, 35, rng.between(1, 6)):
+            c = (0, 0)
+            while c == (0, 0):
+                c = (rng.between(-3, 3), rng.between(-3, 3))
+            terms[divmod(cell, 6)] = c
+            mixed += all(c)
+        s = SupportSet.from_points(terms.keys(), terms)
+        assert parse_germ(germ_text(s)) == s, germ_text(s)
+    assert mixed > 300

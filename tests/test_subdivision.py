@@ -23,17 +23,17 @@ from tropnewton.errors import (
     SchemaError,
 )
 from tropnewton.lattice import LatticePoint, convex_hull, convex_hull_of_sorted, cross
-from tropnewton.newton import analyze_support, decompose_diagram
-from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly
-from tropnewton import subdivision
-from tropnewton.subdivision import (
-    classify_cells_by_region,
+from tropnewton.newton import (
+    analyze_support,
     crossed_square_count,
-    lower_hull_subdivision,
-    separable_lifting,
-    subdivide_diagram,
+    decompose_diagram,
     triangle_square_count,
 )
+from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly
+from tropnewton import certificate, hull, subdivision
+from tropnewton.certificate import classify_cells_by_region
+from tropnewton.hull import lower_hull_subdivision
+from tropnewton.subdivision import separable_lifting, subdivide_diagram
 from tropnewton.tropical import dual_tropical_curve, verify_duality
 
 from oracles import (
@@ -333,13 +333,13 @@ def assert_fan_prunes_exactly(monkeypatch, heights):
     points strictly above it, none of them tight.  Returns those points."""
     heights = {LatticePoint(*p): Fraction(h) for p, h in heights.items()}
     kept = []
-    real = subdivision._under_fan
+    real = hull._under_fan
 
     def spy(pts3, corners):
         kept.append(real(pts3, corners))
         return kept[-1]
 
-    monkeypatch.setattr(subdivision, "_under_fan", spy)
+    monkeypatch.setattr(hull, "_under_fan", spy)
     sd = assert_matches_oracle(heights)
     dropped = set(heights) - set(kept[0])
     assert dropped == {p for p, h in heights.items() if h > fan_height(heights, p)}
@@ -408,7 +408,7 @@ def test_fan_prunes_most_points_of_a_spike_field(monkeypatch):
 def test_wrap_checks_each_plane_supports_the_kept_points(monkeypatch):
     # seeded from the whole bottom edge, the wrap's first plane is z = 0,
     # and (1,0) lies below it: the check must name the plane
-    monkeypatch.setattr(subdivision, "_lower_chain_edge", lambda pts3, a, b: (a, b))
+    monkeypatch.setattr(hull, "_lower_chain_edge", lambda pts3, a, b: (a, b))
     heights = {(0, 0): 0, (1, 0): -5, (2, 0): 0, (2, 2): 0, (0, 2): 0}
     with pytest.raises(InternalCheckError, match="wrap produced a non-supporting plane"):
         lower_hull_subdivision(heights)
@@ -418,8 +418,8 @@ def wrapped(heights):
     """The wrap's output for a lifting, as ``_certify`` takes it; the
     untampered output passes."""
     lifting = LiftedSupport.from_mapping(heights)
-    domain, pts3, scale, facets, lines = subdivision._wrap(lifting)
-    subdivision._certify(lifting, domain, pts3, scale, facets, lines)
+    domain, pts3, scale, facets, lines = hull._wrap(lifting)
+    certificate._certify(lifting, domain, pts3, scale, facets, lines)
     return pts3, scale, facets, lines
 
 
@@ -433,7 +433,7 @@ def test_certificate_fails_on_a_flat_fold():
     facets = [(convex_hull_of_sorted(t).vertices, t, plane) for t in halves]
     with pytest.raises(InternalCheckError,
                        match=r"inner edge \(0,0\)-\(3,3\) does not fold upward"):
-        subdivision._certify(None, None, pts3, scale, facets, lines)
+        certificate._certify(None, None, pts3, scale, facets, lines)
 
 
 def test_certificate_fails_on_a_loose_point_on_a_plane():
@@ -443,7 +443,7 @@ def test_certificate_fails_on_a_loose_point_on_a_plane():
     assert (2, 2) not in {p for _, tight, _ in facets for p in tight}
     pts3[LatticePoint(2, 2)] = (2, 2, 0)
     with pytest.raises(InternalCheckError, match="wrap produced a non-supporting plane"):
-        subdivision._certify(None, None, pts3, scale, facets, lines)
+        certificate._certify(None, None, pts3, scale, facets, lines)
 
 
 def test_certificate_fails_on_an_edge_claimed_twice_or_once():
@@ -451,9 +451,9 @@ def test_certificate_fails_on_an_edge_claimed_twice_or_once():
     pts3, scale, facets, lines = wrapped({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
     assert len(facets) == 3
     with pytest.raises(InternalCheckError, match="claimed by two cells"):
-        subdivision._certify(None, None, pts3, scale, facets + facets[:1], lines)
+        certificate._certify(None, None, pts3, scale, facets + facets[:1], lines)
     with pytest.raises(InternalCheckError, match="has a cell on one side only"):
-        subdivision._certify(None, None, pts3, scale, facets[1:], lines)
+        certificate._certify(None, None, pts3, scale, facets[1:], lines)
 
 
 def test_certificate_fails_on_a_tight_point_off_its_plane():
@@ -461,25 +461,25 @@ def test_certificate_fails_on_a_tight_point_off_its_plane():
     # wrap, it breaks no fold, so only the tight-point check sees it
     lifting = LiftedSupport.from_mapping({(0, 0): 0, (4, 0): 4, (4, 4): 8, (0, 4): 4,
                                           (2, 2): 4, (2, 0): 2, (1, 3): 5})
-    domain, pts3, scale, facets, lines = subdivision._wrap(lifting)
+    domain, pts3, scale, facets, lines = hull._wrap(lifting)
     assert [LatticePoint(2, 2) in tight for _, tight, _ in facets] == [True]
     pts3[LatticePoint(2, 2)] = (2, 2, 5)
     with pytest.raises(InternalCheckError,
                        match=re.escape("tight point (2,2) is off its cell's plane")):
-        subdivision._certify(lifting, domain, pts3, scale, facets, lines)
+        certificate._certify(lifting, domain, pts3, scale, facets, lines)
 
 
 def test_certificate_fails_when_the_cells_do_not_tile():
     lifting = LiftedSupport.from_mapping({(0, 0): 0, (3, 0): 0, (0, 3): 0, (1, 1): -1})
-    domain, pts3, scale, _, lines = subdivision._wrap(lifting)
+    domain, pts3, scale, _, lines = hull._wrap(lifting)
     with pytest.raises(InternalCheckError, match="cells do not tile the support hull"):
-        subdivision._certify(lifting, domain, pts3, scale, [], lines)
+        certificate._certify(lifting, domain, pts3, scale, [], lines)
 
 
 def test_wrap_fails_on_an_edge_with_no_point_on_its_left(monkeypatch):
     # the first edge reversed has the outside of the domain on its left
-    real = subdivision._lower_chain_edge
-    monkeypatch.setattr(subdivision, "_lower_chain_edge",
+    real = hull._lower_chain_edge
+    monkeypatch.setattr(hull, "_lower_chain_edge",
                         lambda pts3, a, b: real(pts3, a, b)[::-1])
     with pytest.raises(InternalCheckError,
                        match="wrap edge has no support point on its left"):
@@ -489,7 +489,7 @@ def test_wrap_fails_on_an_edge_with_no_point_on_its_left(monkeypatch):
 def test_wrap_fails_on_an_edge_that_is_not_a_facet_edge(monkeypatch):
     # (1,0) lifts onto the line from (0,0) to (2,0), so the facet found
     # from (0,0)->(1,0) has the edge (0,0)->(2,0) instead
-    monkeypatch.setattr(subdivision, "_lower_chain_edge", lambda pts3, a, b: ((0, 0), (1, 0)))
+    monkeypatch.setattr(hull, "_lower_chain_edge", lambda pts3, a, b: ((0, 0), (1, 0)))
     with pytest.raises(InternalCheckError, match="wrap edge is not a facet edge"):
         lower_hull_subdivision({(0, 0): 0, (1, 0): 1, (2, 0): 2, (2, 2): 0, (0, 2): 5})
 
@@ -516,7 +516,7 @@ def test_hull_of_seeded_liftings_is_pinned():
 
 def square_hull(lifting):
     """The separable fast path, as ``_land`` runs it."""
-    return subdivision._certify(lifting, *subdivision._square_wrap(lifting))
+    return certificate._certify(lifting, *subdivision._square_wrap(lifting))
 
 
 def increments(rng, count):
@@ -599,7 +599,7 @@ def test_square_wrap_scans_only_the_pocket(monkeypatch):
     # hypotenuse, 2(p + q) - 3 points, and the wrap finds the p + q - 1
     # triangles there, each with one scan over the pocket
     scans = []
-    real = subdivision._wrap_over
+    real = hull._wrap_over
 
     def spy(points, *args):
         facets = real(points, *args)
@@ -628,10 +628,11 @@ def test_only_the_certificate_makes_fractions(monkeypatch):
         return Fraction(*pair)
 
     monkeypatch.setattr(subdivision, "Fraction", counted)
+    monkeypatch.setattr(certificate, "Fraction", counted)
     out = subdivision._square_wrap(lifting)
     assert made == []
     _, _, scale, facets, _ = out
-    sd = subdivision._certify(lifting, *out)
+    sd = certificate._certify(lifting, *out)
     pairs = {(num, n2 * scale) for _, _, (n0, n1, n2, level) in facets
              for num in (-n0, -n1, level)}
     assert len(made) == 3 * len(facets) and set(made) == pairs
@@ -644,7 +645,7 @@ def test_line_pick_equals_the_flat_scan_on_any_edge(monkeypatch):
     # the square's other side ties on one line, and an edge parallel to the
     # searched lines can have a long line on its left
     pockets = []
-    real = subdivision._wrap_over
+    real = hull._wrap_over
 
     def spy(points, *args):
         pockets.append(points)
@@ -661,7 +662,7 @@ def test_line_pick_equals_the_flat_scan_on_any_edge(monkeypatch):
             pockets.clear()
             square_hull(lifting)
             [pocket] = pockets
-            by_lines, flat = subdivision._line_pick(pocket), subdivision._scan_pick(pocket)
+            by_lines, flat = subdivision._line_pick(pocket), hull._scan_pick(pocket)
             points = list(pocket)
             pairs = [(a, b) for a in points for b in points
                      if abs(a.i - b.i) + abs(a.j - b.j) == 1]
@@ -681,7 +682,7 @@ def test_pocket_pick_searches_the_lines_of_a_thin_diagram(monkeypatch):
     # wrapped from it, so a flat scan reads 1002 * 1504 = 1507008 points;
     # the pick reads a and b, the first least point of each long column
     # and its neighbour, the tests on the way there, and the short column
-    real_lifted, real_wrap = subdivision._lifted, subdivision._wrap_over
+    real_lifted, real_wrap = hull._lifted, hull._wrap_over
 
     def lifted(lifting):
         domain, scale, pts3 = real_lifted(lifting)
@@ -917,6 +918,16 @@ def test_kinked_lifting_lands_on_every_small_chain():
         assert sdd.used_fallback == (not default_lifting_lands(nd))
         kinked += sdd.used_fallback
     assert kinked > 0
+
+
+def test_default_lifting_lands_on_every_single_edge_diagram():
+    # a measurement that ``subdivide_diagram`` relies on, not a lemma; it
+    # holds up to p, q <= 30 as well, at 30 times the cost
+    for p in range(2, 13):
+        for q in range(2, 13):
+            sdd = subdivide_diagram(analyze_support([(p, 0), (0, q)]))
+            assert not sdd.used_fallback, (p, q)
+            assert_special(sdd)
 
 
 def test_missed_lifting_raises(monkeypatch):

@@ -14,16 +14,17 @@ from tropnewton.errors import (
     NotConnectedError,
 )
 from tropnewton.lattice import ConvexPolygon, LatticePoint, LatticePolygon
-from tropnewton.newton import analyze_support, decompose_diagram, milnor_number
-from tropnewton.parsing import parse_germ, parse_puiseux_poly
-from tropnewton.subdivision import (
-    Cell,
-    RegularSubdivision,
-    SubdivisionEdge,
-    lower_hull_subdivision,
-    subdivide_diagram,
+from tropnewton.newton import (
+    analyze_support,
+    decompose_diagram,
+    delta_invariant,
+    milnor_number,
 )
-from tropnewton import subdivision, svg, tropical
+from tropnewton.parsing import parse_germ, parse_puiseux_poly
+from tropnewton.certificate import Cell, RegularSubdivision, SubdivisionEdge
+from tropnewton.hull import lower_hull_subdivision
+from tropnewton.subdivision import subdivide_diagram
+from tropnewton import certificate, subdivision, svg, tropical
 from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_support
 from tropnewton.tropical import (
     _jump_direction,
@@ -305,7 +306,7 @@ def test_a_straight_through_vertex_changes_nothing():
         assert [b.locate(pt) for pt in grid] == [a.locate(pt) for pt in grid]
 
         def steps(poly):
-            return sorted(s for u, w in poly.edges() for s in subdivision._unit_steps(u, w))
+            return sorted(s for u, w in poly.edges() for s in certificate._unit_steps(u, w))
 
         assert steps(b) == steps(a)
         assert restrict(tc, b) == restrict(tc, a)
@@ -467,6 +468,76 @@ def test_integer_directions_and_ray_lines_match_the_fraction_forms():
                     dx, dy, offset.numerator, offset.denominator)
 
 
+# --- the formula beyond unit squares -------------------------------------------
+
+FORMS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]
+
+
+def convex_sum_lifting(draw, points) -> dict:
+    """A sum of 2 to 4 strictly convex functions of the lattice forms
+    ``FORMS``, each an integer function with strictly increasing steps."""
+    heights = dict.fromkeys(points, 0)
+    for _ in range(draw.randint(2, 4)):
+        a, b = draw.choice(FORMS)
+        ts = [a * pt.i + b * pt.j for pt in points]
+        g, step = {min(ts): 0}, draw.randint(-6, 6)
+        for t in range(min(ts) + 1, max(ts) + 1):
+            g[t] = g[t - 1] + step
+            step += draw.randint(1, 4)
+        for pt, t in zip(points, ts):
+            heights[pt] += g[t]
+    return heights
+
+
+def test_formula_defect_on_subdivisions_with_every_lattice_point_a_vertex():
+    """mu - (v + r) = delta - v on every subdivision of the region R
+    under the boundary that is a union of cells and has every lattice
+    point of R as a vertex: on them the verdicts mu = v + r and
+    delta = v are one statement.
+
+    Proof, by Pick's theorem.  r is the cycle rank E - F + 1 of the
+    graph of the F cells inside R and the E interior edges between them.
+    By Euler's formula for the disk R tiled by those cells, E - F + 1 is
+    the number of subdivision vertices interior to R, which here is I,
+    the number of lattice points interior to R.  R's boundary holds
+    B = p + q + l lattice points, l the lattice length of the boundary
+    chain, so Pick's theorem gives 2A = 2I + p + q + l - 2 for the area
+    A of R.  Kouchnirenko's mu = 2A - p - q + 1 is then 2I + l - 1, and
+    with l branches delta = (mu + l - 1)/2 = I + l - 1.  So mu - r =
+    I + l - 1 = delta, which is the identity.
+
+    Each inside cell is an empty lattice polygon, so a unimodular
+    triangle or a parallelogram of area 1, and v counts the
+    parallelograms.  The bound v <= delta is asserted on this family
+    only; it is not proved.  The family reaches v = delta with
+    parallelograms that are not unit squares, which the special
+    subdivision never uses.
+    """
+    rng, draw = SplitMix64(7), random.Random(5)
+    kept = reached = 0
+    for _ in range(300):
+        nd = analyze_support(staircase_support(rng, 7, 7))
+        points = nd.gamma_minus_lattice
+        sd = lower_hull_subdivision(convex_sum_lifting(draw, points))
+        if len(sd.vertices) < len(points):
+            continue
+        try:
+            sc = restrict(dual_tropical_curve(sd), nd.gamma_minus)
+        except NotCellUnionError:
+            continue
+        kept += 1
+        v, r = count_four_valent(sc), count_bounded_regions(sc)
+        mu = milnor_number(nd)
+        delta = delta_invariant(mu, nd.branch_count)
+        assert mu - (v + r) == delta - v, nd.gamma_vertices
+        assert v <= delta, nd.gamma_vertices
+        kinds = [sd.cells[c].kind for c in sc.vprime]
+        assert set(kinds) <= {"half_triangle", "square", "quad"}
+        assert v == len(kinds) - kinds.count("half_triangle")
+        reached += v == delta and "quad" in kinds
+    assert kept >= 200 and reached > 0, (kept, reached)
+
+
 # --- the figure's sub-curve ----------------------------------------------------
 
 KINKED = "x^11+x^7*y^3+x^5*y^4+x^3*y^5+x*y^7+y^8"  # the default lifting misses
@@ -476,7 +547,7 @@ def spy_on_classification(monkeypatch) -> list[str]:
     """The name of the function behind each ``classify_cells_by_region``
     call, wherever the package calls it."""
     callers = []
-    real = subdivision.classify_cells_by_region
+    real = certificate.classify_cells_by_region
 
     def classify(sd, region):
         callers.append(sys._getframe(1).f_code.co_name)

@@ -69,11 +69,8 @@ from tropnewton.errors import TropnewtonError  # noqa: E402
 from tropnewton.newton import analyze_support  # noqa: E402
 from tropnewton.parsing import parse_germ, parse_puiseux_poly  # noqa: E402
 from tropnewton.patchwork import analyze, build_patchwork, emit_polynomial_text  # noqa: E402
-from tropnewton.subdivision import (  # noqa: E402
-    lower_hull_subdivision,
-    separable_lifting,
-    subdivide_diagram,
-)
+from tropnewton.hull import lower_hull_subdivision  # noqa: E402
+from tropnewton.subdivision import separable_lifting, subdivide_diagram  # noqa: E402
 from tropnewton.svg import REGIONS, render_svg  # noqa: E402
 from tropnewton.tropical import dual_tropical_curve, verify_duality  # noqa: E402
 
