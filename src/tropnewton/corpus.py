@@ -30,6 +30,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 class SplitMix64:
     def __init__(self, seed: int):
+        require(isinstance(seed, int), "seed must be an int")
         self.state = seed & _MASK
 
     def next64(self) -> int:

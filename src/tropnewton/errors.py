@@ -106,10 +106,6 @@ class NotCellUnionError(TropnewtonError):
     """The restriction region is not a union of subdivision cells."""
 
 
-class NotConnectedError(TropnewtonError):
-    """The restriction region's cells are not edge-connected."""
-
-
 class RegularityCertificationError(TropnewtonError):
     """Neither the default nor the corner-kinked separable lifting lands
     on the special subdivision of the region under the boundary.  Not

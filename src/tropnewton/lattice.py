@@ -12,26 +12,26 @@ Polygon conventions:
   * ConvexPolygon additionally forbids three consecutive collinear
     vertices, so equality of polygons is equality of vertex tuples.
 
-``ConvexPolygon(...)`` and ``LatticePolygon(...)`` check all of this on
-whatever a caller gives them, and raise SchemaError for a point that is
-not a lattice point (``lattice_key``, the one conversion of a caller's
-point) or a ring that breaks a convention.  The rings built here are
-trusted instead: the monotone chain proves the conventions as it runs
-(see ``convex_hull_of_sorted``), so its output goes into the polygon
-with no second pass, through ``_Polygon._trusted``.  ``lower_chain`` is
-the package's one monotone chain: each hull half, the Newton boundary,
-the wrap's first edge.  ``_located`` is its one scan of a region's
-bounding box.
+Only the package builds polygons, each through ``_Polygon._trusted``
+with no check, because each ring is proved where it is made: a
+``ConvexPolygon`` is the monotone chain's hull, which proves the
+conventions as it runs (see ``convex_hull_of_sorted``), or a cell that
+``certificate._certify`` has proved; the one ``LatticePolygon`` is
+``NewtonDiagram.gamma_minus``, whose ring its docstring proves.  A
+caller builds a polygon with ``convex_hull``, which raises SchemaError
+for a point that is not a lattice point (``lattice_key``, the one
+conversion of a caller's point).  ``lower_chain`` is the package's one
+monotone chain: each hull half, the Newton boundary, the wrap's first
+edge.  ``_located`` is its one scan of a region's bounding box.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import DegenerateHullError, SchemaError, ZeroSegmentError, require
+from .errors import DegenerateHullError, SchemaError, ZeroSegmentError
 
 Coord = Union[int, Fraction]
 Point = Sequence[Coord]
@@ -67,14 +67,6 @@ def cross(o: Point, a: Point, b: Point) -> Coord:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def dot(u: Point, v: Point) -> Coord:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def sub(a: Point, b: Point) -> tuple:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def lattice_length(a: Point, b: Point) -> int:
     """Number of primitive lattice steps from lattice point a to lattice
     point b along their segment."""
@@ -100,29 +92,12 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Do closed segments [a,b] and [c,d] share at least one point?"""
-    d1 = cross(c, d, a)
-    d2 = cross(c, d, b)
-    d3 = cross(a, b, c)
-    d4 = cross(a, b, d)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
-        return True
-    return (on_segment(a, c, d) or on_segment(b, c, d)
-            or on_segment(c, a, b) or on_segment(d, a, b))
-
-
 def shoelace2(vertices: Sequence[Point]) -> Coord:
     """Twice the signed area of the closed polygon through ``vertices``."""
     total = 0
     for a, b in zip(vertices, vertices[1:] + vertices[:1]):
         total += a[0] * b[1] - b[0] * a[1]
     return total
-
-
-def _canonical_rotation(vertices: tuple) -> tuple:
-    k = vertices.index(min(vertices))
-    return vertices[k:] + vertices[:k]
 
 
 class _Polygon:
@@ -173,19 +148,6 @@ class ConvexPolygon(_Polygon):
 
     __slots__ = ()
 
-    def __init__(self, vertices: Iterable[Point]):
-        verts = tuple(map(lattice_key, vertices))
-        require(len(verts) >= 3, "convex polygon needs at least 3 vertices")
-        verts = _canonical_rotation(verts)
-        for (ax, ay), b, (cx, cy) in zip(verts[-1:] + verts[:-1], verts,
-                                         verts[1:] + verts[:1]):
-            if (b[0] - ax) * (cy - ay) - (b[1] - ay) * (cx - ax) <= 0:
-                raise SchemaError(f"vertices not strictly convex ccw at {b}")
-        # left turns alone admit a star, which winds around twice or more
-        require(convex_hull_of_sorted(sorted(set(verts))).vertices == verts,
-                "vertices wind around more than once")
-        object.__setattr__(self, "vertices", verts)
-
     def locate(self, p: Point) -> str:
         """'inside', 'boundary' or 'outside', decided exactly."""
         x, y = p[0], p[1]
@@ -207,43 +169,9 @@ class ConvexPolygon(_Polygon):
 
 class LatticePolygon(_Polygon):
     """Simple closed lattice polygon, possibly non-convex, ccw.  A vertex
-    between its neighbours on a straight run is kept as given.
-
-    A ring that repeats a vertex, ``v[a] == v[b]`` with ``a != b``, needs
-    no check of its own: of the area, spike and crossing checks below,
-    one cannot pass it.  With three vertices the ring has at most two
-    distinct points, so its area is zero.  Otherwise, if ``a`` and ``b``
-    are neighbours, the step between them is zero, so the cross and dot
-    products at the later of the two are zero, a spike.  If they are
-    not, the edges leaving ``v[a]`` and ``v[b]`` are not neighbours
-    either, so the crossing check compares them, and as closed segments
-    they share the point ``v[a]``.
-    """
+    between its neighbours on a straight run is kept as given."""
 
     __slots__ = ()
-
-    def __init__(self, vertices: Iterable[Point]):
-        verts = tuple(map(lattice_key, vertices))
-        require(len(verts) >= 3, "polygon needs at least 3 vertices")
-        verts = _canonical_rotation(verts)
-        require(shoelace2(verts) > 0, "polygon boundary must be ccw with area > 0")
-        n = len(verts)
-        for k in range(n):
-            # a spike folds the boundary back over itself
-            c = cross(verts[k - 1], verts[k], verts[(k + 1) % n])
-            d = dot(sub(verts[k], verts[k - 1]), sub(verts[(k + 1) % n], verts[k]))
-            if c == 0 and d <= 0:
-                raise SchemaError(f"boundary spike at {verts[k]}")
-        for a_idx in range(n):
-            a1, a2 = verts[a_idx], verts[(a_idx + 1) % n]
-            for b_idx in range(a_idx + 1, n):
-                if b_idx == a_idx or (b_idx + 1) % n == a_idx or (a_idx + 1) % n == b_idx:
-                    continue  # adjacent edges share an endpoint by design
-                b1, b2 = verts[b_idx], verts[(b_idx + 1) % n]
-                if segments_intersect(a1, a2, b1, b2):
-                    raise SchemaError(
-                        f"self-intersection between edges {a1}-{a2} and {b1}-{b2}")
-        object.__setattr__(self, "vertices", verts)
 
     def locate(self, p: Point) -> str:
         """'inside', 'boundary' or 'outside' by exact crossing count."""
@@ -343,9 +271,3 @@ def enumerate_lattice_points(region: Region) -> list[LatticePoint]:
     Fine at desk scale; the scan is |bbox| point-in-polygon tests.
     """
     return [LatticePoint(i, j) for i, j, where in _located(region) if where != "outside"]
-
-
-def pick_interior_boundary(region: Region) -> tuple[int, int]:
-    """(interior, boundary) lattice point counts by direct enumeration."""
-    counts = Counter(where for _, _, where in _located(region))
-    return counts["inside"], counts["boundary"]

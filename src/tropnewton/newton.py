@@ -21,6 +21,7 @@ from .errors import (
     ParityViolationError,
     SchemaError,
     check,
+    require,
 )
 from .lattice import (
     LatticePoint,
@@ -29,7 +30,6 @@ from .lattice import (
     lattice_key,
     lattice_length,
     lower_chain,
-    pick_interior_boundary,
     segment_lattice_points,
 )
 from .parsing import SupportSet
@@ -104,9 +104,12 @@ class NewtonDiagram:
     def gamma_minus_lattice(self) -> tuple[LatticePoint, ...]:
         return tuple(enumerate_lattice_points(self.gamma_minus))
 
-    @cached_property
+    @property
     def interior_lattice_count(self) -> int:
-        return pick_interior_boundary(self.gamma_minus)[0]
+        """Lattice points strictly under the boundary, by Pick's theorem:
+        ``gamma_minus`` has ``p + q + branch_count`` lattice points on
+        its boundary, the axis segments and the chain's unit steps."""
+        return (self.gamma_minus.area2 - self.p - self.q - self.branch_count) // 2 + 1
 
 
 def analyze_support(points) -> NewtonDiagram:
@@ -171,6 +174,7 @@ def delta_invariant(mu: int, branches: int) -> int:
 # --- the lemma counts, which check decompose_diagram's corner triangles ---
 
 def _check_legs(p: int, q: int) -> None:
+    require(isinstance(p, int) and isinstance(q, int), "legs must be ints")
     if p < 1 or q < 1 or lattice_length((0, 0), (p, q)) != 1:
         raise NotCoprimeError(f"legs must be positive and coprime, got ({p}, {q})")
 

@@ -12,8 +12,8 @@ direction of its gradient jump, (X2*D1 - X1*D2, Y2*D1 - Y1*D2) over its
 gcd, which is (0, 0) exactly when the gradients are equal; a ray's side
 through the integer multiple 2n (midpoint - vertex average) of an
 n-gon; a ray's line through its direction and its offset
-(dx*Y - dy*X)/D in lowest terms.  A sub-curve can be cut out over any
-region that is a union of cells.
+(dx*Y - dy*X)/D in lowest terms.  A sub-curve can be cut out over a
+region the package built that is a union of cells.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import NonRegularInputError, NotCellUnionError, NotConnectedError
+from .errors import NonRegularInputError, NotCellUnionError
 from .certificate import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
 
 Coords = tuple[Fraction, Fraction]
@@ -280,12 +280,13 @@ class TropicalSubCurve:
 
 
 def restrict(tc: TropicalCurve, region) -> TropicalSubCurve:
-    """Sub-curve over a region that is a union of cells.
+    """Sub-curve over a region the package built, ``nd.gamma_minus``,
+    ``sd.domain`` or a ``convex_hull``, that is a union of cells; a
+    region the cells do not tile is a NotCellUnionError.
 
     Segments with both dual cells in the region stay whole; a segment
     leaving the region is cut at its exact midpoint; rays anchored at a
-    kept vertex stay.  The kept cells must be connected through shared
-    edges, vertex contact is not enough.
+    kept vertex stay.
     """
     inside, clean = classify_cells_by_region(tc.subdivision, region)
     if not clean:
@@ -297,21 +298,19 @@ def _sub_curve(tc: TropicalCurve, inside: tuple[int, ...]) -> TropicalSubCurve:
     """``restrict`` over cells already known to tile the region: the
     ids, ascending, that ``classify_cells_by_region`` gave for it on a
     clean region, or every cell id for the subdivision's domain, which
-    its cells tile.  The region must still hold a cell, and its cells
-    must still be edge-connected."""
-    sd = tc.subdivision
-    if not inside:
-        raise NotCellUnionError("region contains no cell")
-    kept = set(inside)
+    its cells tile.
 
-    ids = {cid: k for k, cid in enumerate(inside)}
-    links = []
-    for e in sd.interior_edges:
-        c1, c2 = e.cell_ids
-        if c1 in kept and c2 in kept:
-            links.append((ids[c1], ids[c2]))
-    if _component_count(len(inside), links) != 1:
-        raise NotConnectedError("region cells do not form an edge-connected set")
+    The ids name at least one cell, and their cells are edge-connected,
+    so neither is checked.  Every region the package builds is a simple
+    lattice polygon of positive area: ``gamma_minus`` by its docstring,
+    the domain and a ``convex_hull`` by the monotone chain.  Its inside
+    cells tile it.  The interior of a simple polygon, less the finitely
+    many cell corners, is connected, and a path through it passes from
+    cell to cell only across an edge the two share, so the cells are
+    edge-connected.  Their areas sum to the region's ``area2 > 0``, so
+    at least one cell is inside.
+    """
+    kept = set(inside)
 
     full: list[int] = []
     rays: list[int] = []

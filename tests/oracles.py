@@ -5,6 +5,7 @@ counter the work-count tests share, and an alarm that ends a hung call."""
 from __future__ import annotations
 
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -16,9 +17,12 @@ from tropnewton.lattice import (
     LatticePoint,
     LatticePolygon,
     Point,
+    _located,
     convex_hull,
     cross,
+    lattice_key,
     on_segment,
+    shoelace2,
 )
 from tropnewton.tropical import TropicalCurve, TropicalEdge
 
@@ -69,7 +73,27 @@ def staircase_squares_by_shoelace(nd) -> int:
     for k in range(n - 1, 0, -1):
         ring.append(LatticePoint(g[k].i, g[k].j))
         ring.append(LatticePoint(g[k - 1].i, g[k].j))
-    return LatticePolygon(ring).area2 // 2
+    return lattice_polygon(ring).area2 // 2
+
+
+def dot(u: Point, v: Point) -> Coord:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def sub(a: Point, b: Point) -> tuple:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Do closed segments [a,b] and [c,d] share at least one point?"""
+    d1 = cross(c, d, a)
+    d2 = cross(c, d, b)
+    d3 = cross(a, b, c)
+    d4 = cross(a, b, d)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
+        return True
+    return (on_segment(a, c, d) or on_segment(b, c, d)
+            or on_segment(c, a, b) or on_segment(d, a, b))
 
 
 def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -78,6 +102,62 @@ def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
     d3, d4 = cross(a, b, c), cross(a, b, d)
     return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
             and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0)
+
+
+def simple_ring_violations(ring) -> tuple[str, ...]:
+    """Why a ring of lattice points is not a simple counterclockwise
+    polygon of positive area with no spike, empty when it is one: the
+    area, spike and O(n^2) crossing checks, the reference that a
+    package region, ``NewtonDiagram.gamma_minus`` above all, is held to.
+
+    A ring that repeats a vertex, ``v[a] == v[b]`` with ``a != b``, needs
+    no check of its own: one of the three checks flags it.  With three
+    vertices the ring has at most two distinct points, so its area is
+    zero.  Otherwise, if ``a`` and ``b`` are neighbours, the step between
+    them is zero, so the cross and dot products at the later of the two
+    are zero, a spike.  If they are not, the edges leaving ``v[a]`` and
+    ``v[b]`` are not neighbours either, so the crossing check compares
+    them, and as closed segments they share the point ``v[a]``.
+    """
+    verts = tuple(map(lattice_key, ring))
+    n = len(verts)
+    if n < 3:
+        return ("polygon needs at least 3 vertices",)
+    violations = []
+    if shoelace2(verts) <= 0:
+        violations.append("polygon boundary must be ccw with area > 0")
+    for k in range(n):
+        # a spike folds the boundary back over itself
+        c = cross(verts[k - 1], verts[k], verts[(k + 1) % n])
+        d = dot(sub(verts[k], verts[k - 1]), sub(verts[(k + 1) % n], verts[k]))
+        if c == 0 and d <= 0:
+            violations.append(f"boundary spike at {verts[k]}")
+    for a_idx in range(n):
+        a1, a2 = verts[a_idx], verts[(a_idx + 1) % n]
+        for b_idx in range(a_idx + 2, n):
+            if (b_idx + 1) % n == a_idx:
+                continue  # adjacent edges share an endpoint by design
+            b1, b2 = verts[b_idx], verts[(b_idx + 1) % n]
+            if segments_intersect(a1, a2, b1, b2):
+                violations.append(f"self-intersection between edges {a1}-{a2} and {b1}-{b2}")
+    return tuple(violations)
+
+
+def lattice_polygon(ring) -> LatticePolygon:
+    """A LatticePolygon through a ring a test draws, started at its
+    smallest vertex, once ``simple_ring_violations`` finds nothing."""
+    violations = simple_ring_violations(ring)
+    assert violations == (), violations
+    verts = tuple(map(lattice_key, ring))
+    k = verts.index(min(verts))
+    return LatticePolygon._trusted(verts[k:] + verts[:k])
+
+
+def pick_interior_boundary(region) -> tuple[int, int]:
+    """(interior, boundary) lattice point counts by direct enumeration;
+    the reference for Pick's count, ``interior_lattice_count``."""
+    counts = Counter(where for _, _, where in _located(region))
+    return counts["inside"], counts["boundary"]
 
 
 def brute_force_lower_hull(heights):
@@ -142,10 +222,13 @@ def crossed_square_count_by_tests(p: int, q: int) -> int:
     return count
 
 
-def locate_boundary_vertex_count(sd) -> int:
-    """Subdivision vertices that ``ConvexPolygon.locate`` puts on the
-    domain's boundary; the reference for ``boundary_vertex_count``."""
-    return sum(1 for v in sd.vertices if sd.domain.locate(v) == "boundary")
+def rim_endpoint_count(sd) -> int:
+    """Distinct endpoints of the subdivision's boundary edges; the
+    reference for ``boundary_vertex_count``.  A vertex on the domain's
+    boundary lies on a rim edge and is one of its endpoints, as a cell
+    corner cannot sit inside another cell's edge; a vertex off it is on
+    no rim edge."""
+    return len({p for e in sd.boundary_edges for p in (e.a, e.b)})
 
 
 def _gauss_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:

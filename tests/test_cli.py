@@ -23,7 +23,7 @@ from tropnewton import (
     subdivide_diagram,
 )
 from tropnewton.cli import _build_parser, main
-from tropnewton.corpus import SplitMix64, random_lifted_support
+from tropnewton.corpus import SplitMix64, random_lifted_support, run_corpus
 from tropnewton.errors import (
     InternalCheckError,
     ParityViolationError,
@@ -31,12 +31,8 @@ from tropnewton.errors import (
     SchemaError,
     TropnewtonError,
 )
-from tropnewton.lattice import (
-    ConvexPolygon,
-    LatticePolygon,
-    convex_hull,
-    segment_lattice_points,
-)
+from tropnewton.lattice import convex_hull, segment_lattice_points
+from tropnewton.newton import crossed_square_count, triangle_square_count
 from tropnewton.parsing import (
     SupportSet,
     germ_text,
@@ -564,8 +560,8 @@ def _library_call(rng, quintic_curve):
     bounds = [_bound(rng) for _ in range(3)]
     seqs = [None, [0, 1, 2, 3, 4, 5], [1, 1, 2, 3, 4, 5], [_junk(rng) for _ in range(6)]]
 
-    def restrict_to(region, ring):
-        return restrict(quintic_curve, region(ring))
+    def restrict_to(ring):
+        return restrict(quintic_curve, convex_hull(ring))
 
     def serialize(fn, terms):
         return fn(SupportSet(terms))
@@ -575,16 +571,18 @@ def _library_call(rng, quintic_curve):
                              _junk(rng)])) for p in ring]
 
     return _pick(rng, [
-        (ConvexPolygon, ring), (LatticePolygon, ring), (convex_hull, ring),
+        (convex_hull, ring),
         (segment_lattice_points, *(ring + [(_junk(rng), _junk(rng))] * 2)[:2]),
+        (SplitMix64, bounds[0]), (run_corpus, *bounds[:2], 4, 4),
         (draws.below, bounds[0]), (draws.between, *bounds[:2]), (draws.sample, *bounds),
+        (_pick(rng, [triangle_square_count, crossed_square_count]), *bounds[:2]),
         (staircase_support, draws, *bounds[:2]),
         (random_lifted_support, draws, *bounds[:2]),
         (LiftedSupport.from_mapping, {p: _junk(rng) for p in ring}),
         (separable_lifting, ring, _pick(rng, seqs), _pick(rng, seqs)),
         (lower_hull_subdivision, {p: _pick(rng, [0, 1, 2, _junk(rng)]) for p in ring}),
         (NewtonDiagram, ring), (analyze, ring),
-        (restrict_to, _pick(rng, [LatticePolygon, ConvexPolygon]), ring),
+        (restrict_to, ring),
         (serialize, _pick(rng, [serialize_json, germ_text]), terms),
     ])
 

@@ -40,7 +40,7 @@ from oracles import (
     Counted,
     brute_force_lower_hull,
     crossed_square_count_by_tests,
-    locate_boundary_vertex_count,
+    rim_endpoint_count,
     triangle_square_count_by_tests,
 )
 
@@ -798,14 +798,14 @@ def test_boundary_vertex_count_matches_locate():
     sd = lower_hull_subdivision({(0, 0): 0, (4, 0): 0, (0, 4): 0, (2, 0): -1,
                                  (2, 2): -1, (1, 1): -3})
     assert set(sd.vertices) == {(0, 0), (4, 0), (0, 4), (2, 0), (2, 2), (1, 1)}
-    assert sd.boundary_vertex_count() == locate_boundary_vertex_count(sd) == 5
+    assert sd.boundary_vertex_count() == rim_endpoint_count(sd) == 5
     # a vertex outside the domain, on the line of the bottom edge, is not on it
     moved = dataclasses.replace(sd, vertices=sd.vertices + (LatticePoint(6, 0),))
-    assert moved.boundary_vertex_count() == locate_boundary_vertex_count(moved) == 5
+    assert moved.boundary_vertex_count() == rim_endpoint_count(moved) == 5
     rng = SplitMix64(3)
     for _ in range(100):
         sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
-        assert sd.boundary_vertex_count() == locate_boundary_vertex_count(sd)
+        assert sd.boundary_vertex_count() == rim_endpoint_count(sd)
 
 
 def test_boundary_vertex_count_matches_locate_on_diagrams():
@@ -821,7 +821,7 @@ def test_boundary_vertex_count_matches_locate_on_diagrams():
             sds.append(sdd.subdivision)
     assert len(sds) > 11
     for sd in sds:
-        assert sd.boundary_vertex_count() == locate_boundary_vertex_count(sd)
+        assert sd.boundary_vertex_count() == rim_endpoint_count(sd)
 
 
 # --- square counting lemmas ---------------------------------------------------
