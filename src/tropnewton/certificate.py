@@ -5,20 +5,24 @@ A wrap, general (``hull``) or special (``subdivision``), hands
 ``_certify`` plain facet records, each its corners, its tight points
 and its integer plane.  ``_certify`` proves once, by the local
 convexity lemma, that they are exactly the cells of the lower hull,
-and only then makes a ``Fraction`` or a ``Cell``, once per cell.  It
-shares no code with either wrap, so it can check both.  A subdivision
-is then read against a region by ``classify_cells_by_region``.
+and only then makes a ``Cell``, once per cell.  It shares no code with
+either wrap, so it can check both.  A cell keeps its plane as the
+integers (a, b, c, d) in lowest terms with d > 0, the plane z = (a*i +
+b*j + c)/d; no ``Fraction`` is made unless a caller reads
+``Cell.plane`` or ``Cell.gradient``.  A subdivision is then read
+against a region by ``classify_cells_by_region``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InternalCheckError, check
-from .lattice import ConvexPolygon, LatticePoint, segment_lattice_points
+from .errors import InternalCheckError, check, require
+from .lattice import ConvexPolygon, LatticePoint, LatticePolygon, segment_lattice_points
 
 Plane = tuple[Fraction, Fraction, Fraction]
 
@@ -27,17 +31,27 @@ class Cell(NamedTuple):
     """One facet of the lower hull, projected to the plane.
 
     ``tight`` holds every support point on the facet, including points
-    interior to edges; ``polygon`` keeps only the corners.  A named
-    tuple, like ``SubdivisionEdge``: one is built per facet.
+    interior to edges; ``polygon`` keeps only the corners.  ``normal``
+    is the facet's plane z = (a*i + b*j + c)/d as the integers (a, b,
+    c, d), d > 0, with no common factor, so equal planes are equal
+    tuples.  ``plane``, (a/d, b/d, c/d), and ``gradient``, (a/d, b/d),
+    are ``Fraction``s built on each read.  A named tuple, like
+    ``SubdivisionEdge``: one is built per facet.
     """
 
     polygon: ConvexPolygon
-    plane: Plane
+    normal: tuple[int, int, int, int]
     tight: tuple[LatticePoint, ...]
 
     @property
+    def plane(self) -> Plane:
+        a, b, c, d = self.normal
+        return (Fraction(a, d), Fraction(b, d), Fraction(c, d))
+
+    @property
     def gradient(self) -> tuple[Fraction, Fraction]:
-        return (self.plane[0], self.plane[1])
+        a, b, _, d = self.normal
+        return (Fraction(a, d), Fraction(b, d))
 
     @property
     def kind(self) -> str:
@@ -68,8 +82,15 @@ class RegularSubdivision:
 
     def boundary_vertex_count(self) -> int:
         """Vertices that ``ConvexPolygon.locate`` puts on the domain's
-        boundary."""
-        return sum(self.domain.locate(v) == "boundary" for v in self.vertices)
+        boundary: those on no domain edge's outer side and on the line of
+        at least one.  Each edge ab is read once into the integer line
+        p*i + q*j + r, the cross product (b - a) x (v - a), which is
+        negative exactly when v is outside the edge; a vertex outside
+        the domain on an edge's line is therefore not counted."""
+        lines = [(aj - bj, bi - ai, ai * bj - aj * bi)
+                 for (ai, aj), (bi, bj) in self.domain.edges()]
+        return sum(min([p * i + q * j + r for p, q, r in lines]) == 0
+                   for i, j in self.vertices)
 
 
 def _certify(lifting, domain, pts3, scale, facets, lines) -> RegularSubdivision:
@@ -130,7 +151,9 @@ def _certify(lifting, domain, pts3, scale, facets, lines) -> RegularSubdivision:
     Hence the cells and their tight sets are exactly the lower hull's.
 
     Only then is each cell built, its plane z = (level - n0*i - n1*j) /
-    (n2 * scale) in ``Fraction``s.
+    (n2 * scale) kept as the integer ``Cell.normal`` (-n0, -n1, level,
+    n2 * scale) over its gcd; n2 > 0 and scale > 0, so the denominator
+    stays positive.
     """
     facets = sorted(facets, key=itemgetter(0))
     # each directed edge's cell, and the corner that follows the edge; the
@@ -181,8 +204,9 @@ def _certify(lifting, domain, pts3, scale, facets, lines) -> RegularSubdivision:
     cells = []
     for v, on, (n0, n1, n2, level) in facets:
         den = n2 * scale
-        plane = (Fraction(-n0, den), Fraction(-n1, den), Fraction(level, den))
-        cells.append(Cell(ConvexPolygon._trusted(v), plane, tuple(on)))
+        g = gcd(n0, n1, level, den)
+        cells.append(Cell(ConvexPolygon._trusted(v), (-n0 // g, -n1 // g, level // g, den // g),
+                          tuple(on)))
     return RegularSubdivision(lifting, domain, tuple(cells), tuple(interior),
                               tuple(boundary), tuple(sorted(corners)))
 
@@ -209,8 +233,12 @@ def classify_cells_by_region(sd: RegularSubdivision, region) -> tuple[tuple[int,
     in the domain; each cell's interior is connected and misses that
     boundary, so it lies wholly inside or wholly outside the region, as
     its interior point does.  The area sum is the second, independent
-    half of the certificate.
+    half of the certificate.  A region that is not a polygon the
+    package built is a SchemaError.
     """
+    require(isinstance(region, (ConvexPolygon, LatticePolygon)),
+            "region must be nd.gamma_minus, sd.domain or a convex_hull, "
+            f"not {type(region).__name__}")
     steps = {s for e in sd.interior_edges + sd.boundary_edges
              for s in _unit_steps(e.a, e.b)}
     if not all(s in steps for a, b in region.edges() for s in _unit_steps(a, b)):

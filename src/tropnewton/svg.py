@@ -6,10 +6,12 @@ necessarily in lowest terms, and ``_fmt`` rounds the value to four
 decimal places, half to even, from the quotient and remainder of the
 numerator by the denominator (no float and no ``Fraction`` arithmetic).
 Those depend on the value alone, so the digits are those of the reduced
-fraction.  Each distinct x and each distinct flipped y is formatted
-once per figure.  Rays are clipped to the viewbox exactly; the viewbox
-is the bounding box of the hull and the finite curve vertices, padded
-by twenty percent per side.
+fraction.  The curve's vertices come as they are stored, each
+``TropicalVertex.triple`` (X, Y, D) read as (X/D, Y/D), so a figure
+makes no ``Fraction``.  Each distinct x and each distinct flipped y is
+formatted once per figure.  Rays are clipped to the viewbox exactly;
+the viewbox is the bounding box of the hull and the finite curve
+vertices, padded by twenty percent per side.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from .errors import SchemaError
 from .newton import NewtonDiagram, analyze_support
 from .subdivision import subdivide_diagram
-from .tropical import _sub_curve, _triple, dual_tropical_curve
+from .tropical import _sub_curve, dual_tropical_curve
 
 
 def _fmt(n: int, d: int) -> str:
@@ -207,7 +209,7 @@ def render_svg(support, show_subdivision: bool = True, show_curve: bool = True,
     sd = sdd.subdivision
     tc = dual_tropical_curve(sd)
 
-    triples = [_triple(v.coords) for v in tc.vertices]
+    triples = [v.triple for v in tc.vertices]
     scene = _Scene(_bounding_box(nd, triples))
     scene.grid()  # lattice grid under everything
     scene.polygon(nd.gamma_minus.vertices, _REGION)

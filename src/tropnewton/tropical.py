@@ -5,15 +5,17 @@ one vertex per cell at the gradient of its plane, one segment per
 interior edge, one outward ray per boundary edge, weights given by dual
 lattice lengths.  ``verify_duality`` alone checks duality (orthogonality,
 valence, balancing, complement counts), from scratch.  Directions, zero
-jumps, ray sides and ray lines are decided on integers.  Each vertex
-(x, y) is read once into an integer triple (X, Y, D) with D > 0 and
-(x, y) = (X/D, Y/D).  A segment is tested through the primitive
-direction of its gradient jump, (X2*D1 - X1*D2, Y2*D1 - Y1*D2) over its
-gcd, which is (0, 0) exactly when the gradients are equal; a ray's side
-through the integer multiple 2n (midpoint - vertex average) of an
-n-gon; a ray's line through its direction and its offset
-(dx*Y - dy*X)/D in lowest terms.  A sub-curve can be cut out over a
-region the package built that is a union of cells.
+jumps, ray sides and ray lines are decided on integers.  A vertex keeps
+its position (x, y) as the integer triple (X, Y, D) with D > 0, no
+common factor and (x, y) = (X/D, Y/D), taken from its cell's integer
+plane; equal positions are equal triples, and ``TropicalVertex.coords``
+builds the two ``Fraction``s only when read.  A segment is tested
+through the primitive direction of its gradient jump, (X2*D1 - X1*D2,
+Y2*D1 - Y1*D2) over its gcd, which is (0, 0) exactly when the gradients
+are equal; a ray's side through the integer multiple 2n (midpoint -
+vertex average) of an n-gon; a ray's line through its direction and
+its offset (dx*Y - dy*X)/D in lowest terms.  A sub-curve can be cut out
+over a region the package built that is a union of cells.
 """
 
 from __future__ import annotations
@@ -30,9 +32,18 @@ Coords = tuple[Fraction, Fraction]
 
 
 class TropicalVertex(NamedTuple):
-    coords: Coords
+    """A curve vertex at ``coords`` = (X/D, Y/D) for ``triple`` = (X, Y,
+    D), D > 0 and gcd(X, Y, D) = 1: the gradient of its dual cell's
+    plane.  ``coords`` is built from the triple on each read."""
+
+    triple: tuple[int, int, int]
     dual_cell: int
     valence: int
+
+    @property
+    def coords(self) -> Coords:
+        x, y, d = self.triple
+        return (Fraction(x, d), Fraction(y, d))
 
 
 class TropicalEdge(NamedTuple):
@@ -84,11 +95,16 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
     turned by 90 degrees, so they balance.  The vertex average of a
     strictly convex cell lies on no edge's line, so each ray's outward
     side is decided.  Equal gradients across an interior edge mean the
-    lifting does not fold there; that input is rejected.
+    lifting does not fold there; that input is rejected.  Each vertex's
+    triple is its cell's (a, b, d) from ``Cell.normal`` over gcd(a, b, d).
     """
     cells = sd.cells
-    vertices = tuple([TropicalVertex(cell.gradient, cid, len(cell.polygon.vertices))
-                      for cid, cell in enumerate(cells)])
+    vertices = []
+    for cid, cell in enumerate(cells):
+        a, b, _, d = cell.normal
+        g = gcd(a, b, d)
+        vertices.append(TropicalVertex((a // g, b // g, d // g), cid,
+                                       len(cell.polygon.vertices)))
 
     # each weight is the gcd of its dual edge's vector, the edge's lattice
     # length; an edge of no length, which only a hand-built subdivision
@@ -98,10 +114,9 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
     edges: list[TropicalEdge] = []
     for e in sd.interior_edges:
         c1, c2 = e.cell_ids
-        g1, g2 = vertices[c1].coords, vertices[c2].coords
-        if g1 == g2:
+        if vertices[c1].triple == vertices[c2].triple:
             raise NonRegularInputError(
-                f"cells {c1} and {c2} share the gradient {g1}; "
+                f"cells {c1} and {c2} share the gradient {vertices[c1].coords}; "
                 "the dual edge would collapse")
         (ai, aj), (bi, bj) = e.a, e.b
         edges.append(TropicalEdge("segment", (c1, c2), None, gcd(bi - ai, bj - aj), e))
@@ -115,7 +130,7 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
             nx, ny = -nx, -ny
         w = gcd(nx, ny)
         edges.append(TropicalEdge("ray", (cid,), (nx // w, ny // w) if w else (0, 0), w, e))
-    return TropicalCurve(sd, vertices, tuple(edges))
+    return TropicalCurve(sd, tuple(vertices), tuple(edges))
 
 
 # --- duality verification -----------------------------------------------------
@@ -151,13 +166,6 @@ def _component_count(n: int, links: list[tuple[int, int]]) -> int:
             parent[a] = b
             count -= 1
     return count
-
-
-def _triple(coords: Coords) -> tuple[int, int, int]:
-    """(X, Y, D) with D > 0 and coords == (X/D, Y/D)."""
-    x, y = coords
-    return (x.numerator * y.denominator, y.numerator * x.denominator,
-            x.denominator * y.denominator)
 
 
 def _jump_direction(t1: tuple, t2: tuple) -> tuple[int, int]:
@@ -199,7 +207,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
     by = [0] * n
     links: list[tuple[int, int]] = []
     ray_lines = []  # one _ray_line key per ray: rays overlap iff equal
-    triples = [_triple(v.coords) for v in tc.vertices]
+    triples = [v.triple for v in tc.vertices]
     domain_sums = _vertex_sums(sd.domain)
     violations: list[str] = []
 
@@ -286,7 +294,8 @@ def restrict(tc: TropicalCurve, region) -> TropicalSubCurve:
 
     Segments with both dual cells in the region stay whole; a segment
     leaving the region is cut at its exact midpoint; rays anchored at a
-    kept vertex stay.
+    kept vertex stay.  Anything else given as the region is a
+    SchemaError, from ``classify_cells_by_region``.
     """
     inside, clean = classify_cells_by_region(tc.subdivision, region)
     if not clean:

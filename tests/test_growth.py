@@ -20,7 +20,7 @@ from math import log
 
 import pytest
 
-from tropnewton import lattice, patchwork, subdivision, tropical
+from tropnewton import lattice, patchwork, subdivision
 from tropnewton.lattice import ConvexPolygon, LatticePolygon
 from tropnewton.patchwork import analyze
 
@@ -75,9 +75,9 @@ def _spied(monkeypatch) -> Counter:
         monkeypatch.setattr(region, "locate", counted("locate", region.locate))
     monkeypatch.setattr(lattice, "cross", counted("cross", lattice.cross))
     monkeypatch.setattr(lattice, "on_segment", counted("on_segment", lattice.on_segment))
-    monkeypatch.setattr(tropical, "_triple", counted("duality vertex reads", tropical._triple))
     real_lifted, real_wrap = subdivision._lifted, subdivision._wrap_over
     real_certify, real_curve = subdivision._certify, patchwork.dual_tropical_curve
+    real_duality = patchwork.verify_duality
 
     def lifted(lifting):
         domain, scale, pts3 = real_lifted(lifting)
@@ -99,10 +99,16 @@ def _spied(monkeypatch) -> Counter:
         counts["curve edges"] += len(tc.edges)
         return tc
 
+    def duality(tc):
+        # verify_duality reads each vertex's triple once
+        counts["duality vertex reads"] += len(tc.vertices)
+        return real_duality(tc)
+
     monkeypatch.setattr(subdivision, "_lifted", lifted)
     monkeypatch.setattr(subdivision, "_wrap_over", wrap)
     monkeypatch.setattr(subdivision, "_certify", certify)
     monkeypatch.setattr(patchwork, "dual_tropical_curve", curve)
+    monkeypatch.setattr(patchwork, "verify_duality", duality)
     return counts
 
 

@@ -30,10 +30,11 @@ from tropnewton.newton import (
     triangle_square_count,
 )
 from tropnewton.parsing import LiftedSupport, parse_germ, parse_puiseux_poly
-from tropnewton import certificate, hull, subdivision
+from tropnewton import certificate, hull, subdivision, svg
 from tropnewton.certificate import classify_cells_by_region
 from tropnewton.hull import lower_hull_subdivision
 from tropnewton.subdivision import separable_lifting, subdivide_diagram
+from tropnewton.svg import render_svg
 from tropnewton.tropical import dual_tropical_curve, verify_duality
 
 from oracles import (
@@ -496,9 +497,11 @@ def test_wrap_fails_on_an_edge_that_is_not_a_facet_edge(monkeypatch):
 
 def test_hull_of_seeded_liftings_is_pinned():
     # repr of 200 span-20 liftings of up to 120 points, as the
-    # benchmark's liftings workload draws them: the subdivision as it was
-    # before the fan prefilter, its dual curve and duality report as they
-    # were before the per-vertex integer triples
+    # benchmark's liftings workload draws them: the subdivision and its
+    # dual curve with each cell's plane and each vertex's position in
+    # their integer forms, with the values they had before the fan
+    # prefilter, and the duality report as it was before the per-vertex
+    # integer triples
     rng = SplitMix64(1)
     digests = [hashlib.sha256() for _ in range(3)]
     for _ in range(200):
@@ -507,8 +510,8 @@ def test_hull_of_seeded_liftings_is_pinned():
         for digest, out in zip(digests, (sd, tc, verify_duality(tc))):
             digest.update(repr(out).encode())
     assert [d.hexdigest() for d in digests] == [
-        "0091bc38e8dabf48ac08bd58bd3c1ae93b4b3296aef1fb215222b21f4d39ef20",
-        "d68ad5928c594b57d9782d6477cc89afb4518aa522c82cd0e8b4848d575e6577",
+        "a94f25ab4c0fb700451d5e174bf72b3fba91a1778c43a6a82dca25ef74678887",
+        "5c83e2b43bcdefc9b85c1f57a0fca3dcc7c110a08de0a077ce0b9f06b649643e",
         "149a71636b8e6d7228c5fcfcb9d54783d578aba4473004855f9822f706cc0a82"]
 
 
@@ -616,27 +619,42 @@ def test_square_wrap_scans_only_the_pocket(monkeypatch):
         assert len(sd.cells) == len(nd.gamma_minus_lattice) - 2
 
 
-def test_only_the_certificate_makes_fractions(monkeypatch):
-    # the wraps hand over integer planes, and _certify makes three
-    # Fractions per cell, from the (numerator, denominator) pairs of its
-    # plane
-    lifting = separable_lifting(analyze_support([(40, 0), (0, 41)]))
+def test_nothing_from_the_wrap_to_the_figure_makes_a_fraction(monkeypatch):
+    # the wraps hand over integer planes, _certify keeps each as integers,
+    # and the dual curve, the duality check and the figure read the
+    # vertices' integer triples: none of them makes a Fraction; a cell's
+    # plane and a vertex's coords are made only when read
     made = []
 
-    def counted(*pair):
-        made.append(pair)
-        return Fraction(*pair)
+    def counted(make):
+        def spy(cls, *args, **kwargs):
+            made.append(args)
+            return make(cls, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(subdivision, "Fraction", counted)
-    monkeypatch.setattr(certificate, "Fraction", counted)
-    out = subdivision._square_wrap(lifting)
+    square = separable_lifting(analyze_support([(40, 0), (0, 41)]))
+    general = random_lifted_support(SplitMix64(1), 20, 120)
+    germ = parse_germ("x^11+x^7*y^3+x^5*y^4+x^3*y^5+x*y^7+y^8").points
+    nd = analyze_support(germ)
+    sdd = subdivide_diagram(nd)
+    monkeypatch.setattr(svg, "analyze_support", lambda support: nd)
+    monkeypatch.setattr(svg, "subdivide_diagram", lambda diagram: sdd)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # what Fraction arithmetic builds with
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted(Fraction._from_coprime_ints.__func__)))
+    outs = [subdivision._square_wrap(square), hull._wrap(general)]
+    sds = [certificate._certify(lifting, *out) for lifting, out in zip((square, general), outs)]
+    reports = [verify_duality(dual_tropical_curve(sd)) for sd in sds]
+    figures = [render_svg(germ, region=region) for region in svg.REGIONS]
     assert made == []
-    _, _, scale, facets, _ = out
-    sd = certificate._certify(lifting, *out)
-    pairs = {(num, n2 * scale) for _, _, (n0, n1, n2, level) in facets
-             for num in (-n0, -n1, level)}
-    assert len(made) == 3 * len(facets) and set(made) == pairs
-    assert len(sd.cells) == len(facets) == 860
+    assert all(r.ok for r in reports) and all(figures)
+    for (_, _, scale, facets, _), sd in zip(outs, sds):
+        facets = sorted(facets, key=lambda f: f[0])
+        assert [c.plane for c in sd.cells] == [
+            tuple(Fraction(num, n2 * scale) for num in (-n0, -n1, level))
+            for _, _, (n0, n1, n2, level) in facets]
+    assert len(sds[0].cells) == 860 and made
 
 
 def test_line_pick_equals_the_flat_scan_on_any_edge(monkeypatch):
@@ -734,7 +752,7 @@ def test_a_missed_landing_locates_no_cell(monkeypatch):
     assert sdd.used_fallback
     assert attempts == [(False, 0), (True, len(sdd.subdivision.cells))]
     assert hashlib.sha256(repr((sdd.subdivision, sdd.inside_cells)).encode()).hexdigest() \
-        == "c8aab1b94a94ea4b2a8c6bb425931dbf9cfc299872868b1553cb5bca095fc502"
+        == "79a3cbc6f33c75d624a5107c24ea9f0d475c1b51ef7b1ae1651cfbc494ce3013"
 
 
 # --- the domain and its boundary vertices --------------------------------------

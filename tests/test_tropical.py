@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,7 @@ from tropnewton.errors import (
     DegenerateHullError,
     NonRegularInputError,
     NotCellUnionError,
+    SchemaError,
 )
 from tropnewton.lattice import LatticePoint, convex_hull
 from tropnewton.newton import (
@@ -28,7 +30,6 @@ from tropnewton.corpus import SplitMix64, random_lifted_support, staircase_suppo
 from tropnewton.tropical import (
     _jump_direction,
     _ray_line,
-    _triple,
     count_bounded_regions,
     count_four_valent,
     dual_tropical_curve,
@@ -148,7 +149,10 @@ def test_tampered_quintic_curve_reports_each_violation():
     assert report(edges=edges[:20] + (inward,) + edges[21:]) == ((
         "edge 20: ray points into the polygon",
         "vertex 0: balancing sum (2, 0)"), (17, 6, 11))
-    moved = v0._replace(coords=(v0.coords[0] + Fraction(1, 3), v0.coords[1]))
+    # vertex 0 moved by (1/3, 0): its triple (X, Y, D) becomes (3X + D, 3Y, 3D)
+    x, y, d = v0.triple
+    moved = v0._replace(triple=(3 * x + d, 3 * y, 3 * d))
+    assert moved.coords == (v0.coords[0] + Fraction(1, 3), v0.coords[1])
     assert report(vertices=(moved,) + tc.vertices[1:]) == ((
         "edge 0: not orthogonal to dual edge",
         "vertex 0: balancing sum (-1, 2)",
@@ -167,7 +171,7 @@ def test_tampered_quintic_curve_reports_each_violation():
         "coincident rays share direction and line"), (17, 6, 11))
     # vertex 0 onto its neighbour across edge 0: that segment has no length,
     # and vertex 0's ray (-1, 0) now runs along vertex 1's
-    onto = v0._replace(coords=tc.vertices[1].coords)
+    onto = v0._replace(triple=tc.vertices[1].triple)
     assert report(vertices=(onto,) + tc.vertices[1:]) == ((
         "edge 0: zero length segment",
         "edge 6: not orthogonal to dual edge",
@@ -322,8 +326,17 @@ def test_restrict_rejects_region_cutting_cells():
             restrict(tc, region)
 
 
+def test_restrict_rejects_what_is_not_a_region():
+    # an empty tuple, a bare ring of points and None are no polygon the
+    # package built; each is the caller's mistake, named as one
+    nd, sdd, tc = curve_for(QUINTIC)
+    for region in ((), [(0, 0), (1, 0), (0, 1)], None):
+        with pytest.raises(SchemaError, match=r"nd\.gamma_minus, sd\.domain or a convex_hull"):
+            restrict(tc, region)
+
+
 def test_equal_adjacent_gradients_rejected():
-    flat = (Fraction(0), Fraction(0), Fraction(0))
+    flat = (0, 0, 0, 1)  # z = 0
     sq = [convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)]),
           convex_hull([(1, 0), (2, 0), (2, 1), (1, 1)])]
     cells = tuple(Cell(p, flat, tuple(p.vertices)) for p in sq)
@@ -336,7 +349,8 @@ def test_equal_adjacent_gradients_rejected():
         boundary_edges=(),
         vertices=(LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(2, 0),
                   LatticePoint(0, 1), LatticePoint(1, 1), LatticePoint(2, 1)))
-    with pytest.raises(NonRegularInputError):
+    with pytest.raises(NonRegularInputError, match=r"cells 0 and 1 share the gradient "
+                       r"\(Fraction\(0, 1\), Fraction\(0, 1\)\)"):
         dual_tropical_curve(sd)
 
 
@@ -405,21 +419,25 @@ def test_duality_on_random_liftings():
 
 def test_integer_directions_and_ray_lines_match_the_fraction_forms():
     """On the benchmark's liftings (span 20, up to 120 points), seeds 1-3:
-    segment jumps and ray line keys, taken from the vertices' integer
-    triples as ``verify_duality`` takes them, and ray directions against
-    the ``Fraction`` forms they replace."""
+    each vertex's integer triple against its cell's gradient, and segment
+    jumps, ray line keys and ray directions, taken from the triples as
+    ``verify_duality`` takes them, against the ``Fraction`` forms they
+    replace."""
     for seed in (1, 2, 3):
         rng = SplitMix64(seed)
         for _ in range(500):
             sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
             tc = dual_tropical_curve(sd)
+            for v in tc.vertices:
+                x, y, d = v.triple
+                assert d > 0 and gcd(x, y, d) == 1
+                assert (Fraction(x, d), Fraction(y, d)) == sd.cells[v.dual_cell].gradient
             for e in tc.segments():
+                t1, t2 = (tc.vertices[v].triple for v in e.endpoints)
                 g1, g2 = (tc.vertices[v].coords for v in e.endpoints)
-                x, y, d = _triple(g1)
-                assert d > 0 and (Fraction(x, d), Fraction(y, d)) == g1
-                assert _jump_direction(_triple(g1), _triple(g2)) == primitive_direction(
+                assert _jump_direction(t1, t2) == primitive_direction(
                     g2[0] - g1[0], g2[1] - g1[1])
-                assert _jump_direction(_triple(g1), _triple(g1)) == (0, 0)
+                assert _jump_direction(t1, t1) == (0, 0)
             n = len(sd.domain.vertices)
             avg = (Fraction(sum(v.i for v in sd.domain.vertices), n),
                    Fraction(sum(v.j for v in sd.domain.vertices), n))
@@ -431,9 +449,10 @@ def test_integer_directions_and_ray_lines_match_the_fraction_forms():
                     out = (-out[0], -out[1])
                 assert e.direction == out
                 dx, dy = out
-                ax, ay = tc.vertices[e.endpoints[0]].coords
+                anchor = tc.vertices[e.endpoints[0]]
+                ax, ay = anchor.coords
                 offset = dx * ay - dy * ax
-                assert _ray_line(dx, dy, _triple((ax, ay))) == (
+                assert _ray_line(dx, dy, anchor.triple) == (
                     dx, dy, offset.numerator, offset.denominator)
 
 
