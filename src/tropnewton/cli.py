@@ -77,10 +77,14 @@ def _cmd_emit_poly(ns) -> int:
 
 def _cmd_render(ns) -> int:
     layers = ns.subdivision or ns.curve
+    if ns.region and ns.subdivision and not ns.curve:
+        print("error: --region restricts the curve, which --subdivision alone "
+              "does not draw; add --curve or drop --region", file=sys.stderr)
+        return EXIT_PARSE
     svg = render_svg(_load_support(ns),
                      show_subdivision=ns.subdivision or not layers,
                      show_curve=ns.curve or not layers,
-                     region=ns.region)
+                     region=ns.region or "gamma-minus")
     with open(ns.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return EXIT_OK
@@ -153,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="draw the subdivision cells")
     p.add_argument("--curve", action="store_true", help="draw the dual curve")
     p.add_argument("--region", choices=REGIONS,
-                   default="gamma-minus",
-                   help="restrict the curve under the boundary or keep all of it")
+                   help="restrict the curve under the boundary (gamma-minus, the "
+                        "default) or keep all of it; needs the curve layer")
     p.add_argument("-o", "--output", required=True, metavar="FILE.svg")
     p.set_defaults(fn=_cmd_render)
 

@@ -80,10 +80,6 @@ class NotCoprimeError(TropnewtonError):
     """A (p, q) pair fed to the square counters is not coprime."""
 
 
-class BadSequenceError(TropnewtonError):
-    """A lifting increment sequence is too short or not strictly increasing."""
-
-
 # --- geometry --------------------------------------------------------------
 
 class DegenerateHullError(TropnewtonError):

@@ -62,6 +62,14 @@ def lattice_key(p, what: str = "point") -> LatticePoint:
     return LatticePoint(int(i), int(j))
 
 
+def lattice_keys(points, what: str = "point") -> set[LatticePoint]:
+    """The distinct ``lattice_key``s of ``points``, an iterable."""
+    try:
+        return {lattice_key(p, what) for p in points}
+    except TypeError:  # no iterable: lattice_key raises only SchemaErrors
+        raise SchemaError(f"{what}s must be an iterable, not {type(points).__name__}") from None
+
+
 def cross(o: Point, a: Point, b: Point) -> Coord:
     """Signed area x2 of triangle (o, a, b); positive if counterclockwise."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -196,7 +204,7 @@ Region = Union[ConvexPolygon, LatticePolygon]
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     """Convex hull by monotone chain.  Needs 3 non-collinear points; a
     point that is not a lattice point is a SchemaError."""
-    return convex_hull_of_sorted(sorted({lattice_key(p) for p in points}))
+    return convex_hull_of_sorted(sorted(lattice_keys(points)))
 
 
 def convex_hull_of_sorted(pts: Sequence[LatticePoint]) -> ConvexPolygon:

@@ -27,7 +27,7 @@ from .lattice import (
     LatticePoint,
     LatticePolygon,
     enumerate_lattice_points,
-    lattice_key,
+    lattice_keys,
     lattice_length,
     lower_chain,
     segment_lattice_points,
@@ -53,7 +53,7 @@ class NewtonDiagram:
         points = self.support
         if isinstance(points, SupportSet):
             points = points.points
-        pts = sorted({lattice_key(p, "support point") for p in points})
+        pts = sorted(lattice_keys(points, "support point"))
         for pt in pts:
             if pt.i < 0 or pt.j < 0:
                 raise SchemaError(f"support point {tuple(pt)} has a negative exponent")

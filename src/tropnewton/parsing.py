@@ -35,8 +35,9 @@ from .errors import (
     NegativeExponentError,
     ParseError,
     SchemaError,
+    require,
 )
-from .lattice import LatticePoint, lattice_key
+from .lattice import LatticePoint, lattice_key, lattice_keys
 
 
 @dataclass(frozen=True)
@@ -47,16 +48,20 @@ class SupportSet:
 
     def __post_init__(self):
         """Checked once, however the terms were built, and stored sorted
-        with LatticePoint keys: a non-lattice point or a coefficient not
-        an int c (kept as (c, 0)) or a pair of ints is a SchemaError, a
-        repeated point a DuplicateMonomialError, and no terms or a zero
-        coefficient an EmptySupportError."""
+        with LatticePoint keys: terms that are not (point, coefficient)
+        pairs, a non-lattice point or a coefficient not an int c (kept as
+        (c, 0)) or a pair of ints is a SchemaError, a repeated point a
+        DuplicateMonomialError, and no terms or a zero coefficient an
+        EmptySupportError."""
         coeffs: dict[LatticePoint, tuple[int, int]] = {}
-        for p, c in self.terms:
-            point = lattice_key(p, "support point")
-            if point in coeffs:
-                raise DuplicateMonomialError(f"monomial x^{point.i} y^{point.j} appears twice")
-            coeffs[point] = _gaussian(c, point)
+        try:
+            for p, c in self.terms:
+                point = lattice_key(p, "support point")
+                if point in coeffs:
+                    raise DuplicateMonomialError(f"monomial x^{point.i} y^{point.j} appears twice")
+                coeffs[point] = _gaussian(c, point)
+        except (TypeError, ValueError):  # the body raises only package errors
+            raise SchemaError("support terms must be (point, coefficient) pairs") from None
         if not coeffs or any(c == (0, 0) for c in coeffs.values()):
             raise EmptySupportError("support must be nonempty with nonzero coefficients")
         object.__setattr__(self, "terms", tuple(sorted(coeffs.items())))
@@ -64,11 +69,9 @@ class SupportSet:
     @classmethod
     def from_points(cls, points, coeffs: Mapping | None = None) -> "SupportSet":
         """Terms from points, coefficient one unless ``coeffs`` names it;
-        a point given twice keeps its last coefficient."""
-        seen = {}
-        for p in points:
-            seen[lattice_key(p, "support point")] = (coeffs or {}).get(tuple(p), (1, 0))
-        return cls(tuple(seen.items()))
+        a point given twice is kept once."""
+        return cls(tuple((p, (coeffs or {}).get(p, (1, 0)))
+                         for p in lattice_keys(points, "support point")))
 
     @property
     def points(self) -> tuple[LatticePoint, ...]:
@@ -92,22 +95,26 @@ class LiftedSupport:
     def __post_init__(self):
         """Checked once, however the entries were built, and stored sorted.
 
-        A key that is not a pair of integral numbers, or a height that is
-        not a rational number, is a SchemaError; a point named by two
-        entries is a DuplicateMonomialError.  Keys become LatticePoints
-        and heights Fractions, so the hull code can trust both; a height
-        that is a Fraction already is kept as it is.
+        Entries that are not (point, height) pairs, a key that is not a
+        pair of integral numbers, or a height that is not a rational
+        number, is a SchemaError; a point named by two entries is a
+        DuplicateMonomialError.  Keys become LatticePoints and heights
+        Fractions, so the hull code can trust both; a height that is a
+        Fraction already is kept as it is.
         """
         heights: dict[LatticePoint, Fraction] = {}
-        for p, v in self.entries:
-            point = lattice_key(p, "lifted support key")
-            if point in heights:
-                raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
-            try:
-                heights[point] = v if type(v) is Fraction else Fraction(v)
-            except (TypeError, ValueError, OverflowError):
-                raise SchemaError(f"height {v!r} of point {tuple(point)} "
-                                  "is not a rational number") from None
+        try:
+            for p, v in self.entries:
+                point = lattice_key(p, "lifted support key")
+                if point in heights:
+                    raise DuplicateMonomialError(f"monomial z^{point.i} w^{point.j} appears twice")
+                try:
+                    heights[point] = v if type(v) is Fraction else Fraction(v)
+                except (TypeError, ValueError, OverflowError):
+                    raise SchemaError(f"height {v!r} of point {tuple(point)} "
+                                      "is not a rational number") from None
+        except (TypeError, ValueError):  # the body raises only package errors
+            raise SchemaError("lifted support entries must be (point, height) pairs") from None
         if not heights:
             raise EmptySupportError("lifted support must be nonempty")
         object.__setattr__(self, "entries", tuple(sorted(heights.items())))
@@ -115,8 +122,13 @@ class LiftedSupport:
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "LiftedSupport":
         """Entries from a ``{(i, j): height}`` mapping; two keys that name
-        one point (distinct objects) are a DuplicateMonomialError."""
-        return cls(tuple(mapping.items()))
+        one point (distinct objects) are a DuplicateMonomialError, and
+        anything but a mapping a SchemaError."""
+        try:
+            entries = tuple(mapping.items())
+        except (AttributeError, TypeError):
+            raise SchemaError(f"a lifting must be a mapping, not {type(mapping).__name__}") from None
+        return cls(entries)
 
     @property
     def points(self) -> tuple[LatticePoint, ...]:
@@ -193,6 +205,7 @@ def _signed_terms(text: str, parse_term):
     """The term loop of both text routes: an optional leading sign, then
     terms joined by '+' or '-', each read by ``parse_term(sc, negative)``
     right after its sign; the terms come back in text order."""
+    require(isinstance(text, str), f"expression must be a str, not {type(text).__name__}")
     sc = _Scanner(text)
     if not sc.peek():
         sc.error("empty expression")

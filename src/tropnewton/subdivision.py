@@ -2,12 +2,13 @@
 
 For a diagram the goal is a subdivision whose cells inside the region
 under the boundary are exactly unit squares and half-square triangles.
-The default separable lifting nu(i,j) = A(i) + B(j) with strictly
-convex partial sums achieves this for straight boundaries and many bent
-ones; for the rest, the same lifting kinked along the rows and columns
-of the boundary corners does (see ``subdivide_diagram``).  Both are
-separable with strictly increasing increments, so their hull is built
-by ``_square_wrap``: most of it needs no search, and the rest only a
+One formula lifts the region, ``_kinked_lifting(nd, lam)``: a separable
+nu(i,j) = A(i) + B(j) whose increments strictly increase, kinked along
+the rows and columns of the boundary corners with weight lam.  At
+lam = 0 it is the default lifting i(i+1)/2 + j(j+1)/2, which lands for
+straight boundaries and many bent ones; for the rest lam = (p + q)^2
+does (see ``subdivide_diagram``).  So every hull here is built by
+``_square_wrap``: most of it needs no search, and the rest only a
 short one along lines, by three lemmas.
 
 Squares lemma.  Take a separable nu = A(i) + B(j) with A and B
@@ -49,22 +50,22 @@ tight.
 
 None of the lemmas is taken on trust: ``_certify`` proves these
 results as it proves the general wrap's, each square's fourth corner
-on its plane included, and ``_land`` checks that they are the special
-tiling.
+on its plane included, and ``_land`` checks that the cells tile the
+region, which makes them the special tiling (its docstring).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
-from typing import Sequence
+from itertools import accumulate, chain, groupby
 
 from .certificate import RegularSubdivision, _certify, classify_cells_by_region
-from .errors import BadSequenceError, RegularityCertificationError, require
+from .errors import RegularityCertificationError, require
 from .hull import _least_plane, _lifted, _rim_masks, _wrap_over
-from .lattice import LatticePoint, lattice_key
+from .lattice import LatticePoint
 from .newton import NewtonDiagram
 from .parsing import LiftedSupport
 
@@ -232,54 +233,32 @@ def _first_least(line: list, lo: int, hi: int, k: int, ax, ay, az, dx, dy, dz) -
 
 # --- liftings ---------------------------------------------------------------
 
-def separable_lifting(diagram_or_points, a: Sequence[int] | None = None,
-                      b: Sequence[int] | None = None) -> LiftedSupport:
-    """nu(i, j) = (a_0 + ... + a_i) + (b_0 + ... + b_j).
+def separable_lifting(nd: NewtonDiagram) -> LiftedSupport:
+    """The default lifting nu(i, j) = i(i+1)/2 + j(j+1)/2 of a diagram,
+    ``_kinked_lifting`` at lam = 0; anything but a ``NewtonDiagram`` is a
+    SchemaError."""
+    require(isinstance(nd, NewtonDiagram),
+            f"separable_lifting takes a NewtonDiagram, not {type(nd).__name__}")
+    return _kinked_lifting(nd, 0)
 
-    Strictly increasing increment sequences make the lifting strictly
-    convex along each axis, which is what forces every unit square whose
-    corners are all in the domain to appear as a cell.  Default
-    increments 0, 1, 2, ... give nu = i(i+1)/2 + j(j+1)/2.
+
+def _kinked_lifting(nd: NewtonDiagram, lam: int) -> LiftedSupport:
+    """nu(i, j) = (a_0 + ... + a_i) + (b_0 + ... + b_j) on every lattice
+    point under the boundary, with the increments of ``subdivide_diagram``;
+    for every lam >= 0 they strictly increase.  Equal heights share one
+    Fraction, so a kept lifting holds one object per distinct height
+    (x^n + y^(n+1) for n = 10, 20, 30, 40 has 1658 heights and 672 values).
     """
-    if isinstance(diagram_or_points, NewtonDiagram):
-        points = diagram_or_points.gamma_minus_lattice
-    else:
-        points = tuple(lattice_key(p) for p in diagram_or_points)
-        require(all(i >= 0 and j >= 0 for i, j in points),
-                "separable lifting points need nonnegative coordinates")
-    need_i = max((pt.i for pt in points), default=0)
-    need_j = max((pt.j for pt in points), default=0)
+    corners = nd.gamma_vertices[1:-1]
 
-    def prefix(seq, need, name):
-        if seq is None:
-            seq = range(need + 1)
-        try:
-            seq = [Fraction(v) for v in seq]
-        except (TypeError, ValueError, OverflowError):
-            raise BadSequenceError(f"{name} increments must be rational numbers") from None
-        if len(seq) < need + 1:
-            raise BadSequenceError(f"{name} needs at least {need + 1} increments")
-        for u, v in zip(seq, seq[1:]):
-            if v <= u:
-                raise BadSequenceError(f"{name} increments must strictly increase")
-        out = []
-        total = Fraction(0)
-        for v in seq[:need + 1]:
-            total += v
-            out.append(total)
-        return out
+    def sums(axis, need):
+        return list(accumulate(k + lam * sum(v[axis] < k for v in corners)
+                               for k in range(need + 1)))
 
-    sa = prefix(a, need_i, "a")
-    sb = prefix(b, need_j, "b")
-    # equal heights share one Fraction, so a kept lifting holds one object
-    # per distinct height (x^n + y^(n+1) for n = 10, 20, 30, 40 has 1658
-    # heights and 672 values)
-    shared: dict[Fraction, Fraction] = {}
-    heights = {}
-    for pt in points:
-        h = sa[pt.i] + sb[pt.j]
-        heights[pt] = shared.setdefault(h, h)
-    return LiftedSupport.from_mapping(heights)
+    sa, sb = sums(0, nd.p), sums(1, nd.q)
+    heights = {pt: sa[pt.i] + sb[pt.j] for pt in nd.gamma_minus_lattice}
+    shared = {h: Fraction(h) for h in set(heights.values())}
+    return LiftedSupport.from_mapping({pt: shared[h] for pt, h in heights.items()})
 
 
 # --- the special subdivision of a diagram -----------------------------------
@@ -296,25 +275,36 @@ class SubdividedDiagram:
         return self.subdivision.lifting
 
     def inside_kinds(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for cid in self.inside_cells:
-            k = self.subdivision.cells[cid].kind
-            out[k] = out.get(k, 0) + 1
-        return out
+        return dict(Counter(self.subdivision.cells[c].kind for c in self.inside_cells))
 
 
 def _land(nd: NewtonDiagram, lifting: LiftedSupport,
           used_fallback: bool) -> SubdividedDiagram | None:
-    """The subdivided diagram if the lifting, separable with strictly
-    increasing increments, lands on the special tiling: the cells under
-    the boundary tile the region exactly, and each is a unit square or
-    a half-square triangle.  ``classify_cells_by_region`` tests the
+    """The subdivided diagram if the lifting, a ``_kinked_lifting`` of
+    ``nd``, lands on the special tiling: the cells under the boundary
+    tile the region exactly (``clean``), and each is a unit square or a
+    half-square triangle.  ``classify_cells_by_region`` tests the
     boundary's unit steps against the skeleton before it locates any
     cell, so a lifting that misses one costs no point location.
 
+    Clean is enough.  Let R be the region: the support is every lattice
+    point of R, and nu = A(i) + B(j) with strictly increasing increments
+    a_k and b_k.  Each lattice point (i, j) of R has a strict supporting
+    plane, a line under A at i with slope strictly between a_i and
+    a_(i+1) plus the like line under B at j, so it is a corner of every
+    cell that holds it.  An inside cell of a clean tiling lies in R, so
+    it is an empty lattice polygon: a unimodular triangle
+    (``half_triangle``) or a parallelogram p, p + u, p + u + v, p + v of
+    area 1 (De Loera, Rambau, Santos, Triangulations, 2010).  A cell is
+    flat, so its fold defect nu(p) + nu(p+u+v) - nu(p+u) - nu(p+v) is 0:
+    an A term with the sign of u1*v1 (a strictly convex function's
+    second mixed difference has the sign of the product of its steps)
+    plus a B term with the sign of u2*v2.  Opposite signs, say
+    u1*v1 > 0 > u2*v2, would give |det(u, v)| = |u1*v2| + |u2*v1| >= 2;
+    so both are 0, and the parallelogram is the unit square.
+
     The staircase decomposition's counts (``decompose_diagram``) then
-    hold for the inside cells with no test.  Let R be the region; the
-    support is every lattice point of R.  The inside squares are the
+    hold for the inside cells with no test.  The inside squares are the
     unit squares in R: a unit square in R has its four corners in the
     support, so it is a cell by the squares lemma (module docstring),
     and inside; an inside cell lies in R, since the cells tile it.  A
@@ -332,24 +322,22 @@ def _land(nd: NewtonDiagram, lifting: LiftedSupport,
     """
     sd = _certify(lifting, *_square_wrap(lifting))
     inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
-    result = SubdividedDiagram(nd, sd, inside, used_fallback)
-    if clean and set(result.inside_kinds()) <= {"square", "half_triangle"}:
-        return result
-    return None
+    return SubdividedDiagram(nd, sd, inside, used_fallback) if clean else None
 
 
 def subdivide_diagram(nd: NewtonDiagram) -> SubdividedDiagram:
     """Special subdivision of the region under the Newton boundary.
 
-    Tries the default separable lifting first.  If its restriction to
-    the region is not the special tiling, tries the separable lifting
-    kinked at the boundary corners, with increments
+    Tries the kinked lifting ``_kinked_lifting(nd, lam)``, with
+    increments
 
         a_k = k + lam * #{interior corners v : v.i < k}
-        b_k = k + lam * #{interior corners v : v.j < k},  lam = (p + q)^2,
+        b_k = k + lam * #{interior corners v : v.j < k},
 
-    and ``used_fallback`` is set.  Why the kink lands: its heights are
-    lam * K + s, with s the default lifting and
+    at lam = 0 first, the default lifting i(i+1)/2 + j(j+1)/2.  If its
+    restriction to the region is not the special tiling, it tries
+    lam = (p + q)^2, and ``used_fallback`` is set.  Why the kink lands:
+    its heights are lam * K + s, with s the default lifting and
 
         K(i, j) = sum over interior corners v of relu(i - v.i) + relu(j - v.j).
 
@@ -373,26 +361,15 @@ def subdivide_diagram(nd: NewtonDiagram) -> SubdividedDiagram:
     ``_land`` builds each hull with ``_square_wrap``: the full unit
     squares by the squares lemma, the gift-wrap only over the pocket
     (module docstring), and one ``_certify`` proof of the whole result.
-    ``_land`` then checks that the result is the special tiling; a miss
-    of the kinked lifting raises RegularityCertificationError rather
-    than passing silently.
+    ``_land`` then checks that the result tiles the region, which makes
+    it the special tiling; a miss at lam = (p + q)^2 raises
+    RegularityCertificationError rather than passing silently.
     """
-    result = _land(nd, separable_lifting(nd), False)
-    if result is not None:
-        return result
     lam = (nd.p + nd.q) ** 2
-    result = _land(nd, _kinked_lifting(nd, lam), True)
-    if result is None:
-        raise RegularityCertificationError(
-            "kinked separable lifting missed the special tiling",
-            {"chain": [tuple(v) for v in nd.gamma_vertices], "lam": lam})
-    return result
-
-
-def _kinked_lifting(nd: NewtonDiagram, lam: int) -> LiftedSupport:
-    """The separable lifting kinked at the boundary's interior corners,
-    with weight lam (see ``subdivide_diagram``)."""
-    corners = nd.gamma_vertices[1:-1]
-    a = [k + lam * sum(1 for v in corners if v.i < k) for k in range(nd.p + 1)]
-    b = [k + lam * sum(1 for v in corners if v.j < k) for k in range(nd.q + 1)]
-    return separable_lifting(nd, a, b)
+    for k in (0, lam):
+        result = _land(nd, _kinked_lifting(nd, k), k > 0)
+        if result is not None:
+            return result
+    raise RegularityCertificationError(
+        "kinked separable lifting missed the special tiling",
+        {"chain": [tuple(v) for v in nd.gamma_vertices], "lam": lam})

@@ -287,6 +287,23 @@ def test_render_rejects_an_unknown_region():
         render_svg(quintic, region="gama-minus")
 
 
+def test_render_region_needs_the_curve_layer(tmp_path, capsys):
+    # --region restricts the curve, so with --subdivision alone it would
+    # be ignored: exit 2, naming the conflict, and no figure written
+    target = tmp_path / "fig.svg"
+    for region in ("gamma-minus", "full"):
+        code, out, err = run(capsys, "render", QUINTIC, "--subdivision", "--region", region,
+                             "-o", str(target))
+        assert (code, out) == (2, "") and "--region" in err and "--subdivision" in err
+        assert not target.exists()
+    quintic = parse_germ(QUINTIC).points
+    assert run(capsys, "render", QUINTIC, "--subdivision", "-o", str(target))[0] == 0
+    assert target.read_text() == render_svg(quintic, show_curve=False)
+    for layers, cells in ((["--curve"], False), (["--curve", "--subdivision"], True), ([], True)):
+        assert run(capsys, "render", QUINTIC, *layers, "--region", "full", "-o", str(target))[0] == 0
+        assert target.read_text() == render_svg(quintic, show_subdivision=cells, region="full")
+
+
 def test_svg_is_deterministic_and_clips_rays():
     cusp = parse_germ("x^2+y^3").points
     a = render_svg(cusp)
@@ -554,11 +571,18 @@ def _ring(rng) -> list:
     return ring
 
 
+def _shapeless(rng, ring):
+    """An argument of the wrong shape: no iterable, no entries, an entry
+    of one coordinate, or None as an entry, alone or after the ring's."""
+    return _pick(rng, [None, 5, [], [(1,)], [None], ring + [None]])
+
+
 def _library_call(rng, quintic_curve):
     """One library call over small malformed arguments: (function, args)."""
     ring, draws = _ring(rng), SplitMix64(rng.below(99))
     bounds = [_bound(rng) for _ in range(3)]
-    seqs = [None, [0, 1, 2, 3, 4, 5], [1, 1, 2, 3, 4, 5], [_junk(rng) for _ in range(6)]]
+    shapeless = _shapeless(rng, ring)
+    points = ring if rng.below(3) else shapeless
 
     def restrict_to(ring):
         return restrict(quintic_curve, convex_hull(ring))
@@ -571,17 +595,19 @@ def _library_call(rng, quintic_curve):
                              _junk(rng)])) for p in ring]
 
     return _pick(rng, [
-        (convex_hull, ring),
+        (convex_hull, points),
         (segment_lattice_points, *(ring + [(_junk(rng), _junk(rng))] * 2)[:2]),
         (SplitMix64, bounds[0]), (run_corpus, *bounds[:2], 4, 4),
         (draws.below, bounds[0]), (draws.between, *bounds[:2]), (draws.sample, *bounds),
         (_pick(rng, [triangle_square_count, crossed_square_count]), *bounds[:2]),
         (staircase_support, draws, *bounds[:2]),
         (random_lifted_support, draws, *bounds[:2]),
-        (LiftedSupport.from_mapping, {p: _junk(rng) for p in ring}),
-        (separable_lifting, ring, _pick(rng, seqs), _pick(rng, seqs)),
-        (lower_hull_subdivision, {p: _pick(rng, [0, 1, 2, _junk(rng)]) for p in ring}),
-        (NewtonDiagram, ring), (analyze, ring),
+        (LiftedSupport.from_mapping, _pick(rng, [{p: _junk(rng) for p in ring}, shapeless])),
+        (LiftedSupport, shapeless), (SupportSet, shapeless), (SupportSet.from_points, points),
+        (separable_lifting, points),
+        (lower_hull_subdivision, _pick(rng, [{p: _pick(rng, [0, 1, 2, _junk(rng)]) for p in ring},
+                                            shapeless])),
+        (NewtonDiagram, points), (analyze, points), (render_svg, points), (parse_germ, shapeless),
         (restrict_to, ring),
         (serialize, _pick(rng, [serialize_json, germ_text]), terms),
     ])
