@@ -9,6 +9,8 @@ corners and re-verifies the hull.
 Run:  python3 demos/02_subdivision_and_polynomial.py
 """
 
+from collections import Counter
+
 from tropnewton import (
     analyze_support,
     build_patchwork,
@@ -23,7 +25,8 @@ for label, pts in [("cusp x^2+y^3", [(2, 0), (0, 3)]),
     print(f"{label}:")
     print(f"  cells: {len(sdd.subdivision.cells)} total, "
           f"{len(sdd.inside_cells)} under the boundary")
-    print(f"  kinds under the boundary: {sdd.inside_kinds()}")
+    kinds = Counter(sdd.subdivision.cells[c].kind for c in sdd.inside_cells)
+    print(f"  kinds under the boundary: {dict(kinds)}")
     print(f"  default lifting sufficed: {not sdd.used_fallback}")
 
     text = emit_polynomial_text(build_patchwork(nd, sdd))

@@ -24,9 +24,10 @@ nd = analyze_support([(5, 0), (2, 2), (0, 5)])
 sdd = subdivide_diagram(nd)
 tc = dual_tropical_curve(sdd.subdivision)
 
-print(f"curve: {len(tc.vertices)} vertices, {len(tc.segments())} segments, "
-      f"{len(tc.rays())} rays")
-for e in tc.rays():
+rays = [e for e in tc.edges if e.kind == "ray"]
+print(f"curve: {len(tc.vertices)} vertices, {len(tc.edges) - len(rays)} segments, "
+      f"{len(rays)} rays")
+for e in rays:
     if e.weight > 1:
         a = tc.vertices[e.endpoints[0]].coords
         print(f"  heavy ray: weight {e.weight}, direction {e.direction}, "

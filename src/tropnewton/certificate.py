@@ -81,12 +81,12 @@ class RegularSubdivision:
     vertices: tuple[LatticePoint, ...]
 
     def boundary_vertex_count(self) -> int:
-        """Vertices that ``ConvexPolygon.locate`` puts on the domain's
-        boundary: those on no domain edge's outer side and on the line of
-        at least one.  Each edge ab is read once into the integer line
-        p*i + q*j + r, the cross product (b - a) x (v - a), which is
-        negative exactly when v is outside the edge; a vertex outside
-        the domain on an edge's line is therefore not counted."""
+        """Vertices that ``locate`` puts on the domain's boundary: on the
+        convex domain, those on no domain edge's outer side and on the
+        line of at least one.  Each edge ab is read once into the
+        integer line p*i + q*j + r, the cross product (b - a) x (v - a),
+        which is negative exactly when v is outside the edge; a vertex
+        outside the domain on an edge's line is therefore not counted."""
         lines = [(aj - bj, bi - ai, ai * bj - aj * bi)
                  for (ai, aj), (bi, bj) in self.domain.edges()]
         return sum(min([p * i + q * j + r for p, q, r in lines]) == 0

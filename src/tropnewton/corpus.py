@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateHullError, SchemaError, require
+from .errors import DegenerateHullError, SchemaError, require, require_instance
 from .lattice import LatticePoint, convex_hull
 from .parsing import LiftedSupport
 from .patchwork import AnalysisReport, analyze
@@ -69,6 +69,8 @@ def staircase_support(rng: SplitMix64, pmax: int = 12,
                       qmax: int = 12) -> tuple[LatticePoint, ...]:
     """Random convenient support: axis points plus a strictly monotone
     chain of inner points, none at (0,0), (1,0), (0,1)."""
+    require_instance(rng, SplitMix64, "staircase_support")
+    require(isinstance(pmax, int) and isinstance(qmax, int), "intercept bounds must be ints")
     require(pmax >= 2 and qmax >= 2, "intercept bounds must be at least 2")
     p = rng.between(2, pmax)
     q = rng.between(2, qmax)
@@ -86,6 +88,9 @@ def random_lifted_support(rng: SplitMix64, span: int = 6,
     nothing ties the heights to any staircase structure.  The support
     holds 4 to ``max_points`` distinct points of the ``span`` x ``span``
     grid, so ``max_points`` past ``span * span`` is refused."""
+    require_instance(rng, SplitMix64, "random_lifted_support")
+    require(isinstance(span, int) and isinstance(max_points, int),
+            "span and max_points must be ints")
     require(4 <= max_points <= span * span, "max_points must be between 4 and span * span")
     while True:
         n = rng.between(4, max_points)

@@ -134,3 +134,10 @@ def require(condition: bool, message: str) -> None:
     """Raise SchemaError unless the caller's argument meets ``condition``."""
     if not condition:
         raise SchemaError(message)
+
+
+def require_instance(value, cls: type, caller: str) -> None:
+    """Raise SchemaError unless ``value`` is a ``cls``, the package object
+    that ``caller`` takes: "caller takes a cls, not <type>"."""
+    require(isinstance(value, cls),
+            f"{caller} takes a {cls.__name__}, not {type(value).__name__}")

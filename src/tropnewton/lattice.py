@@ -22,7 +22,9 @@ caller builds a polygon with ``convex_hull``, which raises SchemaError
 for a point that is not a lattice point (``lattice_key``, the one
 conversion of a caller's point).  ``lower_chain`` is the package's one
 monotone chain: each hull half, the Newton boundary, the wrap's first
-edge.  ``_located`` is its one scan of a region's bounding box.
+edge.  ``_Polygon.locate``, an exact crossing count, is its one point
+location, for convex and non-convex polygons alike, and ``_located``
+its one scan of a region's bounding box.
 """
 
 from __future__ import annotations
@@ -150,39 +152,9 @@ class _Polygon:
         ys = [v.j for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
-
-class ConvexPolygon(_Polygon):
-    """Strictly convex lattice polygon, counterclockwise, canonical start."""
-
-    __slots__ = ()
-
     def locate(self, p: Point) -> str:
-        """'inside', 'boundary' or 'outside', decided exactly."""
-        x, y = p[0], p[1]
-        on_edge = False
-        for (ax, ay), (bx, by) in self.edges():
-            c = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
-            if c < 0:
-                return "outside"
-            if c == 0:
-                on_edge = True
-        return "boundary" if on_edge else "inside"
-
-    def interior_point(self) -> tuple[Fraction, Fraction]:
-        """The vertex average; lies strictly inside by convexity."""
-        n = len(self.vertices)
-        return (Fraction(sum(v.i for v in self.vertices), n),
-                Fraction(sum(v.j for v in self.vertices), n))
-
-
-class LatticePolygon(_Polygon):
-    """Simple closed lattice polygon, possibly non-convex, ccw.  A vertex
-    between its neighbours on a straight run is kept as given."""
-
-    __slots__ = ()
-
-    def locate(self, p: Point) -> str:
-        """'inside', 'boundary' or 'outside' by exact crossing count."""
+        """'inside', 'boundary' or 'outside' by exact crossing count, the
+        one point location of every polygon, convex or not."""
         x, y = Fraction(p[0]), Fraction(p[1])
         for a, b in self.edges():
             if on_segment((x, y), a, b):
@@ -198,7 +170,23 @@ class LatticePolygon(_Polygon):
         return "inside" if crossings % 2 == 1 else "outside"
 
 
-Region = Union[ConvexPolygon, LatticePolygon]
+class ConvexPolygon(_Polygon):
+    """Strictly convex lattice polygon, counterclockwise, canonical start."""
+
+    __slots__ = ()
+
+    def interior_point(self) -> tuple[Fraction, Fraction]:
+        """The vertex average; lies strictly inside by convexity."""
+        n = len(self.vertices)
+        return (Fraction(sum(v.i for v in self.vertices), n),
+                Fraction(sum(v.j for v in self.vertices), n))
+
+
+class LatticePolygon(_Polygon):
+    """Simple closed lattice polygon, possibly non-convex, ccw.  A vertex
+    between its neighbours on a straight run is kept as given."""
+
+    __slots__ = ()
 
 
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
@@ -263,7 +251,7 @@ def lower_chain(points: Sequence[Point]) -> list:
     return chain
 
 
-def _located(region: Region) -> Iterator[tuple[int, int, str]]:
+def _located(region: _Polygon) -> Iterator[tuple[int, int, str]]:
     """Each lattice point (i, j) of the region's bbox, column by column,
     with its exact location."""
     x0, y0, x1, y1 = region.bbox()
@@ -272,7 +260,7 @@ def _located(region: Region) -> Iterator[tuple[int, int, str]]:
             yield i, j, region.locate((i, j))
 
 
-def enumerate_lattice_points(region: Region) -> list[LatticePoint]:
+def enumerate_lattice_points(region: _Polygon) -> list[LatticePoint]:
     """Lattice points of a region, boundary included, by exact point
     location over its bbox.
 

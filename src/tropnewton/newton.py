@@ -22,6 +22,7 @@ from .errors import (
     SchemaError,
     check,
     require,
+    require_instance,
 )
 from .lattice import (
     LatticePoint,
@@ -142,6 +143,7 @@ def decompose_diagram(nd: NewtonDiagram) -> StaircaseDecomposition:
     for the boundary's lattice points g, the union of the rectangles
     [g[k-1].i, g[k].i] x [0, g[k].j] over the inner points g[k].  Their
     x-ranges only meet at their ends, so its area is their sum."""
+    require_instance(nd, NewtonDiagram, "decompose_diagram")
     g = nd.gamma_lattice
     triangles = []
     tri_squares2 = 0
@@ -155,6 +157,7 @@ def decompose_diagram(nd: NewtonDiagram) -> StaircaseDecomposition:
 
 def milnor_number(nd: NewtonDiagram) -> int:
     """Count for a boundary-generic germ, computed two independent ways."""
+    require_instance(nd, NewtonDiagram, "milnor_number")
     via_area = nd.gamma_minus.area2 - (nd.p + nd.q) + 1
     dec = decompose_diagram(nd)
     hypotenuse = sum(pi * qi for pi, qi in nd.primitive_steps)
@@ -164,6 +167,9 @@ def milnor_number(nd: NewtonDiagram) -> int:
 
 
 def delta_invariant(mu: int, branches: int) -> int:
+    require(isinstance(mu, int) and isinstance(branches, int),
+            f"delta_invariant takes two ints, not {type(mu).__name__} "
+            f"and {type(branches).__name__}")
     total = mu + branches - 1
     if total % 2 != 0:
         raise ParityViolationError(

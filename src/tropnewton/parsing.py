@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     SchemaError,
     require,
+    require_instance,
 )
 from .lattice import LatticePoint, lattice_key, lattice_keys
 
@@ -67,11 +68,10 @@ class SupportSet:
         object.__setattr__(self, "terms", tuple(sorted(coeffs.items())))
 
     @classmethod
-    def from_points(cls, points, coeffs: Mapping | None = None) -> "SupportSet":
-        """Terms from points, coefficient one unless ``coeffs`` names it;
-        a point given twice is kept once."""
-        return cls(tuple((p, (coeffs or {}).get(p, (1, 0)))
-                         for p in lattice_keys(points, "support point")))
+    def from_points(cls, points) -> "SupportSet":
+        """Terms from points, each with coefficient one; a point given
+        twice is kept once."""
+        return cls(tuple((p, (1, 0)) for p in lattice_keys(points, "support point")))
 
     @property
     def points(self) -> tuple[LatticePoint, ...]:
@@ -410,7 +410,9 @@ def load_json(path) -> SupportSet:
 
 def serialize_json(support: SupportSet) -> str:
     """Canonical JSON text; parse_json_obj inverts it exactly.  The
-    schema has no complex coefficient, so one is a SchemaError."""
+    schema has no complex coefficient, so one is a SchemaError, as is
+    anything but a ``SupportSet``."""
+    require_instance(support, SupportSet, "serialize_json")
     monomials = []
     for p, (re, im) in support.terms:
         if im != 0:
@@ -435,7 +437,8 @@ def germ_text(support: SupportSet) -> str:
     """Canonical germ string; parse_germ inverts it on its output.  A
     coefficient with both parts nonzero is written as two terms of its
     monomial, the real one first, as in ``2x^2+3ix^2``; parse_germ sums
-    them back."""
+    them back.  Anything but a ``SupportSet`` is a SchemaError."""
+    require_instance(support, SupportSet, "germ_text")
     parts = []
     for p, (re, im) in sorted(support.terms, key=lambda t: (t[0].i + t[0].j, -t[0].i)):
         mono = []

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import require
+from .errors import require, require_instance
 from .lattice import LatticePoint
 from .newton import NewtonDiagram, analyze_support, delta_invariant, milnor_number
 from .parsing import LiftedSupport
@@ -31,7 +31,9 @@ def build_patchwork(nd: NewtonDiagram,
                     subdivided: SubdividedDiagram | None = None) -> LiftedSupport:
     """The certified lifting of every lattice point under the boundary:
     F(z, w) = sum of t^{nu(i, j)} z^i w^j over its points."""
+    require_instance(nd, NewtonDiagram, "build_patchwork")
     sdd = subdivided if subdivided is not None else subdivide_diagram(nd)
+    require_instance(sdd, SubdividedDiagram, "build_patchwork")
     # cannot fail for our own subdivision; guards a passed-in one of another diagram
     require(sdd.lifting.points == nd.gamma_minus_lattice,
             "lifting points differ from the lattice points under the boundary")
@@ -46,6 +48,7 @@ def _monomial_text(pt: LatticePoint) -> str:
 
 def emit_polynomial_text(lifting: LiftedSupport) -> str:
     """Canonical text form: ascending total degree, ties by descending i."""
+    require_instance(lifting, LiftedSupport, "emit_polynomial_text")
     parts = []
     for pt, k in sorted(lifting.entries, key=lambda e: (e[0].i + e[0].j, -e[0].i)):
         t = "" if k == 0 else ("t" if k == 1 else f"t^{k}")

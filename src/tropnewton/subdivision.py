@@ -57,13 +57,12 @@ region, which makes them the special tiling (its docstring).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, groupby
 
 from .certificate import RegularSubdivision, _certify, classify_cells_by_region
-from .errors import RegularityCertificationError, require
+from .errors import RegularityCertificationError, require_instance
 from .hull import _least_plane, _lifted, _rim_masks, _wrap_over
 from .lattice import LatticePoint
 from .newton import NewtonDiagram
@@ -237,8 +236,7 @@ def separable_lifting(nd: NewtonDiagram) -> LiftedSupport:
     """The default lifting nu(i, j) = i(i+1)/2 + j(j+1)/2 of a diagram,
     ``_kinked_lifting`` at lam = 0; anything but a ``NewtonDiagram`` is a
     SchemaError."""
-    require(isinstance(nd, NewtonDiagram),
-            f"separable_lifting takes a NewtonDiagram, not {type(nd).__name__}")
+    require_instance(nd, NewtonDiagram, "separable_lifting")
     return _kinked_lifting(nd, 0)
 
 
@@ -265,7 +263,6 @@ def _kinked_lifting(nd: NewtonDiagram, lam: int) -> LiftedSupport:
 
 @dataclass(frozen=True)
 class SubdividedDiagram:
-    diagram: NewtonDiagram
     subdivision: RegularSubdivision
     inside_cells: tuple[int, ...]
     used_fallback: bool
@@ -273,9 +270,6 @@ class SubdividedDiagram:
     @property
     def lifting(self) -> LiftedSupport:
         return self.subdivision.lifting
-
-    def inside_kinds(self) -> dict[str, int]:
-        return dict(Counter(self.subdivision.cells[c].kind for c in self.inside_cells))
 
 
 def _land(nd: NewtonDiagram, lifting: LiftedSupport,
@@ -322,7 +316,7 @@ def _land(nd: NewtonDiagram, lifting: LiftedSupport,
     """
     sd = _certify(lifting, *_square_wrap(lifting))
     inside, clean = classify_cells_by_region(sd, nd.gamma_minus)
-    return SubdividedDiagram(nd, sd, inside, used_fallback) if clean else None
+    return SubdividedDiagram(sd, inside, used_fallback) if clean else None
 
 
 def subdivide_diagram(nd: NewtonDiagram) -> SubdividedDiagram:
@@ -363,8 +357,10 @@ def subdivide_diagram(nd: NewtonDiagram) -> SubdividedDiagram:
     (module docstring), and one ``_certify`` proof of the whole result.
     ``_land`` then checks that the result tiles the region, which makes
     it the special tiling; a miss at lam = (p + q)^2 raises
-    RegularityCertificationError rather than passing silently.
+    RegularityCertificationError rather than passing silently.  Anything
+    but a ``NewtonDiagram`` is a SchemaError.
     """
+    require_instance(nd, NewtonDiagram, "subdivide_diagram")
     lam = (nd.p + nd.q) ** 2
     for k in (0, lam):
         result = _land(nd, _kinked_lifting(nd, k), k > 0)

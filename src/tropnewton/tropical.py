@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import NonRegularInputError, NotCellUnionError
+from .errors import NonRegularInputError, NotCellUnionError, require_instance
 from .certificate import RegularSubdivision, SubdivisionEdge, classify_cells_by_region
 
 Coords = tuple[Fraction, Fraction]
@@ -62,12 +62,6 @@ class TropicalCurve:
     vertices: tuple[TropicalVertex, ...]
     edges: tuple[TropicalEdge, ...]
 
-    def segments(self) -> tuple[TropicalEdge, ...]:
-        return tuple(e for e in self.edges if e.kind == "segment")
-
-    def rays(self) -> tuple[TropicalEdge, ...]:
-        return tuple(e for e in self.edges if e.kind == "ray")
-
 
 def _vertex_sums(polygon) -> tuple[int, int, int]:
     sx = sy = 0
@@ -98,6 +92,7 @@ def dual_tropical_curve(sd: RegularSubdivision) -> TropicalCurve:
     lifting does not fold there; that input is rejected.  Each vertex's
     triple is its cell's (a, b, d) from ``Cell.normal`` over gcd(a, b, d).
     """
+    require_instance(sd, RegularSubdivision, "dual_tropical_curve")
     cells = sd.cells
     vertices = []
     for cid, cell in enumerate(cells):
@@ -200,6 +195,7 @@ def verify_duality(tc: TropicalCurve) -> DualityReport:
     never raised: the point of the report is to certify theorem
     statements on a given curve.
     """
+    require_instance(tc, TropicalCurve, "verify_duality")
     sd = tc.subdivision
     n = len(tc.vertices)
     germs = [0] * n
@@ -295,8 +291,10 @@ def restrict(tc: TropicalCurve, region) -> TropicalSubCurve:
     Segments with both dual cells in the region stay whole; a segment
     leaving the region is cut at its exact midpoint; rays anchored at a
     kept vertex stay.  Anything else given as the region is a
-    SchemaError, from ``classify_cells_by_region``.
+    SchemaError, from ``classify_cells_by_region``, as is a curve that
+    is not a ``TropicalCurve``.
     """
+    require_instance(tc, TropicalCurve, "restrict")
     inside, clean = classify_cells_by_region(tc.subdivision, region)
     if not clean:
         raise NotCellUnionError("region is not a union of subdivision cells")
@@ -339,12 +337,14 @@ def _sub_curve(tc: TropicalCurve, inside: tuple[int, ...]) -> TropicalSubCurve:
 
 def count_four_valent(sc: TropicalSubCurve) -> int:
     """Kept vertices whose dual cell has four sides."""
+    require_instance(sc, TropicalSubCurve, "count_four_valent")
     return sum(1 for v in sc.vprime if sc.curve.vertices[v].valence == 4)
 
 
 def count_bounded_regions(sc: TropicalSubCurve) -> int:
     """Cycle rank of the kept graph; dangling half-edges and rays bound
     nothing."""
+    require_instance(sc, TropicalSubCurve, "count_bounded_regions")
     ids = {v: k for k, v in enumerate(sc.vprime)}
     links = [(ids[sc.curve.edges[e].endpoints[0]],
               ids[sc.curve.edges[e].endpoints[1]]) for e in sc.full_segments]

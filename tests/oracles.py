@@ -153,6 +153,20 @@ def lattice_polygon(ring) -> LatticePolygon:
     return LatticePolygon._trusted(verts[k:] + verts[:k])
 
 
+def locate_by_half_planes(polygon, p) -> str:
+    """'inside', 'boundary' or 'outside' for a convex polygon, from the
+    side of each edge's line that ``p`` lies on; the reference for
+    ``locate`` on convex regions."""
+    x, y = p
+    on_edge = False
+    for (ax, ay), (bx, by) in polygon.edges():
+        c = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        if c < 0:
+            return "outside"
+        on_edge |= c == 0
+    return "boundary" if on_edge else "inside"
+
+
 def pick_interior_boundary(region) -> tuple[int, int]:
     """(interior, boundary) lattice point counts by direct enumeration;
     the reference for Pick's count, ``interior_lattice_count``."""

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -13,14 +14,22 @@ from tropnewton import (
     NewtonDiagram,
     analyze,
     analyze_support,
+    build_patchwork,
     cli,
+    count_bounded_regions,
+    count_four_valent,
+    decompose_diagram,
+    delta_invariant,
     dual_tropical_curve,
+    emit_polynomial_text,
     lower_hull_subdivision,
+    milnor_number,
     patchwork,
     restrict,
     separable_lifting,
     staircase_support,
     subdivide_diagram,
+    verify_duality,
 )
 from tropnewton.cli import _build_parser, main
 from tropnewton.corpus import SplitMix64, random_lifted_support, run_corpus
@@ -594,6 +603,12 @@ def _library_call(rng, quintic_curve):
     terms = [(p, _pick(rng, [(rng.between(-2, 2), rng.between(-2, 2)), rng.between(-2, 2),
                              _junk(rng)])) for p in ring]
 
+    # a number that is not an int, for either argument of delta_invariant;
+    # two ints of odd sum are a ParityViolationError, a defect's error
+    counts = [rng.below(3), _pick(rng, [None, "x", 2.0, Fraction(5, 2)])]
+    if rng.below(2):
+        counts.reverse()
+
     return _pick(rng, [
         (convex_hull, points),
         (segment_lattice_points, *(ring + [(_junk(rng), _junk(rng))] * 2)[:2]),
@@ -610,6 +625,15 @@ def _library_call(rng, quintic_curve):
         (NewtonDiagram, points), (analyze, points), (render_svg, points), (parse_germ, shapeless),
         (restrict_to, ring),
         (serialize, _pick(rng, [serialize_json, germ_text]), terms),
+        # the stages that take the package's own objects, given something else
+        (_pick(rng, [subdivide_diagram, milnor_number, decompose_diagram, dual_tropical_curve,
+                     verify_duality, count_four_valent, count_bounded_regions,
+                     emit_polynomial_text, serialize_json, germ_text, staircase_support,
+                     random_lifted_support]), shapeless),
+        (restrict, shapeless, quintic_curve.subdivision.domain),
+        (build_patchwork, shapeless, _pick(rng, [None, shapeless])),
+        (delta_invariant, *counts),
+        (run_corpus, 1, 1, _junk(rng), 4),
     ])
 
 
@@ -630,6 +654,36 @@ def test_library_fuzz_ends_in_a_package_error():
             defect = isinstance(exc, (InternalCheckError, ParityViolationError))
             if defect or not isinstance(exc, TropnewtonError):
                 pytest.fail(f"{fn.__qualname__}{tuple(args)!r} raised {exc!r}")
+
+
+_QUINTIC_DIAGRAM = analyze_support(parse_germ(QUINTIC))
+_WRONG_OBJECTS = [
+    (subdivide_diagram, (None,), "subdivide_diagram takes a NewtonDiagram, not NoneType"),
+    (dual_tropical_curve, (None,), "dual_tropical_curve takes a RegularSubdivision, not NoneType"),
+    (verify_duality, (None,), "verify_duality takes a TropicalCurve, not NoneType"),
+    (count_four_valent, (None,), "count_four_valent takes a TropicalSubCurve, not NoneType"),
+    (count_bounded_regions, (None,), "count_bounded_regions takes a TropicalSubCurve, not NoneType"),
+    (restrict, (None, _QUINTIC_DIAGRAM.gamma_minus), "restrict takes a TropicalCurve, not NoneType"),
+    (build_patchwork, (None, None), "build_patchwork takes a NewtonDiagram, not NoneType"),
+    (build_patchwork, (_QUINTIC_DIAGRAM, 5), "build_patchwork takes a SubdividedDiagram, not int"),
+    (emit_polynomial_text, (None,), "emit_polynomial_text takes a LiftedSupport, not NoneType"),
+    (serialize_json, (None,), "serialize_json takes a SupportSet, not NoneType"),
+    (germ_text, (None,), "germ_text takes a SupportSet, not NoneType"),
+    (staircase_support, (None,), "staircase_support takes a SplitMix64, not NoneType"),
+    (random_lifted_support, (None,), "random_lifted_support takes a SplitMix64, not NoneType"),
+    (milnor_number, (None,), "milnor_number takes a NewtonDiagram, not NoneType"),
+    (decompose_diagram, (None,), "decompose_diagram takes a NewtonDiagram, not NoneType"),
+    (delta_invariant, (None, 1), "delta_invariant takes two ints, not NoneType and int"),
+    (run_corpus, (1, 1, None), "intercept bounds must be ints"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", _WRONG_OBJECTS,
+                         ids=[fn.__name__ for fn, _, _ in _WRONG_OBJECTS])
+def test_a_stage_given_the_wrong_object_is_a_schema_error(fn, args, message):
+    # each used to raise AttributeError or TypeError
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        fn(*args)
 
 
 def test_a_parity_violation_escapes_the_cli(monkeypatch):

@@ -1,15 +1,17 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tropnewton.corpus import SplitMix64
+from tropnewton.corpus import SplitMix64, random_lifted_support
 from tropnewton.errors import (
     DegenerateHullError,
     SchemaError,
     ZeroSegmentError,
 )
+from tropnewton.hull import lower_hull_subdivision
 from tropnewton.lattice import (
     LatticePoint,
     convex_hull,
@@ -26,6 +28,7 @@ from tropnewton.lattice import (
 
 from oracles import (
     lattice_polygon,
+    locate_by_half_planes,
     lower_chain_by_edges,
     pick_interior_boundary,
     primitive_direction,
@@ -285,6 +288,36 @@ def test_hull_idempotence_and_containment():
         assert again == hull
         for p in pts:
             assert hull.locate(p) in ("inside", "boundary")
+
+
+def half_grid(region):
+    """The points of the region's bbox whose coordinates are multiples of
+    one half, lattice points included."""
+    x0, y0, x1, y1 = region.bbox()
+    return [(Fraction(a, 2), Fraction(b, 2))
+            for a in range(2 * x0, 2 * x1 + 1) for b in range(2 * y0, 2 * y1 + 1)]
+
+
+def test_locate_agrees_with_the_half_planes_on_convex_regions():
+    # the one crossing-count locate against the convex reference, on every
+    # cell, the domain and the hull of a few support points of 100 seeded
+    # liftings, at lattice points and half-integer points
+    rng = SplitMix64(30)
+    seen = Counter()
+    for _ in range(100):
+        lifting = random_lifted_support(rng, 5, 10)
+        sd = lower_hull_subdivision(lifting)
+        points = lifting.points
+        try:
+            hull = convex_hull(points[k] for k in rng.sample(0, len(points) - 1, 3))
+        except DegenerateHullError:
+            hull = sd.domain
+        for region in [sd.domain, hull, *(c.polygon for c in sd.cells)]:
+            for pt in half_grid(region):
+                where = region.locate(pt)
+                assert where == locate_by_half_planes(region, pt), (region, pt)
+                seen[where, pt[0].denominator * pt[1].denominator == 1] += 1
+    assert len(seen) == 6 and min(seen.values()) > 100, seen
 
 
 def test_segment_predicates():

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -40,6 +41,7 @@ from oracles import (
     Counted,
     brute_force_lower_hull,
     crossed_square_count_by_tests,
+    locate_by_half_planes,
     rim_endpoint_count,
     triangle_square_count_by_tests,
 )
@@ -150,11 +152,16 @@ def test_quintic_subdivision_and_classification():
     assert sd.cells[out[0]].polygon.vertices == ((0, 5), (2, 2), (5, 0))
 
 
-def touching_squares(sdd) -> int:
-    """Inside unit squares with a corner on the Newton boundary."""
+def inside_kinds(sdd) -> Counter:
+    """The kinds of the cells under the boundary, counted."""
+    return Counter(sdd.subdivision.cells[c].kind for c in sdd.inside_cells)
+
+
+def touching_squares(sdd, nd) -> int:
+    """Inside unit squares with a corner on the Newton boundary of ``nd``."""
     cells = sdd.subdivision.cells
     return sum(cells[c].kind == "square"
-               and any(v in sdd.diagram.gamma_lattice for v in cells[c].polygon.vertices)
+               and any(v in nd.gamma_lattice for v in cells[c].polygon.vertices)
                for c in sdd.inside_cells)
 
 
@@ -162,8 +169,8 @@ def test_subdivide_diagram_counts():
     for nd, squares, touching in [(QUINTIC, 6, 1), (CUSP, 1, 0), (NODE, 1, 1)]:
         sdd = subdivide_diagram(nd)
         dec = decompose_diagram(nd)
-        assert sdd.inside_kinds()["square"] == dec.square_count == squares
-        assert touching_squares(sdd) == dec.touching_count == touching
+        assert inside_kinds(sdd)["square"] == dec.square_count == squares
+        assert touching_squares(sdd, nd) == dec.touching_count == touching
         assert not sdd.used_fallback
 
 
@@ -818,20 +825,25 @@ def test_one_column_is_collinear():
             lower_hull_subdivision(heights)
 
 
+def on_the_rim(sd) -> int:
+    """Vertices that the half-plane oracle puts on the domain's boundary."""
+    return sum(locate_by_half_planes(sd.domain, v) == "boundary" for v in sd.vertices)
+
+
 def test_boundary_vertex_count_matches_locate():
     # corners (0,0), (4,0), (0,4); (2,0) inside the bottom edge and (2,2)
     # inside the long one; (1,1) inside the domain, all lifted as vertices
     sd = lower_hull_subdivision({(0, 0): 0, (4, 0): 0, (0, 4): 0, (2, 0): -1,
                                  (2, 2): -1, (1, 1): -3})
     assert set(sd.vertices) == {(0, 0), (4, 0), (0, 4), (2, 0), (2, 2), (1, 1)}
-    assert sd.boundary_vertex_count() == rim_endpoint_count(sd) == 5
+    assert sd.boundary_vertex_count() == rim_endpoint_count(sd) == on_the_rim(sd) == 5
     # a vertex outside the domain, on the line of the bottom edge, is not on it
     moved = dataclasses.replace(sd, vertices=sd.vertices + (LatticePoint(6, 0),))
-    assert moved.boundary_vertex_count() == rim_endpoint_count(moved) == 5
+    assert moved.boundary_vertex_count() == rim_endpoint_count(moved) == on_the_rim(moved) == 5
     rng = SplitMix64(3)
     for _ in range(100):
         sd = lower_hull_subdivision(random_lifted_support(rng, 20, 120))
-        assert sd.boundary_vertex_count() == rim_endpoint_count(sd)
+        assert sd.boundary_vertex_count() == rim_endpoint_count(sd) == on_the_rim(sd)
 
 
 def test_boundary_vertex_count_matches_locate_on_diagrams():
@@ -898,19 +910,19 @@ def test_lemma_counts_match_full_hull():
     for p, q in [(2, 3), (3, 4), (3, 5), (4, 5), (2, 7)]:
         nd = analyze_support([(p, 0), (0, q)])
         sdd = subdivide_diagram(nd)
-        assert sdd.inside_kinds().get("square", 0) == triangle_square_count(p, q)
+        assert inside_kinds(sdd)["square"] == triangle_square_count(p, q)
 
 
 # --- the kinked separable lifting ---------------------------------------------
 
-def assert_special(sdd):
-    """Inside cells are unit squares and half-square triangles that tile
-    the region, with the decomposition's square and touching counts."""
-    nd = sdd.diagram
-    kinds = sdd.inside_kinds()
+def assert_special(sdd, nd):
+    """Inside cells of ``nd``'s subdivision are unit squares and
+    half-square triangles that tile the region, with the decomposition's
+    square and touching counts."""
+    kinds = inside_kinds(sdd)
     assert set(kinds) <= {"square", "half_triangle"}
-    assert kinds.get("square", 0) == decompose_diagram(nd).square_count
-    assert touching_squares(sdd) == nd.branch_count - 1
+    assert kinds["square"] == decompose_diagram(nd).square_count
+    assert touching_squares(sdd, nd) == nd.branch_count - 1
     area = sum(sdd.subdivision.cells[c].polygon.area2 for c in sdd.inside_cells)
     assert area == nd.gamma_minus.area2
 
@@ -940,7 +952,7 @@ def test_kinked_lifting_lands_on_every_small_chain():
     kinked = 0
     for nd in diagrams:
         sdd = subdivide_diagram(nd)
-        assert_special(sdd)
+        assert_special(sdd, nd)
         assert sdd.used_fallback == (not default_lifting_lands(nd))
         kinked += sdd.used_fallback
     assert kinked > 0
@@ -951,9 +963,10 @@ def test_default_lifting_lands_on_every_single_edge_diagram():
     # holds up to p, q <= 30 as well, at 30 times the cost
     for p in range(2, 13):
         for q in range(2, 13):
-            sdd = subdivide_diagram(analyze_support([(p, 0), (0, q)]))
+            nd = analyze_support([(p, 0), (0, q)])
+            sdd = subdivide_diagram(nd)
             assert not sdd.used_fallback, (p, q)
-            assert_special(sdd)
+            assert_special(sdd, nd)
 
 
 def test_missed_lifting_raises(monkeypatch):
@@ -979,9 +992,10 @@ def test_subdivide_random_staircases():
     rng = random.Random(99)
     fallbacks = 0
     for _ in range(80):
-        sdd = subdivide_diagram(analyze_support(random_staircase(rng)))
+        nd = analyze_support(random_staircase(rng))
+        sdd = subdivide_diagram(nd)
         fallbacks += sdd.used_fallback
-        assert_special(sdd)
+        assert_special(sdd, nd)
     # boundary bends routinely defeat the default lifting, so this suite
     # must exercise the kinked lifting as well
     assert fallbacks > 0
